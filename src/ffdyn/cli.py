@@ -37,7 +37,8 @@ import math
 import shlex
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,19 +60,8 @@ from .flow import (
 from .lattice import LatticeBasis, delta as lattice_delta, successive_minima, weak_popov
 from .spherical import decay_check
 from .streams import stream
-from .tree import loglaw_experiment, quotient_ray
+from .tree import loglaw_experiment, power_thresholds, quotient_ray
 from .weyl import RootSystemSpec, cusp_rows, ratio_band
-
-TAGS = (
-    "delta-flow",
-    "kg-mc",
-    "mult-mc",
-    "strong-bc",
-    "cusp-volume",
-    "tree-loglaw",
-    "xi-decay",
-    "reduce",
-)
 
 REPORT_SCHEMA = "ffdyn.report.v1"
 
@@ -93,15 +83,21 @@ def _int_check(lo: int, hi: int):
     return check
 
 
-def _float_check(lo: float, hi: float):
-    def check(v):
+class _FloatCheck:
+    """A number in [lo, hi], or any finite number when unbounded; keys
+    with this check hold floats once parsed."""
+
+    def __init__(self, lo: float | None = None, hi: float | None = None):
+        self.lo, self.hi = lo, hi
+
+    def __call__(self, v):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             return "expected a number"
-        if not lo <= v <= hi:
-            return f"must lie in [{lo:g}, {hi:g}]"
+        if self.lo is None:
+            return None if math.isfinite(v) else "must be finite"
+        if not self.lo <= v <= self.hi:
+            return f"must lie in [{self.lo:g}, {self.hi:g}]"
         return None
-
-    return check
 
 
 def _choice_check(options: tuple[str, ...]):
@@ -135,194 +131,65 @@ def _str_check(v):
     return None
 
 
-def _unbounded_float(v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return "expected a number"
-    if not math.isfinite(v):
-        return "must be finite"
-    return None
+# the master seed has no default: it never comes from entropy
+_REQUIRED = object()
 
-
-# Caps are generous desk-scale bounds; values outside them are almost
-# certainly typos, and the runtime guarantees were only ever measured
-# inside them.
-_KEY_CHECKS = {
-    "seed": _seed_check,
-    "out": _str_check,
-    "format": _choice_check(("csv", "json")),
-    "threads": _int_check(1, 64),
-    "p": _prime_check,
-    "e": _int_check(1, 4),
-    "m": _int_check(1, 8),
-    "n": _int_check(1, 8),
-    "rank": _int_check(1, 8),
-    "q": _int_check(2, 64),
-    "psi": _choice_check(("power", "logpower", "zero")),
-    "psi_c": _float_check(-64.0, 64.0),
-    "psi_tau": _float_check(0.0, 64.0),
-    "psi_sigma": _float_check(0.0, 64.0),
-    "T": _int_check(1, 10_000_000),
-    "q_max": _int_check(1, 64),
-    "trials": _int_check(1, 100_000),
-    "samples": _int_check(0, 10_000_000),
-    "t_max": _int_check(3, 12),
-    "sigma_max": _int_check(1, 16),
-    "t_lo": _int_check(1, 400),
-    "t_hi": _int_check(1, 400),
-    "precision": _int_check(1, 65_536),
-    "burn_in": _int_check(0, 1_000_000),
-    "cap": _int_check(1, 10_000_000),
-    "rate": _choice_check(("log", "constant", "linear")),
-    "rate_c": _float_check(0.0, 1024.0),
-    "matrix": _str_check,
-    "threshold_min": _unbounded_float,
-    "threshold_max": _unbounded_float,
+# Every config key with its check and default.  A key whose default is
+# None is optional: it stays unset unless given.  Caps are generous
+# desk-scale bounds; values outside them are almost certainly typos, and
+# the runtime guarantees were only ever measured inside them.
+_KEYS = {
+    "seed": (_seed_check, _REQUIRED),
+    "out": (_str_check, "runs"),
+    "format": (_choice_check(("csv", "json")), "csv"),
+    "threads": (_int_check(1, 64), 1),
+    "p": (_prime_check, 2),
+    "e": (_int_check(1, 4), 1),
+    "m": (_int_check(1, 8), 1),
+    "n": (_int_check(1, 8), 1),
+    "rank": (_int_check(1, 8), 2),
+    "q": (_int_check(2, 64), 2),
+    "psi": (_choice_check(("power", "logpower", "zero")), "power"),
+    "psi_c": (_FloatCheck(-64.0, 64.0), 0.0),
+    "psi_tau": (_FloatCheck(0.0, 64.0), 1.0),
+    "psi_sigma": (_FloatCheck(0.0, 64.0), 1.0),
+    "T": (_int_check(1, 10_000_000), 64),
+    "q_max": (_int_check(1, 64), 8),
+    "trials": (_int_check(1, 100_000), 16),
+    "samples": (_int_check(0, 10_000_000), 0),
+    "t_max": (_int_check(3, 12), 6),
+    "sigma_max": (_int_check(1, 16), 6),
+    "t_lo": (_int_check(1, 400), 2),
+    "t_hi": (_int_check(1, 400), 40),
+    "precision": (_int_check(1, 65_536), None),
+    "burn_in": (_int_check(0, 1_000_000), None),
+    "cap": (_int_check(1, 10_000_000), 200_000),
+    "rate": (_choice_check(("log", "constant", "linear")), None),
+    "rate_c": (_FloatCheck(0.0, 1024.0), 0.5),
+    "matrix": (_str_check, None),
+    "threshold_min": (_FloatCheck(), None),
+    "threshold_max": (_FloatCheck(), None),
 }
-
-_FLOAT_KEYS = frozenset(
-    {"psi_c", "psi_tau", "psi_sigma", "rate_c", "threshold_min", "threshold_max"}
-)
-
-# keys that may be left unset (no default is filled in)
-_OPTIONAL_KEYS = frozenset(
-    {"precision", "burn_in", "rate", "matrix", "threshold_min", "threshold_max"}
-)
 
 _COMMON_KEYS = ("seed", "out", "format", "threads", "threshold_min", "threshold_max")
-
-_TAG_KEYS = {
-    "delta-flow": ("p", "e", "m", "n", "T", "trials", "precision"),
-    "kg-mc": (
-        "p",
-        "e",
-        "m",
-        "n",
-        "q_max",
-        "trials",
-        "precision",
-        "psi",
-        "psi_c",
-        "psi_tau",
-        "psi_sigma",
-    ),
-    "mult-mc": (
-        "p",
-        "e",
-        "m",
-        "n",
-        "q_max",
-        "trials",
-        "precision",
-        "cap",
-        "psi",
-        "psi_c",
-        "psi_tau",
-        "psi_sigma",
-    ),
-    "strong-bc": (
-        "p",
-        "e",
-        "m",
-        "n",
-        "T",
-        "trials",
-        "precision",
-        "burn_in",
-        "rate",
-        "rate_c",
-    ),
-    "cusp-volume": ("rank", "q", "t_lo", "t_hi"),
-    "tree-loglaw": ("q", "T", "trials", "rate", "rate_c"),
-    "xi-decay": ("p", "e", "t_max", "sigma_max", "samples", "precision"),
-    "reduce": ("matrix",),
-}
-
-_BASE_DEFAULTS = {
-    "out": "runs",
-    "format": "csv",
-    "threads": 1,
-    "p": 2,
-    "e": 1,
-    "m": 1,
-    "n": 1,
-    "rank": 2,
-    "q": 2,
-    "psi": "power",
-    "psi_c": 0.0,
-    "psi_tau": 1.0,
-    "psi_sigma": 1.0,
-    "T": 64,
-    "q_max": 8,
-    "trials": 16,
-    "samples": 0,
-    "t_max": 6,
-    "sigma_max": 6,
-    "t_lo": 2,
-    "t_hi": 40,
-    "precision": None,
-    "burn_in": None,
-    "cap": 200_000,
-    "rate": None,
-    "rate_c": 0.5,
-    "matrix": None,
-    "threshold_min": None,
-    "threshold_max": None,
-}
-
-_TAG_DEFAULTS = {
-    "delta-flow": {"T": 64, "trials": 16},
-    "kg-mc": {"trials": 100, "q_max": 8},
-    "mult-mc": {"trials": 8, "q_max": 5},
-    # the borderline log ladder only crosses the divergence floor around
-    # T ~ 10^4, so the default horizon sits above it
-    "strong-bc": {"T": 10_000, "trials": 20, "rate": "log", "rate_c": 0.5},
-    "cusp-volume": {},
-    "tree-loglaw": {"T": 10_000, "trials": 50},
-    "xi-decay": {},
-    "reduce": {},
-}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved parameters for one experiment run.
 
-    Holds the union of all per-experiment keys; ``echo()`` restricts the
-    view to the keys that apply to the chosen tag, which is what the run
-    report repeats back.
+    Every config key reads as an attribute whatever the tag, holding its
+    default when it does not apply; ``echo()`` restricts the view to the
+    keys that apply to the chosen tag, which is what the run report
+    repeats back.
     """
 
     tag: str
-    seed: int
-    out: str
-    format: str
-    threads: int
-    p: int
-    e: int
-    m: int
-    n: int
-    rank: int
-    q: int
-    psi: str
-    psi_c: float
-    psi_tau: float
-    psi_sigma: float
-    T: int
-    q_max: int
-    trials: int
-    samples: int
-    t_max: int
-    sigma_max: int
-    t_lo: int
-    t_hi: int
-    precision: int | None
-    burn_in: int | None
-    cap: int
-    rate: str | None
-    rate_c: float
-    matrix: str | None
-    threshold_min: float | None
-    threshold_max: float | None
+    values: dict
+
+    def __post_init__(self):
+        # each key also reads as a plain attribute, e.g. ``config.q_max``
+        self.__dict__.update(self.values)
 
     @property
     def s(self) -> int:
@@ -330,8 +197,8 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         out = {"tag": self.tag}
-        for key in _COMMON_KEYS + _TAG_KEYS[self.tag]:
-            out[key] = getattr(self, key)
+        for key in _COMMON_KEYS + EXPERIMENTS[self.tag].keys:
+            out[key] = self.values[key]
         return out
 
 
@@ -374,21 +241,10 @@ def _read_document(text: str) -> tuple[dict, list[str]]:
     return raw, violations
 
 
-def _cross_checks(tag: str, values: dict) -> list[str]:
-    """Constraints that couple several keys or depend on the tag."""
-    problems = []
-    if tag == "cusp-volume" and values["t_lo"] > values["t_hi"]:
-        problems.append("t_lo must not exceed t_hi")
-    if tag == "kg-mc" and values["psi"] == "zero":
-        problems.append("kg-mc needs a positive psi profile, not zero")
-    if tag == "reduce" and values["matrix"] is None:
-        problems.append("reduce needs matrix = PATH (a JSON matrix file)")
-    if tag == "strong-bc" and values["rate"] is None:
-        problems.append("strong-bc needs a rate family (log, constant or linear)")
-    if tag == "tree-loglaw" and values["T"] < 10:
-        problems.append("tree-loglaw needs T >= 10")
-    if tag == "xi-decay" and values["samples"] == 1:
-        problems.append("samples must be 0 (exact only) or at least 2")
+def _cross_checks(experiment: Experiment, values: dict) -> list[str]:
+    """Constraints that couple several keys: the experiment's own, then
+    the threshold order every experiment shares."""
+    problems = list(experiment.check(values))
     lo, hi = values["threshold_min"], values["threshold_max"]
     if lo is not None and hi is not None and lo > hi:
         problems.append("threshold_min must not exceed threshold_max")
@@ -407,9 +263,9 @@ def parse_config(
     """
     raw, violations = _read_document(text)
     doc_tag = raw.pop("tag", None)
-    if doc_tag is not None and doc_tag not in TAGS:
+    if doc_tag is not None and doc_tag not in EXPERIMENTS:
         violations.append(
-            f"unknown experiment tag {doc_tag!r}; expected one of " + ", ".join(TAGS)
+            f"unknown experiment tag {doc_tag!r}; expected one of " + ", ".join(EXPERIMENTS)
         )
         doc_tag = None
     if tag is not None and doc_tag is not None and tag != doc_tag:
@@ -420,45 +276,47 @@ def parse_config(
     if tag is None:
         violations.append("missing experiment tag")
         raise ConfigError(violations)
-    if tag not in TAGS:
+    if tag not in EXPERIMENTS:
         violations.append(
-            f"unknown experiment tag {tag!r}; expected one of " + ", ".join(TAGS)
+            f"unknown experiment tag {tag!r}; expected one of " + ", ".join(EXPERIMENTS)
         )
         raise ConfigError(violations)
+    experiment = EXPERIMENTS[tag]
 
     if overrides:
         raw.update(overrides)
-    allowed = set(_COMMON_KEYS) | set(_TAG_KEYS[tag])
+    allowed = set(_COMMON_KEYS) | set(experiment.keys)
     for key in sorted(raw):
-        if key not in _KEY_CHECKS:
+        if key not in _KEYS:
             violations.append(f"unknown key {key!r}")
             continue
         if key not in allowed:
             violations.append(f"key {key!r} does not apply to {tag}")
             continue
         value = raw[key]
-        if value is None and key in _OPTIONAL_KEYS:
+        check, default = _KEYS[key]
+        if value is None and default is None:
             continue
-        problem = _KEY_CHECKS[key](value)
+        problem = check(value)
         if problem:
             violations.append(f"{key}: {problem}")
     if "seed" not in raw or raw.get("seed") is None:
         violations.append("missing seed (the master seed has no entropy default)")
 
-    values = dict(_BASE_DEFAULTS)
-    values.update(_TAG_DEFAULTS[tag])
+    values = {key: default for key, (_, default) in _KEYS.items()}
+    values.update(experiment.defaults)
     for key, value in raw.items():
-        if key in _KEY_CHECKS and key in allowed:
+        if key in _KEYS and key in allowed:
             values[key] = value
     if not violations:
-        violations.extend(_cross_checks(tag, values))
+        violations.extend(_cross_checks(experiment, values))
     if violations:
         raise ConfigError(violations)
 
-    for key in _FLOAT_KEYS:
-        if values[key] is not None:
+    for key, (check, _) in _KEYS.items():
+        if isinstance(check, _FloatCheck) and values[key] is not None:
             values[key] = float(values[key])
-    return ExperimentConfig(tag=tag, **values)
+    return ExperimentConfig(tag, values)
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +396,12 @@ def _rate_ladder(family: str, c: float, T: int, base: int, lY: float = 1.0) -> n
 
     log: ceil(c log_base(t) / lY); constant: ceil(c); linear: ceil(c t).
     """
-    t = np.arange(1, T + 1, dtype=np.float64)
     if family == "log":
-        raw = c * np.log(t) / math.log(base) / lY
-    elif family == "constant":
+        return power_thresholds(c, base, T, lY)
+    if family == "constant":
         raw = np.full(T, float(c))
     else:
-        raw = c * t
+        raw = c * np.arange(1, T + 1, dtype=np.float64)
     return np.ceil(raw - 1e-9).astype(np.int64)
 
 
@@ -581,6 +438,24 @@ def _run_delta_flow(config: ExperimentConfig):
         "certified_fraction": certified / len(rows),
     }
     return ("trial", "t", "delta", "certified"), rows, summary, "certified_fraction"
+
+
+# Work caps checked at config time, before anything is allocated: a kg-mc
+# census enumerates about s^(n(q_max+1)) candidate vectors, and xi-decay's
+# exact sums refine about s^(2 t_max+1) congruence classes at t = t_max.
+_KG_CANDIDATE_CAP = 10**5
+_XI_CLASS_CAP = 10**7
+
+
+def _check_kg_mc(v: dict):
+    if v["psi"] == "zero":
+        yield "kg-mc needs a positive psi profile, not zero"
+    s, expo = v["p"] ** v["e"], v["n"] * (v["q_max"] + 1)
+    if s**expo > _KG_CANDIDATE_CAP:
+        yield (
+            f"kg-mc would enumerate s^(n(q_max+1)) = {s}^{expo} candidates, "
+            f"above the cap of {_KG_CANDIDATE_CAP:,}; lower q_max or n"
+        )
 
 
 def _run_kg_mc(config: ExperimentConfig):
@@ -652,6 +527,11 @@ def _run_mult_mc(config: ExperimentConfig):
     return ("trial", "solutions", "degenerate", "checked"), rows, summary, "mean_count"
 
 
+def _check_strong_bc(v: dict):
+    if v["rate"] is None:
+        yield "strong-bc needs a rate family (log, constant or linear)"
+
+
 def _run_strong_bc(config: ExperimentConfig):
     fs = _field(config)
     spec = FlowSpec(fs, config.m, config.n)
@@ -698,6 +578,11 @@ def _run_strong_bc(config: ExperimentConfig):
     return columns, rows, summary, headline
 
 
+def _check_cusp_volume(v: dict):
+    if v["t_lo"] > v["t_hi"]:
+        yield "t_lo must not exceed t_hi"
+
+
 def _run_cusp_volume(config: ExperimentConfig):
     spec = RootSystemSpec(config.rank)
     tails = cusp_rows(spec, config.q, config.t_lo, config.t_hi)
@@ -712,6 +597,11 @@ def _run_cusp_volume(config: ExperimentConfig):
         "ratio_band": float(ratio_band(tails)),
     }
     return ("T", "tail", "comparator", "ratio"), rows, summary, "ratio_band"
+
+
+def _check_tree_loglaw(v: dict):
+    if v["T"] < 10:
+        yield "tree-loglaw needs T >= 10"
 
 
 def _run_tree_loglaw(config: ExperimentConfig):
@@ -730,6 +620,17 @@ def _run_tree_loglaw(config: ExperimentConfig):
         for trial, (level, ratio) in enumerate(zip(report.max_levels, report.ratios))
     ]
     return ("trial", "max_level", "ratio"), rows, report.summary(), "median_ratio"
+
+
+def _check_xi_decay(v: dict):
+    if v["samples"] == 1:
+        yield "samples must be 0 (exact only) or at least 2"
+    s, expo = v["p"] ** v["e"], 2 * v["t_max"] + 1
+    if s**expo > _XI_CLASS_CAP:
+        yield (
+            f"xi-decay would refine s^(2 t_max+1) = {s}^{expo} congruence classes, "
+            f"above the cap of {_XI_CLASS_CAP:,}; lower t_max"
+        )
 
 
 def _run_xi_decay(config: ExperimentConfig):
@@ -807,6 +708,11 @@ def _basis_from_document(doc) -> LatticeBasis:
     return LatticeBasis(fs, rows)
 
 
+def _check_reduce(v: dict):
+    if v["matrix"] is None:
+        yield "reduce needs matrix = PATH (a JSON matrix file)"
+
+
 def _run_reduce(config: ExperimentConfig):
     path = Path(config.matrix)
     try:
@@ -832,15 +738,81 @@ def _run_reduce(config: ExperimentConfig):
     return ("index", "exponent"), rows, summary, "delta"
 
 
-_RUNNERS = {
-    "delta-flow": _run_delta_flow,
-    "kg-mc": _run_kg_mc,
-    "mult-mc": _run_mult_mc,
-    "strong-bc": _run_strong_bc,
-    "cusp-volume": _run_cusp_volume,
-    "tree-loglaw": _run_tree_loglaw,
-    "xi-decay": _run_xi_decay,
-    "reduce": _run_reduce,
+# ---------------------------------------------------------------------------
+# the experiment registry
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment tag: its subcommand help line, the config keys it
+    takes beside the common ones, its defaults where they differ from the
+    key table, its runner, and a cross-check yielding the violations of
+    constraints that couple its keys."""
+
+    help: str
+    keys: tuple[str, ...]
+    run: Callable[[ExperimentConfig], tuple]
+    defaults: dict = field(default_factory=dict)
+    check: Callable[[dict], Iterable[str]] = lambda values: ()
+
+
+_FLOW_KEYS = ("p", "e", "m", "n")
+_PSI_KEYS = ("psi", "psi_c", "psi_tau", "psi_sigma")
+
+# One record per tag; the order is the order of --help and error messages.
+EXPERIMENTS = {
+    "delta-flow": Experiment(
+        "depth trajectories of the diagonal flow on sampled lattices",
+        _FLOW_KEYS + ("T", "trials", "precision"),
+        _run_delta_flow,
+    ),
+    "kg-mc": Experiment(
+        "persistence dichotomy for psi-approximation over sampled matrices",
+        _FLOW_KEYS + ("q_max", "trials", "precision") + _PSI_KEYS,
+        _run_kg_mc,
+        {"trials": 100},
+        _check_kg_mc,
+    ),
+    "mult-mc": Experiment(
+        "multiplicative solution counts below a norm bound",
+        _FLOW_KEYS + ("q_max", "trials", "precision", "cap") + _PSI_KEYS,
+        _run_mult_mc,
+        {"trials": 8, "q_max": 5},
+    ),
+    "strong-bc": Experiment(
+        "hit-count ratios against the expected tail sum",
+        _FLOW_KEYS + ("T", "trials", "precision", "burn_in", "rate", "rate_c"),
+        _run_strong_bc,
+        # the borderline log ladder only crosses the divergence floor
+        # around T ~ 10^4, so the default horizon sits above it
+        {"T": 10_000, "trials": 20, "rate": "log"},
+        _check_strong_bc,
+    ),
+    "cusp-volume": Experiment(
+        "cusp tail sums against the power-law comparator",
+        ("rank", "q", "t_lo", "t_hi"),
+        _run_cusp_volume,
+        check=_check_cusp_volume,
+    ),
+    "tree-loglaw": Experiment(
+        "logarithm law for geodesic depth on the quotient ray",
+        ("q", "T", "trials", "rate", "rate_c"),
+        _run_tree_loglaw,
+        {"T": 10_000, "trials": 50},
+        _check_tree_loglaw,
+    ),
+    "xi-decay": Experiment(
+        "exact spherical averages and their decay fit",
+        ("p", "e", "t_max", "sigma_max", "samples", "precision"),
+        _run_xi_decay,
+        check=_check_xi_decay,
+    ),
+    "reduce": Experiment(
+        "one-shot lattice reduction from a matrix file",
+        ("matrix",),
+        _run_reduce,
+        check=_check_reduce,
+    ),
 }
 
 
@@ -921,7 +893,7 @@ def _within_thresholds(config: ExperimentConfig, value) -> bool:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run one experiment and write its artifact and report files."""
     start = time.perf_counter()
-    columns, rows, summary, headline = _RUNNERS[config.tag](config)
+    columns, rows, summary, headline = EXPERIMENTS[config.tag].run(config)
     wall = time.perf_counter() - start
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -967,26 +939,14 @@ def _seed_argument(text: str) -> int:
     return value
 
 
-_TAG_HELP = {
-    "delta-flow": "depth trajectories of the diagonal flow on sampled lattices",
-    "kg-mc": "persistence dichotomy for psi-approximation over sampled matrices",
-    "mult-mc": "multiplicative solution counts below a norm bound",
-    "strong-bc": "hit-count ratios against the expected tail sum",
-    "cusp-volume": "cusp tail sums against the power-law comparator",
-    "tree-loglaw": "logarithm law for geodesic depth on the quotient ray",
-    "xi-decay": "exact spherical averages and their decay fit",
-    "reduce": "one-shot lattice reduction from a matrix file",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ffdyn", description="experiment runner")
     parser.add_argument(
         "--version", action="version", version=f"ffdyn {__version__}"
     )
     sub = parser.add_subparsers(dest="tag", metavar="experiment", required=True)
-    for tag in TAGS:
-        p = sub.add_parser(tag, help=_TAG_HELP[tag])
+    for tag, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(tag, help=experiment.help)
         p.add_argument("--config", metavar="PATH", help="key=value or JSON config file")
         p.add_argument(
             "--seed",
@@ -996,7 +956,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", metavar="DIR", help="output directory (default: runs)")
         p.add_argument(
-            "--threads", type=int, metavar="N", help="worker threads for trial loops"
+            "--threads",
+            type=int,
+            metavar="N",
+            help="worker threads for the kg-mc and strong-bc trial loops "
+            "(the other experiments ignore it)",
         )
         p.add_argument(
             "--format", choices=("csv", "json"), help="artifact format (default: csv)"

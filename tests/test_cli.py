@@ -1,6 +1,7 @@
 """Tests for the experiment runner: config validation, artifact schemas,
 determinism and exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from ffdyn.cli import main, parse_config
+from ffdyn.cli import EXPERIMENTS, build_parser, main, parse_config
 from ffdyn.errors import ConfigError
 
 
@@ -128,6 +129,43 @@ def test_cross_key_constraints():
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# a comment\n\nseed = 4\n  # indented\n", tag="delta-flow")
     assert cfg.seed == 4
+
+
+def test_work_caps_reject_unfinishable_configs():
+    # s^(n(q_max+1)) = 2^65 kg-mc candidates and s^(2 t_max+1) = 13^13
+    # xi-decay classes; both are refused before anything runs
+    with pytest.raises(ConfigError) as info:
+        parse_config("seed = 1\np = 2\nn = 1\nq_max = 64", tag="kg-mc")
+    assert any("2^65 candidates" in v and "100,000" in v for v in info.value.violations)
+    with pytest.raises(ConfigError) as info:
+        parse_config("seed = 1\np = 13\nt_max = 6", tag="xi-decay")
+    assert any("13^13 congruence classes" in v and "10,000,000" in v for v in info.value.violations)
+
+
+def test_every_experiment_listing_follows_the_registry():
+    import test_acceptance
+
+    tags = list(EXPERIMENTS)
+    root = Path(__file__).resolve().parents[1]
+    readme = root.joinpath("README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = [
+        line.split("|")[1].strip()
+        for line in section.splitlines()
+        if line.startswith("|") and not line.startswith("|-")
+    ]
+    assert table[1:] == tags
+    configs = sorted(root.glob("scripts/configs/*.cfg"))
+    assert sorted(path.stem for path in configs) == sorted(tags)
+    for path in configs:
+        assert parse_config(path.read_text()).tag == path.stem
+    assert list(test_acceptance._CLI_CONFIGS) == tags
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert list(subparsers.choices) == tags
 
 
 # ---------------------------------------------------------------------------
