@@ -441,7 +441,8 @@ def _run_delta_flow(config: ExperimentConfig):
 
 
 # Work caps checked at config time, before anything is allocated: a kg-mc
-# census enumerates about s^(n(q_max+1)) candidate vectors, and xi-decay's
+# census enumerates s^(n(q_max+1)) candidate vectors, or on its n = 1,
+# e = 1 fast path only the (s^(q_max+1)-1)/(s-1) monic ones, and xi-decay's
 # exact sums refine about s^(2 t_max+1) congruence classes at t = t_max.
 _KG_CANDIDATE_CAP = 10**5
 _XI_CLASS_CAP = 10**7
@@ -450,11 +451,17 @@ _XI_CLASS_CAP = 10**7
 def _check_kg_mc(v: dict):
     if v["psi"] == "zero":
         yield "kg-mc needs a positive psi profile, not zero"
-    s, expo = v["p"] ** v["e"], v["n"] * (v["q_max"] + 1)
-    if s**expo > _KG_CANDIDATE_CAP:
+    s, width = v["p"] ** v["e"], v["q_max"] + 1
+    if v["n"] == 1 and v["e"] == 1:
+        count = (s**width - 1) // (s - 1)
+        what = f"the {count:,} monic ones of the s^(q_max+1) = {s}^{width} candidates"
+    else:
+        count = s ** (v["n"] * width)
+        what = f"s^(n(q_max+1)) = {s}^{v['n'] * width} candidates"
+    if count > _KG_CANDIDATE_CAP:
         yield (
-            f"kg-mc would enumerate s^(n(q_max+1)) = {s}^{expo} candidates, "
-            f"above the cap of {_KG_CANDIDATE_CAP:,}; lower q_max or n"
+            f"kg-mc would enumerate {what}, above the cap of "
+            f"{_KG_CANDIDATE_CAP:,}; lower q_max or n"
         )
 
 

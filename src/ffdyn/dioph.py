@@ -30,11 +30,13 @@ from .flow import (
     DriftVector,
     FlowSpec,
     PsiFunction,
+    _generic_result,
+    _require_certified,
+    _trajectory_generic,
     delta_trajectory,
     flow_apply,
     psi_to_rate,
     sample_matrix,
-    unipotent_lattice,
 )
 from .lattice import (
     LatticeBasis,
@@ -70,14 +72,6 @@ def _poly_vector(q, n: int) -> tuple[Poly, ...]:
     if len(qs) != n:
         raise ValueError(f"q must have {n} coordinates")
     return qs
-
-
-def _poly_of_series(entry: LaurentSeries) -> Poly:
-    """Exact polynomial content of a series supported on indices <= 0."""
-    poly, frac = entry.polynomial_part()
-    if frac.has_leading_term:
-        raise ValueError("series has a fractional tail; not a polynomial")
-    return poly
 
 
 def _spower_exponent(x, s: int, what: str) -> int:
@@ -776,11 +770,15 @@ def _window_correspondence(A, psi, spec, T) -> CorrespondenceReport:
         raise ValueError("psi and the flow use different values of s")
     m, n = spec.m, spec.n
     rate = psi_to_rate(psi, m, n)
-    traj = delta_trajectory(A, spec, T, strict=True)
     use_cf = m == 1 and n == 1
     if use_cf:
+        traj = delta_trajectory(A, spec, T, strict=True)
         ladder_degs, ladder_qs = _cf_convergents(fs, rows_A[0][0])
-    basis = None if use_cf else unipotent_lattice(rows_A, spec)
+    else:
+        # the engine certifies every column of U at each t, so a certified
+        # trajectory certifies the witness columns it yields
+        steps = list(_trajectory_generic(spec, rows_A, T))
+        traj = _require_certified(_generic_result(spec, steps))
     out: list[CorrespondenceRow] = []
     for t in range(1, T + 1):
         a = float(m * n * t)
@@ -800,7 +798,9 @@ def _window_correspondence(A, psi, spec, T) -> CorrespondenceReport:
             qs = (ladder_qs[k],)
             ps = None
         else:
-            qs, ps = _reduction_witness(basis, spec, t)
+            col = steps[t][2]
+            ps = tuple(Poly(fs, c) for c in col[:m])
+            qs = tuple(Poly(fs, c) for c in col[m:])
         witness = _verify_window_witness(rows_A, psi, spec, t, R, qs, ps)
         ok = witness.window_ok and witness.ineq_ok
         out.append(CorrespondenceRow(t, d, R, True, witness, ok))
@@ -845,22 +845,6 @@ def _cf_convergents(fs: FieldSpec, a: LaurentSeries):
         degs.append(q_new.degree)
         f0, f1 = f1, f2
     return degs, qs
-
-
-def _reduction_witness(basis, spec, t):
-    """Shortest reduced column of g_t Lambda, in integer coordinates."""
-    red = weak_popov(flow_apply(basis, t, spec))
-    certified, needed = red.certification()
-    if not certified:
-        raise CertificationError(
-            f"witness reduction uncertified at t = {t}",
-            needed_precision=needed,
-        )
-    j = int(np.argmin(red.degrees))
-    ucol = red.transform_columns()[j]
-    ps = tuple(_poly_of_series(ucol[i]) for i in range(spec.m))
-    qs = tuple(_poly_of_series(ucol[spec.m + i]) for i in range(spec.n))
-    return qs, ps
 
 
 def _verify_window_witness(rows_A, psi, spec, t, R, qs, ps) -> WindowWitness:

@@ -457,8 +457,14 @@ def delta_trajectory(
     if use_cf:
         result = _trajectory_cf(spec, entries[0][0], T)
     else:
-        result = _trajectory_generic(spec, entries, T)
-    if strict and not result.certified.all():
+        result = _generic_result(spec, list(_trajectory_generic(spec, entries, T)))
+    if strict:
+        _require_certified(result)
+    return result
+
+
+def _require_certified(result: TrajectoryResult) -> TrajectoryResult:
+    if not result.certified.all():
         bad = int(np.argmin(result.certified))
         raise CertificationError(
             f"trajectory uncertified at t = {int(result.times[bad])}",
@@ -508,7 +514,17 @@ def _trajectory_cf(spec: FlowSpec, a: LaurentSeries, T: int) -> TrajectoryResult
     )
 
 
-def _trajectory_generic(spec: FlowSpec, entries, T: int) -> TrajectoryResult:
+def _trajectory_generic(spec: FlowSpec, entries, T: int):
+    """The incremental reduction engine along the flow, t = 0..T.
+
+    Keeps W = X^M g_t u_A U in weak Popov form, U the cumulative unimodular
+    transform, and yields (depth, needed, column) at each t.  needed is None
+    when every column of U is certified at t, else the input precision that
+    would certify them all; column is the U column of the shortest reduced
+    vector trimmed to its degree, (p_1..p_m, q_1..q_n) in the basis u_A.
+    """
+    if T < 0:
+        raise ValueError("T must be >= 0")
     fs = spec.field
     basis = unipotent_lattice(entries, spec)
     N = basis.window
@@ -520,63 +536,42 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int) -> TrajectoryResult:
     W[:, :, : W0.shape[2]] = W0
     degrees = np.empty(r, dtype=np.int64)
     pivots = np.empty(r, dtype=np.int64)
-    for j in range(r):
-        degrees[j], pivots[j] = _pivot_of(W[:, j, :])
     # transform degrees stay well below twice (initial column degrees plus
     # flow stretch); the reducer raises before overflowing the buffer
-    budget = 2 * (r * M + 2 * m * n * T) + 16
-    U = np.zeros((r, r, budget), dtype=np.int64)
-    for i in range(r):
-        U[i, i, 0] = 1
-    deltas = np.empty(T + 1, dtype=np.int64)
-    certflags = np.empty(T + 1, dtype=bool)
-    needed = 0
-
-    def record(t: int) -> None:
-        nonlocal needed
-        deltas[t] = M - int(degrees.min())
-        if N is None:
-            certflags[t] = True
-            return
-        anynz = (U != 0).any(axis=0)
-        udeg = np.where(
-            anynz.any(axis=1),
-            U.shape[2] - 1 - np.argmax(anynz[:, ::-1], axis=1),
-            0,
-        )
-        # truncation error of the input sits at packed degree
-        # <= M + n t - N + deg U_j; it must stay below every pivot degree
-        worst = int((udeg - degrees).max())
-        ok = worst < N - M - n * t
-        certflags[t] = ok
-        if not ok:
-            needed = max(needed, M + n * t + worst + 1)
-
-    _reduce_packed(fs, W, U, degrees, pivots)
-    record(0)
-    for t in range(1, T + 1):
-        top = np.roll(W[:m], n, axis=2)
-        top[:, :, :n] = 0
-        W[:m] = top
-        bot = np.roll(W[m:], -m, axis=2)
-        bot[:, :, -m:] = 0
-        W[m:] = bot
+    U = np.zeros((r, r, 2 * (r * M + 2 * m * n * T) + 16), dtype=np.int64)
+    U[:, :, 0] = np.eye(r, dtype=np.int64)
+    udegrees = np.zeros(r, dtype=np.int64)
+    for t in range(T + 1):
+        if t:
+            top = np.roll(W[:m], n, axis=2)
+            top[:, :, :n] = 0
+            W[:m] = top
+            bot = np.roll(W[m:], -m, axis=2)
+            bot[:, :, -m:] = 0
+            W[m:] = bot
         for j in range(r):
             degrees[j], pivots[j] = _pivot_of(W[:, j, :])
-        _reduce_packed(fs, W, U, degrees, pivots)
-        record(t)
-    ts = np.arange(0, T + 1, dtype=np.int64)
+        _reduce_packed(fs, W, U, degrees, pivots, udegrees)
+        needed = None
+        if N is not None:
+            # truncation error of the input sits at packed degree
+            # <= M + n t - N + deg U_j; it must stay below every pivot degree
+            worst = int((udegrees - degrees).max())
+            if worst >= N - M - n * t:
+                needed = M + n * t + worst + 1
+        j = int(np.argmin(degrees))
+        yield M - int(degrees[j]), needed, U[:, j, : udegrees[j] + 1].copy()
+
+
+def _generic_result(spec: FlowSpec, steps) -> TrajectoryResult:
+    """Trajectory of the engine's steps for t = 0..T."""
+    needs = [need for _, need, _ in steps if need is not None]
     return TrajectoryResult(
         spec,
-        ts,
-        deltas,
-        certflags,
-        meta={
-            "path": "generic",
-            "scale": M,
-            "window": N,
-            "needed_precision": needed if needed else None,
-        },
+        np.arange(len(steps), dtype=np.int64),
+        np.array([d for d, _, _ in steps], dtype=np.int64),
+        np.array([need is None for _, need, _ in steps], dtype=bool),
+        meta={"path": "generic", "needed_precision": max([0, *needs]) or None},
     )
 
 

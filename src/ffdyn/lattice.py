@@ -140,9 +140,12 @@ class ReducedBasis:
         "transform",
         "degrees",
         "pivots",
+        "udegrees",
     )
 
-    def __init__(self, field, rank, scale, window, matrix, transform, degrees, pivots):
+    def __init__(
+        self, field, rank, scale, window, matrix, transform, degrees, pivots, udegrees
+    ):
         self.field = field
         self.rank = rank
         self.scale = scale
@@ -151,15 +154,11 @@ class ReducedBasis:
         self.transform = transform
         self.degrees = tuple(int(d) for d in degrees)
         self.pivots = tuple(int(p) for p in pivots)
+        self.udegrees = tuple(int(u) for u in udegrees)
 
     def transform_degrees(self) -> tuple[int, ...]:
         """Max entry degree of each transformation column."""
-        out = []
-        for j in range(self.rank):
-            col = self.transform[:, j, :]
-            nz = np.nonzero(col)[1]
-            out.append(int(nz.max()) if nz.size else 0)
-        return tuple(out)
+        return self.udegrees
 
     def certification(self) -> tuple[bool, int | None]:
         if self.window is None:
@@ -237,12 +236,14 @@ def _reduce_packed(
     U: np.ndarray,
     degrees: np.ndarray,
     pivots: np.ndarray,
+    udegrees: np.ndarray,
     max_steps: int | None = None,
 ) -> int:
     """Drive (W, U) to weak Popov form in place; returns steps taken.
 
-    ``degrees``/``pivots`` must hold current per-column values on entry and
-    are maintained.  Collisions are resolved deterministically: among columns
+    ``degrees``/``pivots`` (of the columns of W) and ``udegrees`` (of the
+    columns of U) must hold current per-column values on entry and are
+    maintained.  Collisions are resolved deterministically: among columns
     sharing the lowest colliding pivot row, the one with larger (degree,
     index) is reduced against the smaller.
     """
@@ -271,34 +272,36 @@ def _reduce_packed(
         if clash is None:
             return steps
         _, keep, red = clash
-        _simple_transform(fs, W, U, degrees, pivots, keep, red)
+        _simple_transform(fs, W, U, degrees, pivots, udegrees, keep, red)
         steps += 1
         if steps > max_steps:
             raise LatticeError("reduction did not terminate (singular input?)")
 
 
-def _simple_transform(fs, W, U, degrees, pivots, keep: int, red: int) -> None:
+def _simple_transform(fs, W, U, degrees, pivots, udegrees, keep: int, red: int) -> None:
+    """Column red -= c X^e column keep, cancelling the pivot of red.
+
+    Column keep of W has degree dk and column keep of U degree
+    udegrees[keep], so only the windows they reach are updated."""
     row = int(pivots[keep])
     dk, dr = int(degrees[keep]), int(degrees[red])
     e = dr - dk
     c = fs.mul(int(W[row, red, dr]), fs.inv(int(W[row, keep, dk])))
-    L = W.shape[2]
-    seg = fs.scale_arr(c, W[:, keep, : L - e])
-    W[:, red, e:] = fs.sub_arr(W[:, red, e:], seg)
-    LU = U.shape[2]
-    unz = np.nonzero(U[:, keep, :])[1]
-    if unz.size and int(unz.max()) + e >= LU:
+    seg = fs.scale_arr(c, W[:, keep, : dk + 1])
+    W[:, red, e : dr + 1] = fs.sub_arr(W[:, red, e : dr + 1], seg)
+    uk, ur = int(udegrees[keep]), int(udegrees[red])
+    top = uk + e
+    if top >= U.shape[2]:
         raise LatticeError("transform buffer overflow")  # guarded by caller sizing
-    useg = fs.scale_arr(c, U[:, keep, : LU - e])
-    U[:, red, e:] = fs.sub_arr(U[:, red, e:], useg)
-    degrees[red], pivots[red] = _pivot_of(W[:, red, :])
-
-
-def _alloc_transform(fs: FieldSpec, r: int, budget: int) -> np.ndarray:
-    U = np.zeros((r, r, budget + 1), dtype=np.int64)
-    for i in range(r):
-        U[i, i, 0] = 1
-    return U
+    useg = fs.scale_arr(c, U[:, keep, : uk + 1])
+    U[:, red, e : top + 1] = fs.sub_arr(U[:, red, e : top + 1], useg)
+    if top > ur:
+        udegrees[red] = top
+    elif top == ur:
+        # the leading terms may cancel; nothing above top is nonzero
+        nz = np.nonzero(U[:, red, : top + 1])[1]
+        udegrees[red] = int(nz.max()) if nz.size else 0
+    degrees[red], pivots[red] = _pivot_of(W[:, red, : dr + 1])
 
 
 def weak_popov(basis: LatticeBasis) -> ReducedBasis:
@@ -313,9 +316,11 @@ def weak_popov(basis: LatticeBasis) -> ReducedBasis:
         degrees[j], pivots[j] = _pivot_of(W[:, j, :])
     # U entry degrees stay below 2 * (sum of column degrees) throughout
     budget = 2 * int(degrees.clip(min=0).sum()) + 8
-    U = _alloc_transform(fs, r, budget)
-    _reduce_packed(fs, W, U, degrees, pivots)
-    return ReducedBasis(fs, r, M, basis.window, W, U, degrees, pivots)
+    U = np.zeros((r, r, budget + 1), dtype=np.int64)
+    U[:, :, 0] = np.eye(r, dtype=np.int64)
+    udegrees = np.zeros(r, dtype=np.int64)
+    _reduce_packed(fs, W, U, degrees, pivots, udegrees)
+    return ReducedBasis(fs, r, M, basis.window, W, U, degrees, pivots, udegrees)
 
 
 def delta(basis: LatticeBasis | ReducedBasis) -> DeltaValue:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: schoolbook polynomial arithmetic on
 Python lists, dict-based series products, literal box enumerations, Fraction
-arithmetic for exact identities.  Nothing imports from ffdyn, so agreement
+arithmetic for exact identities, and the full-width weak Popov reduction
+the package's windowed one is checked against.  Nothing imports from ffdyn, so agreement
 between these and the package is a real cross-check, not a tautology.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # F_p polynomials as plain lists, ascending degree, no trailing zeros.
@@ -312,3 +315,75 @@ def xi_closed_form(q: int, t: int) -> Fraction:
 def excursion_tail(q: int, r: int) -> Fraction:
     """P(excursion max >= r) for the quotient-ray walk, r >= 1."""
     return Fraction(1, q ** (r - 1))
+
+
+# ---------------------------------------------------------------------------
+# Full-width weak Popov reduction of packed arrays W [r, r, L] (W[i, j, d] is
+# the X^d coefficient of entry (i, j)) with transform U.  Every simple
+# transformation updates whole columns and every degree comes from a scan.
+# ``fs`` is any object with the field operations mul, inv, scale_arr and
+# sub_arr on integer codes.
+
+
+def packed_pivot(col: np.ndarray) -> tuple[int, int]:
+    """(degree, pivot row) of a packed column [r, L]: the lowest row index
+    among the entries of maximal degree; (-1, -1) for a zero column."""
+    best = (-1, -1)
+    for i in range(col.shape[0]):
+        nz = np.nonzero(col[i])[0]
+        if nz.size and int(nz.max()) > best[0]:
+            best = (int(nz.max()), i)
+    return best
+
+
+def column_degrees(U: np.ndarray) -> list[int]:
+    """Max entry degree of each column of a packed transform, 0 if zero."""
+    out = []
+    for j in range(U.shape[1]):
+        nz = np.nonzero(U[:, j, :])[1]
+        out.append(int(nz.max()) if nz.size else 0)
+    return out
+
+
+def reduce_packed_full_width(fs, W, U, degrees, pivots, max_steps=None) -> int:
+    """Weak Popov form in place, with the package's collision order."""
+    r = W.shape[0]
+    if max_steps is None:
+        max_steps = int(degrees.clip(min=0).sum()) + r * r + 16
+    steps = 0
+    while True:
+        order = {}
+        clash = None
+        for j in range(r):
+            p = int(pivots[j])
+            if p < 0:
+                raise ValueError("columns are linearly dependent")
+            if p in order:
+                a, b = order[p], j
+                ka = (int(degrees[a]), a)
+                kb = (int(degrees[b]), b)
+                keep, red = (a, b) if ka <= kb else (b, a)
+                if clash is None or p < clash[0]:
+                    clash = (p, keep, red)
+                if ka > kb:
+                    order[p] = b
+            else:
+                order[p] = j
+        if clash is None:
+            return steps
+        _, keep, red = clash
+        row = int(pivots[keep])
+        dk, dr = int(degrees[keep]), int(degrees[red])
+        e = dr - dk
+        c = fs.mul(int(W[row, red, dr]), fs.inv(int(W[row, keep, dk])))
+        L = W.shape[2]
+        W[:, red, e:] = fs.sub_arr(W[:, red, e:], fs.scale_arr(c, W[:, keep, : L - e]))
+        LU = U.shape[2]
+        unz = np.nonzero(U[:, keep, :])[1]
+        if unz.size and int(unz.max()) + e >= LU:
+            raise ValueError("transform buffer overflow")
+        U[:, red, e:] = fs.sub_arr(U[:, red, e:], fs.scale_arr(c, U[:, keep, : LU - e]))
+        degrees[red], pivots[red] = packed_pivot(W[:, red, :])
+        steps += 1
+        if steps > max_steps:
+            raise ValueError("reduction did not terminate")

@@ -142,6 +142,16 @@ def test_work_caps_reject_unfinishable_configs():
     assert any("13^13 congruence classes" in v and "10,000,000" in v for v in info.value.violations)
 
 
+def test_kg_mc_cap_counts_the_rows_each_path_builds():
+    # n = 1, e = 1 builds only the monic rows: (3^11 - 1) / 2 = 88,573 of the
+    # 3^11 = 177,147 candidates; e = 2 takes the slow path, 4^9 = 262,144
+    cfg = parse_config("seed = 1\np = 3\nn = 1\nq_max = 10", tag="kg-mc")
+    assert cfg.q_max == 10
+    with pytest.raises(ConfigError) as info:
+        parse_config("seed = 1\np = 2\ne = 2\nn = 1\nq_max = 8", tag="kg-mc")
+    assert any("4^9 candidates" in v for v in info.value.violations)
+
+
 def test_every_experiment_listing_follows_the_registry():
     import test_acceptance
 

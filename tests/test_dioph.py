@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffdyn.dioph import (
+    _verify_window_witness,
     best_integer_approx,
     correspondence_check,
     kg_monte_carlo,
@@ -20,8 +21,15 @@ from ffdyn.dioph import (
 )
 from ffdyn.errors import CertificationError, EnumerationCapError, PrecisionError
 from ffdyn.field import LaurentSeries, Poly, field_spec
-from ffdyn.flow import FlowSpec, PsiPowerLaw, sample_matrix, unipotent_lattice
-from ffdyn.lattice import LatticeBasis
+from ffdyn.flow import (
+    FlowSpec,
+    PsiPowerLaw,
+    delta_trajectory,
+    flow_apply,
+    sample_matrix,
+    unipotent_lattice,
+)
+from ffdyn.lattice import LatticeBasis, weak_popov
 from ffdyn.streams import stream
 
 F2 = field_spec(2)
@@ -457,6 +465,50 @@ def test_correspondence_low_precision_raises():
     a = sample_matrix(F2, rng, 1, 1, 8)[0][0]
     with pytest.raises(CertificationError):
         correspondence_check(a, psi, FlowSpec(F2, 1, 1), T=16)
+
+
+@pytest.mark.parametrize("fs", [F2, F3, field_spec(2, 2)], ids=lambda fs: f"s{fs.s}")
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 1), (2, 2)])
+def test_engine_witnesses_are_shortest_vectors(fs, m, n):
+    # every flagged witness comes from the trajectory's own transform; it
+    # must be as short as the from-scratch reduction's shortest column
+    psi = power_law(fs.s, tau=1.0)
+    spec = FlowSpec(fs, m, n)
+    A = sample_matrix(fs, stream(37, "test", 10 * m + n + fs.s), m, n, (m + n) * 16 + 48)
+    basis = unipotent_lattice(A, spec)
+    rep = correspondence_check(A, psi, spec, T=16)
+    assert rep.flagged_count > 0
+    for row in rep.rows:
+        if not row.flagged:
+            continue
+        flowed = flow_apply(basis, row.time, spec)
+        red = weak_popov(flowed)
+        assert red.certification()[0]
+        col = [LaurentSeries.from_poly(c) for c in row.witness.p + row.witness.q]
+        exps = []
+        for entries in flowed.entries:
+            w = LaurentSeries.zero(fs)
+            for b, c in zip(entries, col):
+                w = w + b * c
+            if w.has_leading_term:
+                exps.append(-int(w.valuation()))
+        assert max(exps) == min(red.degrees) - red.scale
+        again = _verify_window_witness(
+            A, psi, spec, row.time, row.threshold, row.witness.q, row.witness.p
+        )
+        assert again.window_ok and again.ineq_ok
+
+
+def test_correspondence_low_precision_generic_raises_like_trajectory():
+    spec = FlowSpec(F2, 2, 1)
+    A = sample_matrix(F2, stream(36, "test", 51), 2, 1, 12)
+    with pytest.raises(CertificationError) as traj:
+        delta_trajectory(A, spec, 16, strict=True)
+    with pytest.raises(CertificationError) as corr:
+        correspondence_check(A, power_law(2, tau=1.0), spec, T=16)
+    assert traj.value.needed_precision is not None
+    assert corr.value.needed_precision == traj.value.needed_precision
+    assert str(corr.value) == str(traj.value)
 
 
 def test_correspondence_matrix_needs_spec():

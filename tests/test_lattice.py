@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ffdyn import lattice
 from ffdyn.errors import CertificationError, LatticeError
 from ffdyn.field import LaurentSeries, field_spec, parse_series
 from ffdyn.lattice import (
@@ -52,6 +53,62 @@ def test_rejects_bad_shapes():
                 [LaurentSeries.one(F2), LaurentSeries.zero(F2)],
                 [LaurentSeries.one(F2), LaurentSeries.zero(F2)],
             ],
+        )
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+def test_windowed_reduction_matches_full_width_reference(p, e, monkeypatch):
+    fs = field_spec(p, e)
+    rng = np.random.default_rng(100 * p + e)
+    real = lattice._simple_transform
+
+    def checked(*args):
+        real(*args)
+        U, udegrees = args[2], args[5]
+        assert list(udegrees) == oracles.column_degrees(U)
+
+    monkeypatch.setattr(lattice, "_simple_transform", checked)
+    total = 0
+    for trial in range(12):
+        r = 2 + trial % 3
+        W = rng.integers(0, fs.s, size=(r, r, 8))
+        # ragged entry degrees, some entries zero
+        W[np.arange(8) > rng.integers(-1, 8, size=(r, r, 1))] = 0
+        W[0, :, 0] = np.maximum(W[0, :, 0], 1)
+        degrees = np.empty(r, dtype=np.int64)
+        pivots = np.empty(r, dtype=np.int64)
+        for j in range(r):
+            degrees[j], pivots[j] = oracles.packed_pivot(W[:, j, :])
+        U = np.zeros((r, r, 2 * int(degrees.sum()) + 9), dtype=np.int64)
+        U[:, :, 0] = np.eye(r, dtype=np.int64)
+        ref = [a.copy() for a in (W, U, degrees, pivots)]
+        try:
+            steps = oracles.reduce_packed_full_width(fs, *ref)
+        except ValueError:
+            with pytest.raises(LatticeError):
+                lattice._reduce_packed(
+                    fs, W, U, degrees, pivots, np.zeros(r, dtype=np.int64)
+                )
+            continue
+        udegrees = np.zeros(r, dtype=np.int64)
+        assert lattice._reduce_packed(fs, W, U, degrees, pivots, udegrees) == steps
+        for got, want in zip((W, U, degrees, pivots), ref):
+            assert np.array_equal(got, want)
+        assert list(udegrees) == oracles.column_degrees(U)
+        total += steps
+    assert total > 0
+
+
+def test_transform_buffer_overflow_raises():
+    # columns (1, 0) and (X, 1) collide in row 0 with shift e = 1, which a
+    # transform buffer one coefficient wide cannot hold
+    W = np.zeros((2, 2, 2), dtype=np.int64)
+    W[0, 0, 0] = 1
+    W[0, 1, 1] = W[1, 1, 0] = 1
+    U = np.eye(2, dtype=np.int64)[:, :, None]
+    with pytest.raises(LatticeError, match="transform buffer overflow"):
+        lattice._reduce_packed(
+            F2, W, U, np.array([0, 1]), np.array([0, 0]), np.zeros(2, dtype=np.int64)
         )
 
 
