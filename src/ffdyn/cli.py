@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from .dioph import kg_monte_carlo, mult_solutions
 from .errors import ConfigError
-from .field import FieldSpec, LaurentSeries
+from .field import FieldSpec, LaurentSeries, prime_power
 from .flow import (
     FlowSpec,
     PsiLogPower,
@@ -125,6 +125,13 @@ def _prime_check(v):
     return None
 
 
+def _prime_power_check(v):
+    problem = _int_check(2, 64)(v)
+    if problem is None and prime_power(v) is None:
+        problem = "must be a prime power"
+    return problem
+
+
 def _str_check(v):
     if not isinstance(v, str) or not v:
         return "expected a non-empty string"
@@ -148,7 +155,7 @@ _KEYS = {
     "m": (_int_check(1, 8), 1),
     "n": (_int_check(1, 8), 1),
     "rank": (_int_check(1, 8), 2),
-    "q": (_int_check(2, 64), 2),
+    "q": (_prime_power_check, 2),
     "psi": (_choice_check(("power", "logpower", "zero")), "power"),
     "psi_c": (_FloatCheck(-64.0, 64.0), 0.0),
     "psi_tau": (_FloatCheck(0.0, 64.0), 1.0),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -773,7 +772,12 @@ def _window_correspondence(A, psi, spec, T) -> CorrespondenceReport:
     use_cf = m == 1 and n == 1
     if use_cf:
         traj = delta_trajectory(A, spec, T, strict=True)
-        ladder_degs, ladder_qs = _cf_convergents(fs, rows_A[0][0])
+        rungs = traj.meta["rungs"]
+        # convergent k is a witness only for times t >= D_k, so rungs past T
+        # are never read
+        reached = int(np.searchsorted(rungs, T, side="right"))
+        quotients = itertools.islice(traj.meta["quotients"], reached - 1)
+        convergents = _cf_convergents(fs, quotients)
     else:
         # the engine certifies every column of U at each t, so a certified
         # trajectory certifies the witness columns it yields
@@ -794,8 +798,8 @@ def _window_correspondence(A, psi, spec, T) -> CorrespondenceReport:
             out.append(CorrespondenceRow(t, d, R, False, None, True))
             continue
         if use_cf:
-            k = bisect_right(ladder_degs, t) - 1
-            qs = (ladder_qs[k],)
+            k = int(np.searchsorted(rungs, t, side="right")) - 1
+            qs = (convergents[k],)
             ps = None
         else:
             col = steps[t][2]
@@ -814,37 +818,13 @@ def _window_correspondence(A, psi, spec, T) -> CorrespondenceReport:
     )
 
 
-def _cf_convergents(fs: FieldSpec, a: LaurentSeries):
-    """Denominators of the best-approximation ladder of a single series.
-
-    Euclid on (X^P, N) with N carrying the fractional coefficients; the
-    cumulative denominator degrees are exactly the trajectory rungs.
-    """
-    if a.coeffs.size and a.v < 0:
-        raise ValueError("entries must lie in O")
-    if a.prec is None:
-        last = a.last_listed_index()
-        P = max(last if last is not None else 1, 1)
-    else:
-        P = a.prec - 1
-    coeffs = a.window(1, P + 1)
-    arr = np.zeros(P, dtype=np.int64)
-    for i, c in enumerate(coeffs, start=1):
-        if c:
-            arr[P - i] = c
-    f0 = Poly.x_power(fs, P)
-    f1 = Poly(fs, arr)
-    degs = [0]
-    qs = [Poly.one(fs)]
-    q_prev = Poly.zero(fs)
-    while not f1.is_zero:
-        alpha, f2 = divmod(f0, f1)
-        q_new = alpha * qs[-1] + q_prev
-        q_prev = qs[-1]
-        qs.append(q_new)
-        degs.append(q_new.degree)
-        f0, f1 = f1, f2
-    return degs, qs
+def _cf_convergents(fs: FieldSpec, quotients) -> list[Poly]:
+    """Convergent denominators q_0 = 1, q_k = alpha_k q_(k-1) + q_(k-2) of
+    the ladder's partial quotients alpha_1, alpha_2, ...; deg q_k = D_k."""
+    qs = [Poly.zero(fs), Poly.one(fs)]
+    for alpha in quotients:
+        qs.append(Poly(fs, alpha) * qs[-1] + qs[-2])
+    return qs[1:]
 
 
 def _verify_window_witness(rows_A, psi, spec, t, R, qs, ps) -> WindowWitness:

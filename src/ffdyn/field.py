@@ -61,16 +61,16 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _polydiv_mod_p(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num by den over F_p; both ascending, den monic."""
-    rem = list(num)
-    dd = len(den) - 1
-    for k in range(len(rem) - 1, dd - 1, -1):
-        c = rem[k] % p
-        if c:
-            for j in range(dd + 1):
-                rem[k - dd + j] = (rem[k - dd + j] - c * den[j]) % p
-    return [c % p for c in rem[:dd]]
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e for a prime p; None when q is not a prime power."""
+    factors = _prime_factors(q) if q >= 2 else []
+    if len(factors) != 1:
+        return None
+    p, e = factors[0], 0
+    while q > 1:
+        q //= p
+        e += 1
+    return p, e
 
 
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
@@ -81,14 +81,15 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     """
     if e == 1:
         return (0, 1)
+    fp = field_spec(p)
     divisors = []
     for d in range(1, e // 2 + 1):
         for code in range(p**d):
             low = [(code // p**i) % p for i in range(d)]
-            divisors.append(low + [1])
+            divisors.append(np.array(low + [1]))
     for code in range(p**e):
         cand = [(code // p**i) % p for i in range(e)] + [1]
-        if all(any(_polydiv_mod_p(cand, den, p)) for den in divisors):
+        if all(fp.polydivmod(np.array(cand), den)[1].size for den in divisors):
             return tuple(cand)
     raise FieldError(f"no irreducible of degree {e} over F_{p}")  # unreachable
 
@@ -148,21 +149,10 @@ class FieldSpec:
 
     def _mul_code_slow(self, a: int, b: int) -> int:
         """Product of two codes by digit convolution and modulus reduction."""
-        p, e = self.p, self.e
-        da = [(a // p**i) % p for i in range(e)]
-        db = [(b // p**i) % p for i in range(e)]
-        conv = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        for k in range(len(conv) - 1, e - 1, -1):
-            c = conv[k]
-            if c:
-                conv[k] = 0
-                for j in range(e):
-                    conv[k - e + j] = (conv[k - e + j] - c * self.modulus[j]) % p
-        return sum(conv[i] * p**i for i in range(e))
+        fp = field_spec(self.p)
+        prod = fp.polymul(self._digits[a], self._digits[b])
+        rem = fp.polydivmod(prod, np.array(self.modulus))[1]
+        return int(rem @ self._powers[: rem.size])
 
     def _pow_code_slow(self, a: int, n: int) -> int:
         out, base = 1, a
@@ -298,6 +288,59 @@ class FieldSpec:
             return int((a.astype(np.int64) @ b.astype(np.int64)) % self.p)
         return self.sum_arr(self.mul_arr(a, b))
 
+    # -- polynomial kernels ----------------------------------------------------
+    #
+    # Coefficient arrays run in ascending degree.  These two are the only
+    # polynomial product and division in the package (schoolbook, von zur
+    # Gathen and Gerhard, Modern Computer Algebra, ch. 2).
+
+    def polymul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of the int64 arrays a and b (1-D), not trimmed.
+
+        a may carry leading batch axes; every row along its last axis is
+        multiplied by b.  The result has length a.shape[-1] + b.size - 1 on
+        that axis, or 0 when either factor is empty.
+        """
+        na, nb = a.shape[-1], b.size
+        if na == 0 or nb == 0:
+            return np.zeros(a.shape[:-1] + (0,), dtype=np.int64)
+        if self.e == 1 and a.ndim == 1:
+            return np.convolve(a, b) % self.p
+        if a.ndim == 1 and na < nb:
+            a, b, na, nb = b, a, nb, na
+        # one shifted copy of the long operand per nonzero coefficient of the
+        # short one; the first copy lands on zeros and needs no addition
+        out = np.zeros(a.shape[:-1] + (na + nb - 1,), dtype=np.int64)
+        fresh = True
+        for i, c in enumerate(b.tolist()):
+            if c:
+                seg = self.scale_arr(c, a)
+                if not fresh:
+                    seg = self.add_arr(out[..., i : i + na], seg)
+                out[..., i : i + na] = seg
+                fresh = False
+        return out
+
+    def polydivmod(
+        self, num: np.ndarray, den: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(quotient, remainder) of num by den; den's last coefficient must be
+        nonzero.  The remainder is trimmed, the quotient is not."""
+        if den.size == 0:
+            raise FieldError("polynomial division by zero")
+        rem = np.array(num, dtype=np.int64)
+        dd = den.size - 1
+        lead_inv = self.inv(int(den[-1]))
+        quo = np.zeros(max(rem.size - dd, 0), dtype=np.int64)
+        for k in range(rem.size - 1, dd - 1, -1):
+            c = int(rem[k])
+            if c:
+                f = self.mul(c, lead_inv)
+                quo[k - dd] = f
+                seg = self.scale_arr(f, den)
+                rem[k - dd : k + 1] = self.sub_arr(rem[k - dd : k + 1], seg)
+        return quo, _trim_poly(rem[:dd])
+
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, e={self.e})"
 
@@ -383,41 +426,14 @@ class Poly:
         return Poly(self.field, self.field.neg_arr(self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
-        fs = self.field
-        if fs.e == 1:
-            conv = np.convolve(self.coeffs, other.coeffs) % fs.p
-            return Poly(fs, conv)
-        out = np.zeros(self.coeffs.size + other.coeffs.size - 1, dtype=np.int64)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                seg = fs.mul_arr(np.int64(int(c)), other.coeffs)
-                out[i : i + other.coeffs.size] = fs.add_arr(
-                    out[i : i + other.coeffs.size], seg
-                )
-        return Poly(fs, out)
+        return Poly(self.field, self.field.polymul(self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "Poly":
         return Poly(self.field, self.field.scale_arr(c, self.coeffs))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise FieldError("polynomial division by zero")
-        fs = self.field
-        rem = self.coeffs.astype(np.int64).copy()
-        dd = other.degree
-        lead_inv = fs.inv(other.leading)
-        qsize = max(rem.size - dd, 0)
-        q = np.zeros(qsize, dtype=np.int64)
-        for k in range(rem.size - 1, dd - 1, -1):
-            c = int(rem[k])
-            if c:
-                f = fs.mul(c, lead_inv)
-                q[k - dd] = f
-                seg = fs.scale_arr(f, other.coeffs)
-                rem[k - dd : k + 1] = fs.sub_arr(rem[k - dd : k + 1], seg)
-        return Poly(fs, q), Poly(fs, rem[:dd] if dd else rem[:0])
+        quo, rem = self.field.polydivmod(self.coeffs, other.coeffs)
+        return Poly(self.field, quo), Poly(self.field, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -645,16 +661,7 @@ class LaurentSeries:
         prec = _min_prec(pa, pb)
         if self.coeffs.size == 0 or other.coeffs.size == 0:
             return LaurentSeries(fs, 0, [], prec)
-        if fs.e == 1:
-            conv = np.convolve(self.coeffs, other.coeffs) % fs.p
-        else:
-            conv = np.zeros(self.coeffs.size + other.coeffs.size - 1, dtype=np.int64)
-            for i, c in enumerate(self.coeffs):
-                if c:
-                    seg = fs.mul_arr(np.int64(int(c)), other.coeffs)
-                    conv[i : i + other.coeffs.size] = fs.add_arr(
-                        conv[i : i + other.coeffs.size], seg
-                    )
+        conv = fs.polymul(self.coeffs, other.coeffs)
         lo = self.v + other.v
         if prec is not None and lo + conv.size > prec:
             conv = conv[: max(prec - lo, 0)]

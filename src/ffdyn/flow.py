@@ -16,13 +16,14 @@ against the input window.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BracketError, CertificationError, FieldError
-from .field import FieldSpec, LaurentSeries
+from .field import FieldSpec, LaurentSeries, Poly
 from .lattice import DeltaValue, LatticeBasis, _pivot_of, _reduce_packed
 from .streams import stream
 
@@ -338,57 +339,71 @@ def rate_to_psi(rate: RateFunction, tol: float = 1e-12) -> PsiFunction:
 # continued-fraction ladder (m = n = 1 fast path)
 #
 # For A = sum_{i>=1} a_i X^(-i) known on indices 1..P, Euclid on (X^P, N)
-# with N = sum a_i X^(P-i) yields the ladder D_k of cumulative
-# convergent-denominator degrees, and
+# with N = sum a_i X^(P-i) yields partial quotients alpha_k whose convergent
+# denominators q_k = alpha_k q_(k-1) + q_(k-2) have degrees D_k, and
 #     Delta(g_t u_A Z^2) = min(t - D_k, D_{k+1} - t)  for  D_k <= t <= D_{k+1}.
 # A rung is certified against truncation when D_{k-1} + D_k <= P; past the
 # last visible rung the value t - D_last is certified when 2t <= P + 1.
 
 
-def _cf_ladder_binary(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    P = int(bits.size)
-    packed = np.packbits(bits.astype(np.uint8))
-    N = int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - P)
-    r0 = 1 << P
-    r1 = N
-    D = [0]
-    cert = [True]
-    while r1:
-        d1 = r1.bit_length() - 1
-        D.append(P - d1)
-        cert.append(D[-2] + D[-1] <= P)
-        while r0.bit_length() - 1 >= d1:
-            r0 ^= r1 << (r0.bit_length() - 1 - d1)
-        r0, r1 = r1, r0
-    return np.array(D, dtype=np.int64), np.array(cert, dtype=bool)
-
-
-def _cf_ladder_generic(
+def _cf_ladder(
     fs: FieldSpec, coeffs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, Sequence]:
+    """Rungs D, their certification flags and the partial quotients of the
+    Euclid ladder for the coefficients a_1..a_P.
+
+    quotients[k - 1], the k-th partial quotient, is an ascending coefficient
+    sequence of degree D_k - D_(k-1).  Over F_2 the remainders and quotients
+    are Python ints used as bit vectors, where subtraction is XOR; every
+    other field divides coefficient arrays.
+    """
     P = int(coeffs.size)
-    r0 = np.zeros(P + 1, dtype=np.int64)
-    r0[P] = 1
-    r1 = coeffs[::-1].astype(np.int64).copy()  # coefficient of X^(P-i) at slot P-i
-    nz = np.nonzero(r1)[0]
-    r1 = r1[: nz.max() + 1] if nz.size else r1[:0]
-    D = [0]
-    cert = [True]
-    while r1.size:
-        d1 = r1.size - 1
-        D.append(P - d1)
-        cert.append(D[-2] + D[-1] <= P)
-        inv = fs.inv(int(r1[-1]))
-        work = r0
-        for d0 in range(work.size - 1, d1 - 1, -1):
-            c = int(work[d0])
-            if c:
-                f = fs.mul(c, inv)
-                seg = fs.scale_arr(f, r1)
-                work[d0 - d1 : d0 + 1] = fs.sub_arr(work[d0 - d1 : d0 + 1], seg)
-        nz = np.nonzero(work)[0]
-        r0, r1 = r1, (work[: nz.max() + 1] if nz.size else work[:0]).copy()
-    return np.array(D, dtype=np.int64), np.array(cert, dtype=bool)
+    degs, quotients = [], []  # degree of each divisor, quotient by it
+    if fs.p == 2 and fs.e == 1:
+        packed = np.packbits(coeffs.astype(np.uint8))
+        r0 = 1 << P
+        r1 = int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - P)
+        while r1:
+            d1 = r1.bit_length() - 1
+            q = 0
+            while (k := r0.bit_length() - 1 - d1) >= 0:
+                r0 ^= r1 << k
+                q |= 1 << k
+            degs.append(d1)
+            quotients.append(q)
+            r0, r1 = r1, r0
+        quotients = _BitQuotients(quotients)
+    else:
+        r0 = np.zeros(P + 1, dtype=np.int64)
+        r0[P] = 1
+        r1 = Poly(fs, coeffs[::-1]).coeffs  # a_i at slot P - i
+        while r1.size:
+            q, rem = fs.polydivmod(r0, r1)
+            degs.append(r1.size - 1)
+            quotients.append(q)
+            r0, r1 = r1, rem
+    D = P - np.array([P, *degs], dtype=np.int64)
+    cert = np.ones(D.size, dtype=bool)
+    cert[1:] = D[:-1] + D[1:] <= P
+    return D, cert, quotients
+
+
+class _BitQuotients(Sequence):
+    """F_2 quotients kept as bit-vector ints and read as coefficient lists.
+
+    The Monte Carlo callers of the ladder never read the quotients, so
+    they are not converted up front.
+    """
+
+    def __init__(self, ints: list[int]):
+        self._ints = ints
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+    def __getitem__(self, k: int) -> list[int]:
+        q = self._ints[k]
+        return [(q >> i) & 1 for i in range(q.bit_length())]
 
 
 def _sawtooth_eval(
@@ -487,11 +502,7 @@ def _trajectory_cf(spec: FlowSpec, a: LaurentSeries, T: int) -> TrajectoryResult
             raise CertificationError(
                 "window too small for any ladder rung", needed_precision=2
             )
-    coeffs = a.window(1, P + 1)
-    if fs.p == 2 and fs.e == 1:
-        D, cert = _cf_ladder_binary(coeffs)
-    else:
-        D, cert = _cf_ladder_generic(fs, coeffs)
+    D, cert, quotients = _cf_ladder(fs, a.window(1, P + 1))
     ts = np.arange(0, T + 1, dtype=np.int64)
     deltas, certified = _sawtooth_eval(D, cert, ts, P, exact)
     needed = None
@@ -510,7 +521,13 @@ def _trajectory_cf(spec: FlowSpec, a: LaurentSeries, T: int) -> TrajectoryResult
         ts,
         deltas,
         certified,
-        meta={"path": "cf", "precision": P, "rungs": D, "needed_precision": needed},
+        meta={
+            "path": "cf",
+            "precision": P,
+            "rungs": D,
+            "quotients": quotients,
+            "needed_precision": needed,
+        },
     )
 
 
@@ -708,11 +725,7 @@ def tail_distribution(
     for trial in range(trials):
         rng = stream(seed, tag, trial)
         if spec.m == 1 and spec.n == 1:
-            coeffs = rng.integers(0, fs.s, size=precision)
-            if fs.p == 2 and fs.e == 1:
-                D, cert = _cf_ladder_binary(coeffs)
-            else:
-                D, cert = _cf_ladder_generic(fs, coeffs)
+            D, cert, _ = _cf_ladder(fs, rng.integers(0, fs.s, size=precision))
             d, c = _sawtooth_eval(D, cert, t_arr, precision, False)
             ok, val = bool(c[0]), int(d[0])
         else:
@@ -753,11 +766,7 @@ def _event_matrix(
     def one_trial(trial: int) -> np.ndarray:
         rng = stream(seed, tag, trial)
         if spec.m == 1 and spec.n == 1:
-            coeffs = rng.integers(0, fs.s, size=precision)
-            if fs.p == 2 and fs.e == 1:
-                D, cert = _cf_ladder_binary(coeffs)
-            else:
-                D, cert = _cf_ladder_generic(fs, coeffs)
+            D, cert, _ = _cf_ladder(fs, rng.integers(0, fs.s, size=precision))
             ts = np.arange(1, T + 1, dtype=np.int64) + burn_in
             deltas, certf = _sawtooth_eval(D, cert, ts, precision, False)
         else:

@@ -347,19 +347,6 @@ def _poly_det_degree(fs: FieldSpec, P: np.ndarray) -> int:
     """Exact degree of det of a packed polynomial matrix, cofactor expansion."""
     r = P.shape[0]
 
-    def mul_poly(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if not a.any() or not b.any():
-            return np.zeros(1, dtype=np.int64)
-        if fs.e == 1:
-            return np.convolve(a, b) % fs.p
-        out = np.zeros(a.size + b.size - 1, dtype=np.int64)
-        for i, c in enumerate(a):
-            if c:
-                out[i : i + b.size] = fs.add_arr(
-                    out[i : i + b.size], fs.mul_arr(np.int64(int(c)), b)
-                )
-        return out
-
     def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
         if len(rows) == 1:
             return P[rows[0], cols[0], :].copy()
@@ -370,7 +357,7 @@ def _poly_det_degree(fs: FieldSpec, P: np.ndarray) -> int:
             if not a.any():
                 continue
             sub = det(rows[1:], cols[:t] + cols[t + 1 :])
-            term = mul_poly(a, sub)
+            term = fs.polymul(a, sub)
             if t % 2:
                 term = fs.neg_arr(term)
             n = max(total.size, term.size)
@@ -486,15 +473,9 @@ def enumerate_short_vectors(
 
 def _apply_q(fs, P: np.ndarray, q: np.ndarray) -> np.ndarray:
     """w = (X^M B) q for packed P [r,r,L] and q [r, Q+1]; returns [r, L+Q]."""
-    r, _, L = P.shape
-    Q = q.shape[1] - 1
-    out = np.zeros((r, L + Q), dtype=np.int64)
-    for j in range(r):
-        for d in range(Q + 1):
-            c = int(q[j, d])
-            if c:
-                seg = fs.scale_arr(c, P[:, j, :])
-                out[:, d : d + L] = fs.add_arr(out[:, d : d + L], seg)
+    out = fs.polymul(P[:, 0, :], q[0])
+    for j in range(1, P.shape[0]):
+        out = fs.add_arr(out, fs.polymul(P[:, j, :], q[j]))
     return out
 
 

@@ -17,37 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EnumerationCapError
+from .field import Poly, field_spec, prime_power
 from .streams import stream
 
 _ORACLE_CAP = 2_000_000
-
-
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _degree(c):
-    t = _trim(c)
-    return len(t) - 1 if t else -math.inf
-
-
-def _polymul(a, b, q):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % q
-    return _trim(out)
-
-
-def _polysub(a, b, q):
-    n = max(len(a), len(b))
-    out = [( (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % q for i in range(n)]
-    return _trim(out)
 
 
 def stabilizer_order_oracle(j: int, q: int, degree_bound: int, cap: int = _ORACLE_CAP) -> int:
@@ -63,31 +36,24 @@ def stabilizer_order_oracle(j: int, q: int, degree_bound: int, cap: int = _ORACL
         raise ValueError("level must be nonnegative")
     if degree_bound < j:
         raise ValueError("degree_bound below the level: enumeration incomplete")
-    polys = [list(c) for c in itertools.product(range(q), repeat=degree_bound + 1)]
-    if len(polys) ** 2 > cap:
-        raise EnumerationCapError(
-            f"{len(polys) ** 2} entry pairs exceed the oracle cap {cap}"
-        )
-    # first columns (a, c) with (a, c) in L_j
+    pe = prime_power(q)
+    if pe is None:
+        raise ValueError(f"q = {q} is not a prime power")
+    pairs = q ** (2 * (degree_bound + 1))
+    if pairs > cap:
+        raise EnumerationCapError(f"{pairs} entry pairs exceed the oracle cap {cap}")
+    fs = field_spec(*pe)
+    polys = [Poly(fs, c) for c in itertools.product(range(q), repeat=degree_bound + 1)]
+    # deg c <= -j admits only c = 0 once j > 0
     cols1 = [
         (a, c)
         for a in polys
         for c in polys
-        if _degree(a) <= 0 and _degree(c) <= -j
+        if a.degree <= 0 and (c.degree <= -j or c.is_zero)
     ]
-    cols2 = [
-        (b, d)
-        for b in polys
-        for d in polys
-        if _degree(b) <= j and _degree(d) <= 0
-    ]
-    count = 0
-    for a, c in cols1:
-        for b, d in cols2:
-            det = _polysub(_polymul(a, d, q), _polymul(b, c, q), q)
-            if det == [1]:
-                count += 1
-    return count
+    cols2 = [(b, d) for b in polys for d in polys if b.degree <= j and d.degree <= 0]
+    one = Poly.one(fs)
+    return sum(a * d - b * c == one for a, c in cols1 for b, d in cols2)
 
 
 def _vertex_order(q: int, j: int) -> int:
@@ -135,8 +101,8 @@ class QuotientRay:
 def quotient_ray(q: int, j_max: int = 12, verify_depth: int = 1) -> QuotientRay:
     """Build the ray with exact masses; cross-check orders against the
     enumeration oracle for prime q in {2, 3} up to verify_depth."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    if prime_power(q) is None:
+        raise ValueError(f"q = {q} is not a prime power")
     if j_max < 2:
         raise ValueError("j_max must be at least 2")
     orders = tuple(_vertex_order(q, j) for j in range(j_max + 1))

@@ -73,6 +73,69 @@ def pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# F_(p^e) elements as digit polynomials over F_p (code = sum d_i p^i) reduced
+# by a monic degree-e modulus, and polynomials over F_(p^e) as code lists.
+
+
+def gf_digits(x: int, p: int, e: int) -> list[int]:
+    return ptrim([(x // p**i) % p for i in range(e)])
+
+
+def gf_code(digits: list[int], p: int) -> int:
+    return sum(c * p**i for i, c in enumerate(digits))
+
+
+def gf_add(x: int, y: int, p: int, modulus) -> int:
+    e = len(modulus) - 1
+    return gf_code(padd(gf_digits(x, p, e), gf_digits(y, p, e), p), p)
+
+
+def gf_neg(x: int, p: int, modulus) -> int:
+    return gf_code(pneg(gf_digits(x, p, len(modulus) - 1), p), p)
+
+
+def gf_mul(x: int, y: int, p: int, modulus) -> int:
+    e = len(modulus) - 1
+    prod = pmul(gf_digits(x, p, e), gf_digits(y, p, e), p)
+    return gf_code(pdivmod(prod, list(modulus), p)[1], p)
+
+
+def gf_inv(x: int, p: int, modulus) -> int:
+    s = p ** (len(modulus) - 1)
+    return next(y for y in range(1, s) if gf_mul(x, y, p, modulus) == 1)
+
+
+def gf_polymul(a: list[int], b: list[int], p: int, modulus) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = gf_add(out[i + j], gf_mul(x, y, p, modulus), p, modulus)
+    return ptrim(out)
+
+
+def gf_polydivmod(
+    a: list[int], b: list[int], p: int, modulus
+) -> tuple[list[int], list[int]]:
+    b = ptrim(b)
+    if not b:
+        raise ZeroDivisionError
+    rem = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv = gf_inv(b[-1], p, modulus)
+    for k in range(len(rem) - 1, len(b) - 2, -1):
+        if rem[k]:
+            f = gf_mul(rem[k], inv, p, modulus)
+            q[k - len(b) + 1] = f
+            for j, y in enumerate(b):
+                i = k - len(b) + 1 + j
+                sub = gf_neg(gf_mul(f, y, p, modulus), p, modulus)
+                rem[i] = gf_add(rem[i], sub, p, modulus)
+    return ptrim(q), ptrim(rem[: len(b) - 1])
+
+
+# ---------------------------------------------------------------------------
 # Series with finitely many known coefficients, as {index: coeff} plus window.
 # Index i carries the coefficient of X^(-i).
 
@@ -89,6 +152,27 @@ def dict_mul(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
 def dict_valuation(a: dict[int, int]) -> int | None:
     nz = [i for i, c in a.items() if c]
     return min(nz) if nz else None
+
+
+def dict_add(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = (out.get(k, 0) + c) % p
+    return {k: c for k, c in out.items() if c}
+
+
+def dict_det(rows: list[list[dict[int, int]]], p: int) -> dict[int, int]:
+    """Determinant of a square matrix of series dicts, Laplace expansion."""
+    if len(rows) == 1:
+        return dict(rows[0][0])
+    total: dict[int, int] = {}
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = dict_mul(entry, dict_det(minor, p), p)
+        if j % 2:
+            term = {k: (-c) % p for k, c in term.items()}
+        total = dict_add(total, term, p)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +236,19 @@ def cf_denominator_degrees(a: list[int], p: int) -> list[int]:
         r0, r1 = r1, rem
     # degs[k] = D_k = deg q_k, cumulative convergent denominator degrees
     return degs
+
+
+def cf_partial_quotients(a: list[int], p: int, modulus=(0, 1)) -> list[list[int]]:
+    """The Euclid quotients of the same ladder over F_(p^e), e = deg modulus."""
+    P = len(a) - 1
+    r0 = [0] * P + [1]
+    r1 = ptrim([a[P - d] for d in range(P + 1)])
+    out = []
+    while r1:
+        quo, rem = gf_polydivmod(r0, r1, p, modulus)
+        out.append(quo)
+        r0, r1 = r1, rem
+    return out
 
 
 def sawtooth_delta(degs: list[int], t: int) -> int:

@@ -57,6 +57,17 @@ def test_nonprime_p_rejected():
     assert any("prime" in v for v in info.value.violations)
 
 
+def test_tree_order_must_be_a_prime_power(tmp_path):
+    for tag in ("tree-loglaw", "cusp-volume"):
+        assert parse_config("seed = 1\nq = 4", tag=tag).q == 4
+        with pytest.raises(ConfigError) as info:
+            parse_config("seed = 1\nq = 6", tag=tag)
+        assert info.value.violations == ["q: must be a prime power"]
+    cfg = _write(tmp_path / "c.cfg", "q = 6\nT = 1000\ntrials = 2\nseed = 9\n")
+    out = tmp_path / "out"
+    assert main(["tree-loglaw", "--config", str(cfg), "--out", str(out)]) == 1
+
+
 def test_missing_seed_rejected():
     with pytest.raises(ConfigError) as info:
         parse_config("trials = 5", tag="kg-mc")

@@ -459,6 +459,29 @@ def test_correspondence_random_matrices_have_no_counterexamples():
             assert rep.flagged_count == 16
 
 
+@pytest.mark.parametrize(
+    "fs", [field_spec(2, 2), field_spec(3, 2)], ids=lambda f: f"s{f.s}"
+)
+def test_correspondence_cf_witnesses_sit_on_the_ladder(fs):
+    # at m = n = 1 each flagged witness is the convergent denominator of the
+    # rung below t: its degree is that rung D_k of the trajectory's ladder
+    psi = power_law(fs.s, tau=1.0)
+    spec = FlowSpec(fs, 1, 1)
+    a = sample_matrix(fs, stream(38, "test", fs.s), 1, 1, 96)[0][0]
+    rungs = delta_trajectory(a, spec, 24).meta["rungs"]
+    rep = correspondence_check(a, psi, spec, T=24)
+    assert rep.passed and rep.flagged_count > 0
+    for row in rep.rows:
+        if not row.flagged:
+            continue
+        (q,) = row.witness.q
+        assert q.degree == rungs[np.searchsorted(rungs, row.time, side="right") - 1]
+        again = _verify_window_witness(
+            [[a]], psi, spec, row.time, row.threshold, (q,), None
+        )
+        assert again.window_ok and again.ineq_ok
+
+
 def test_correspondence_low_precision_raises():
     psi = power_law(2, tau=1.0)
     rng = stream(36, "test", 50)

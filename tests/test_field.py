@@ -159,6 +159,63 @@ def test_poly_extension_field_ring_identities():
 
 
 # ---------------------------------------------------------------------------
+# polynomial kernels against digit-polynomial oracles
+
+KERNEL_FIELDS = [field_spec(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]
+
+
+def _kernel_operands(fs, rng):
+    """Random coefficient arrays of lengths 0..6, some with zero entries,
+    some all zero, some with a zero top coefficient."""
+    for _ in range(40):
+        n = int(rng.integers(0, 7))
+        c = rng.integers(0, fs.s, size=n)
+        c[rng.random(n) < 0.3] = 0
+        yield c
+    yield np.zeros(3, dtype=np.int64)
+    yield np.array([0, 1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("fs", KERNEL_FIELDS, ids=lambda f: f"p{f.p}e{f.e}")
+def test_polymul_matches_digit_oracle(fs):
+    rng = np.random.default_rng(fs.s)
+    ops = list(_kernel_operands(fs, rng)) + [rng.integers(1, fs.s, size=1)]
+    for a in ops:
+        for b in ops[::7]:
+            got = fs.polymul(a, b)
+            assert got.shape == ((a.size + b.size - 1,) if a.size and b.size else (0,))
+            want = oracles.gf_polymul(list(a), list(b), fs.p, fs.modulus)
+            assert oracles.ptrim(got.tolist()) == want
+    # a batch of rows against one factor, in both length orders
+    batch = rng.integers(0, fs.s, size=(3, 4, 5))
+    for b in (rng.integers(0, fs.s, size=2), rng.integers(0, fs.s, size=8)):
+        got = fs.polymul(batch, b)
+        assert got.shape == (3, 4, 5 + b.size - 1)
+        for idx in np.ndindex(3, 4):
+            want = oracles.gf_polymul(list(batch[idx]), list(b), fs.p, fs.modulus)
+            assert oracles.ptrim(got[idx].tolist()) == want
+    assert fs.polymul(batch, np.zeros(0, dtype=np.int64)).shape == (3, 4, 0)
+
+
+@pytest.mark.parametrize("fs", KERNEL_FIELDS, ids=lambda f: f"p{f.p}e{f.e}")
+def test_polydivmod_matches_digit_oracle(fs):
+    rng = np.random.default_rng(fs.s + 1)
+    ops = list(_kernel_operands(fs, rng))
+    dens = [oracles.ptrim(d.tolist()) for d in ops[::3]]
+    dens.append([int(rng.integers(1, fs.s))])
+    for num in ops:
+        num = oracles.ptrim(num.tolist())
+        for den in filter(None, dens):
+            quo, rem = fs.polydivmod(np.array(num, dtype=np.int64), np.array(den))
+            want_q, want_r = oracles.gf_polydivmod(num, den, fs.p, fs.modulus)
+            assert quo.size == max(len(num) - len(den) + 1, 0)
+            assert oracles.ptrim(quo.tolist()) == want_q
+            assert rem.tolist() == want_r
+    with pytest.raises(FieldError):
+        fs.polydivmod(np.array([1, 1]), np.zeros(0, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
 # LaurentSeries structure
 
 

@@ -28,6 +28,7 @@ from ffdyn.flow import (
     tail_distribution,
     unipotent_lattice,
     TailTable,
+    _cf_ladder,
 )
 from ffdyn.lattice import LatticeBasis, delta
 from ffdyn.streams import stream
@@ -261,7 +262,10 @@ def test_trajectory_rational_example():
         assert traj.certified.all()
 
 
-@pytest.mark.parametrize("fs", [F2, F3])
+@pytest.mark.parametrize(
+    "fs",
+    [F2, F3, field_spec(2, 2), field_spec(3, 2), field_spec(2, 3), field_spec(3, 3)],
+)
 def test_trajectory_cf_matches_generic(fs):
     spec = FlowSpec(fs, 1, 1)
     for trial in range(4):
@@ -284,6 +288,24 @@ def test_trajectory_matches_bruteforce_ladder(fs):
         for t in range(13):
             if traj.certified[t]:
                 assert traj.deltas[t] == oracles.sawtooth_delta(degs, t)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+def test_cf_ladder_matches_euclid_oracle(p, e):
+    fs = field_spec(p, e)
+    for trial in range(6):
+        rng = stream(12, "test", 10 * fs.s + trial)
+        coeffs = rng.integers(0, fs.s, size=int(rng.integers(1, 40)))
+        coeffs[rng.random(coeffs.size) < 0.2] = 0
+        a = [0] + [int(c) for c in coeffs]
+        D, cert, quotients = _cf_ladder(fs, coeffs)
+        want = oracles.cf_partial_quotients(a, p, fs.modulus)
+        assert [oracles.ptrim(list(q)) for q in quotients] == want
+        assert list(D) == [0, *np.cumsum([len(q) - 1 for q in want])]
+        if e == 1:
+            assert list(D) == oracles.cf_denominator_degrees(a, p)
+        P = coeffs.size
+        assert list(cert) == [True] + [D[k - 1] + D[k] <= P for k in range(1, D.size)]
 
 
 @settings(max_examples=60, deadline=None)

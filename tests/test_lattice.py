@@ -263,8 +263,6 @@ def test_delta_matches_brute_force(data):
     if b is None:
         return
     d = delta(b)
-    M, P = b.packed()
-    # brute search over q with a generous degree box
     cols = []
     for j in range(b.rank):
         col = []
@@ -272,8 +270,13 @@ def test_delta_matches_brute_force(data):
             e = b.entries[i][j]
             col.append({e.v + k: int(c) for k, c in enumerate(e.coeffs) if c})
         cols.append(col)
-    qdeg = int(P.shape[2]) + 2
-    v = oracles.brute_min_valuation(cols, 2, qdeg=qdeg)
+    # Cramer: deg q_j <= deg w + (sum of the other column degrees) - deg det,
+    # and the shortest w has degree at most the smallest column degree
+    col_degs = sorted(-min(k for e in col for k in e) for col in cols)
+    rows = [[cols[j][i] for j in range(b.rank)] for i in range(b.rank)]
+    det_deg = -oracles.dict_valuation(oracles.dict_det(rows, 2))
+    qdeg = sum(col_degs[1:]) + col_degs[0] - det_deg
+    v = oracles.brute_min_valuation(cols, 2, qdeg=qdeg + 1)
     assert d.value == v
 
 
@@ -362,12 +365,31 @@ def test_enumerate_matches_reduction_minimum():
 
 def test_enumerate_kernel_and_literal_agree():
     b = basis_from_text(F3, [["X^2 + 1", "2*X"], ["X", "X^2 + 2"]])
-    from ffdyn.lattice import _enumerate_kernel, _enumerate_literal
+    from ffdyn.lattice import _enumerate_kernel, _enumerate_literal, _poly_det_degree
 
     M, P = b.packed()
     lit = sorted(_enumerate_literal(F3, P, 2, 1))
     ker = sorted(_enumerate_kernel(F3, P, 2, 1, 10**6))
     assert lit == ker
+    # over every field, a random nonsingular packed basis whose literal box
+    # s^(2(qdeg+1)) holds a few thousand candidates (at least s^2); its
+    # leading coefficient columns are dependent, so the top degree of
+    # w = P q cancels for some nonzero q and the bound below has solutions
+    for fs in [field_spec(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]:
+        qdeg = max(int(np.log(7000) / np.log(fs.s)) // 2 - 1, 0)
+        rng = np.random.default_rng(fs.s)
+        while True:
+            P = rng.integers(0, fs.s, size=(2, 2, 3))
+            P[:, 1, -1] = fs.scale_arr(int(rng.integers(1, fs.s)), P[:, 0, -1])
+            try:
+                _poly_det_degree(fs, P)
+                break
+            except LatticeError:
+                pass
+        delta_cap = P.shape[2] + qdeg - 2
+        lit = sorted(_enumerate_literal(fs, P, delta_cap, qdeg))
+        assert lit, fs
+        assert lit == sorted(_enumerate_kernel(fs, P, delta_cap, qdeg, 10**6)), fs
 
 
 def test_enumerate_respects_depth():

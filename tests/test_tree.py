@@ -15,6 +15,7 @@ from ffdyn.tree import (
     GeodesicTrace,
     _excursion_maxima,
     _trace_levels,
+    _vertex_order,
     excursion_tail_rate,
     loglaw_experiment,
     occupation_distance,
@@ -45,6 +46,14 @@ def test_stabilizer_oracle_matches_closed_form():
         assert stabilizer_order_oracle(0, q, 1) == q**3 - q
         for j in (1, 2):
             assert stabilizer_order_oracle(j, q, j) == (q - 1) * q ** (j + 1)
+
+
+def test_stabilizer_oracle_over_prime_power_field():
+    # arithmetic in F_4, not Z/4Z: |SL2(F_4)| = 60 at the base vertex
+    assert stabilizer_order_oracle(0, 4, 1) == 60 == _vertex_order(4, 0)
+    assert stabilizer_order_oracle(1, 4, 1) == 48 == _vertex_order(4, 1)
+    with pytest.raises(ValueError):
+        stabilizer_order_oracle(0, 6, 1)
 
 
 def test_stabilizer_oracle_matches_brute_force():
@@ -100,6 +109,8 @@ def test_ray_edge_indices():
 def test_ray_validation():
     with pytest.raises(ValueError):
         quotient_ray(1)
+    with pytest.raises(ValueError):
+        quotient_ray(6)
     with pytest.raises(ValueError):
         quotient_ray(2, j_max=1)
 
