@@ -3,10 +3,26 @@
 # write runs/SHA256SUMS with one line per artifact.  The run reports are
 # left out because they carry wall_clock_seconds, so two checkouts made
 # the same artifacts exactly when their SHA256SUMS files do not differ.
-# Must be run from the repository root (the reduce config uses a
-# relative matrix path).  Takes about half a minute in total; the
-# heavy runs are tree-loglaw and kg-mc.
+#
+#   scripts/run_all.sh [--check FILE]
+#
+# With --check FILE (for example another checkout's runs/SHA256SUMS), the
+# new runs/SHA256SUMS is compared with FILE afterwards; any difference is
+# printed and the script exits non-zero.  Must be run from the repository
+# root (the reduce config uses a relative matrix path).  Takes about fifteen
+# seconds in total; the heavy run is mult-mc, followed by strong-bc and
+# kg-mc.
 set -euo pipefail
+
+expected=""
+if [[ $# -gt 0 ]]; then
+    if [[ $# -ne 2 || "$1" != "--check" ]]; then
+        echo "usage: $0 [--check FILE]" >&2
+        exit 2
+    fi
+    # read now: FILE may be a relative path, or runs/SHA256SUMS itself
+    expected="$(cat "$2")"
+fi
 cd "$(dirname "$0")/.."
 
 status=0
@@ -22,4 +38,12 @@ for cfg in scripts/configs/*.cfg; do
 done
 (cd runs && find . -type f ! -name '*-report.json' ! -name SHA256SUMS \
     | LC_ALL=C sort | xargs sha256sum) > runs/SHA256SUMS
+if [[ $# -gt 0 ]]; then
+    if diff <(printf '%s\n' "$expected") runs/SHA256SUMS; then
+        echo "runs/SHA256SUMS matches $2"
+    else
+        echo "runs/SHA256SUMS differs from $2" >&2
+        status=1
+    fi
+fi
 exit "$status"

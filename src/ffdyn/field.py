@@ -127,11 +127,8 @@ class FieldSpec:
         self.s = s
         self.modulus = _smallest_irreducible(p, e)
         if e > 1:
-            self._digits = np.array(
-                [[(c // p**i) % p for i in range(e)] for c in range(s)],
-                dtype=np.int64,
-            )
             self._powers = np.array([p**i for i in range(e)], dtype=np.int64)
+            self._digits = np.arange(s, dtype=np.int64)[:, None] // self._powers % p
             self._build_log_tables()
             if s <= 1024:
                 d = self._digits
@@ -146,38 +143,56 @@ class FieldSpec:
             self._antilog = None
 
     # -- extension bootstrap -------------------------------------------------
+    #
+    # Multiplication by a fixed element c is F_p-linear on digit vectors; its
+    # matrix has the digits of c * x^k in column k, x the root of the modulus.
 
-    def _mul_code_slow(self, a: int, b: int) -> int:
-        """Product of two codes by digit convolution and modulus reduction."""
-        fp = field_spec(self.p)
-        prod = fp.polymul(self._digits[a], self._digits[b])
-        rem = fp.polydivmod(prod, np.array(self.modulus))[1]
-        return int(rem @ self._powers[: rem.size])
+    def _mul_matrix(self, c: int) -> np.ndarray:
+        p, e = self.p, self.e
+        comp = np.zeros((e, e), dtype=np.int64)  # multiplication by x
+        comp[1:, :-1] = np.eye(e - 1, dtype=np.int64)
+        comp[:, -1] = (-np.array(self.modulus[:e])) % p
+        out = np.zeros((e, e), dtype=np.int64)
+        power = np.eye(e, dtype=np.int64)
+        for digit in self._digits[c]:
+            out = (out + digit * power) % p
+            power = comp @ power % p
+        return out
 
-    def _pow_code_slow(self, a: int, n: int) -> int:
-        out, base = 1, a
+    def _matpow(self, m: np.ndarray, n: int) -> np.ndarray:
+        out = np.eye(self.e, dtype=np.int64)
         while n:
             if n & 1:
-                out = self._mul_code_slow(out, base)
-            base = self._mul_code_slow(base, base)
+                out = out @ m % self.p
+            m = m @ m % self.p
             n >>= 1
         return out
 
     def _build_log_tables(self) -> None:
+        """Discrete-log tables from the smallest multiplicative generator.
+
+        The antilog table is the orbit of 1 under the generator's matrix,
+        filled by doubling: rows [m, 2m) are rows [0, m) times the m-th power.
+        """
         order = self.s - 1
         factors = _prime_factors(order)
-        gen = None
+        one = np.zeros(self.e, dtype=np.int64)
+        one[0] = 1
+        gen_matrix = None
         for cand in range(2, self.s):
-            if all(self._pow_code_slow(cand, order // f) != 1 for f in factors):
-                gen = cand
+            m = self._mul_matrix(cand)
+            # column 0 of m^k holds the digits of cand^k
+            if all((self._matpow(m, order // f)[:, 0] != one).any() for f in factors):
+                gen_matrix = m
                 break
-        if gen is None:
+        if gen_matrix is None:
             raise FieldError("no multiplicative generator found")  # unreachable
-        antilog = np.empty(order, dtype=np.int64)
-        cur = 1
-        for i in range(order):
-            antilog[i] = cur
-            cur = self._mul_code_slow(cur, gen)
+        orbit = one[None, :]
+        step = gen_matrix.T
+        while orbit.shape[0] < order:
+            orbit = np.concatenate((orbit, orbit @ step % self.p))
+            step = step @ step % self.p
+        antilog = orbit[:order] @ self._powers
         log = np.full(self.s, -1, dtype=np.int64)
         log[antilog] = np.arange(order)
         self._antilog = antilog
@@ -261,6 +276,22 @@ class FieldSpec:
         out = self._antilog[(self._log[a] + self._log[b]) % (self.s - 1)]
         return np.where((a == 0) | (b == 0), 0, out)
 
+    def inv_arr(self, a: np.ndarray) -> np.ndarray:
+        a = np.asarray(a)
+        if (a == 0).any():
+            raise FieldError("inverse of zero")
+        if self.e > 1:
+            return self._antilog[(-self._log[a]) % (self.s - 1)]
+        # a^(p-2) by square and multiply; products stay below p^2 < 2^63
+        out = np.ones_like(a)
+        base, n = a, self.p - 2
+        while n:
+            if n & 1:
+                out = out * base % self.p
+            base = base * base % self.p
+            n >>= 1
+        return out
+
     def scale_arr(self, c: int, a: np.ndarray) -> np.ndarray:
         if c == 0:
             return np.zeros_like(a)
@@ -270,42 +301,28 @@ class FieldSpec:
             return (c * a) % self.p
         return self.mul_arr(np.int64(c), a)
 
-    def sum_arr(self, a: np.ndarray) -> int:
-        """Field sum of a 1-D array of codes."""
-        if self.e == 1:
-            return int(a.sum() % self.p)
-        acc = np.asarray(a)
-        while acc.size > 1:
-            half = (acc.size + 1) // 2
-            left = acc[:half]
-            right = np.zeros(half, dtype=np.int64)
-            right[: acc.size - half] = acc[half:]
-            acc = self.add_arr(left, right)
-        return int(acc[0]) if acc.size else 0
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> int:
-        if self.e == 1:
-            return int((a.astype(np.int64) @ b.astype(np.int64)) % self.p)
-        return self.sum_arr(self.mul_arr(a, b))
-
     # -- polynomial kernels ----------------------------------------------------
     #
-    # Coefficient arrays run in ascending degree.  These two are the only
-    # polynomial product and division in the package (schoolbook, von zur
-    # Gathen and Gerhard, Modern Computer Algebra, ch. 2).
+    # Coefficient arrays run in ascending degree.  These are the only
+    # polynomial product, division and series inverse in the package
+    # (schoolbook products and division, von zur Gathen and Gerhard, Modern
+    # Computer Algebra, ch. 2).
 
     def polymul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of the int64 arrays a and b (1-D), not trimmed.
+        """Product of the int64 coefficient arrays a and b, not trimmed.
 
-        a may carry leading batch axes; every row along its last axis is
-        multiplied by b.  The result has length a.shape[-1] + b.size - 1 on
+        a may carry leading batch axes.  A 1-D b multiplies every row of a
+        along its last axis; a b with the same batch axes as a multiplies
+        row by row.  The result has length a.shape[-1] + b.shape[-1] - 1 on
         that axis, or 0 when either factor is empty.
         """
-        na, nb = a.shape[-1], b.size
+        na, nb = a.shape[-1], b.shape[-1]
         if na == 0 or nb == 0:
             return np.zeros(a.shape[:-1] + (0,), dtype=np.int64)
         if self.e == 1 and a.ndim == 1:
             return np.convolve(a, b) % self.p
+        if b.ndim > 1:
+            return self._polymul_rows(a, b)
         if a.ndim == 1 and na < nb:
             a, b, na, nb = b, a, nb, na
         # one shifted copy of the long operand per nonzero coefficient of the
@@ -320,6 +337,42 @@ class FieldSpec:
                 out[..., i : i + na] = seg
                 fresh = False
         return out
+
+    def _polymul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``polymul`` when b carries a's batch axes: one product per row."""
+        if a.shape[-1] < b.shape[-1]:
+            a, b = b, a
+        na, nb = a.shape[-1], b.shape[-1]
+        out = np.zeros(a.shape[:-1] + (na + nb - 1,), dtype=np.int64)
+        for i in range(nb):
+            if self.e == 1:
+                # each term is below p^2 and at most nb of them pile up
+                out[..., i : i + na] += a * b[..., i : i + 1]
+            else:
+                seg = self.mul_arr(a, b[..., i : i + 1])
+                out[..., i : i + na] = self.add_arr(out[..., i : i + na], seg)
+        return out % self.p if self.e == 1 else out
+
+    def polyinv(self, a: np.ndarray, n: int) -> np.ndarray:
+        """Inverse of the power series a modulo y^n, length n.
+
+        a runs in ascending powers of y, may carry leading batch axes and
+        must have a nonzero constant term in every row.  Newton iteration
+        (von zur Gathen and Gerhard, ch. 9): if c inverts a modulo y^m and
+        a c = 1 + y^m d, then c - y^m c d inverts it modulo y^(2m).
+        """
+        a = a[..., :n]
+        if a.shape[-1] < n:
+            pad = [(0, 0)] * (a.ndim - 1) + [(0, n - a.shape[-1])]
+            a = np.pad(a, pad)
+        c = self.inv_arr(a[..., :1])
+        m = 1
+        while m < n:
+            m2 = min(2 * m, n)
+            d = self.polymul(a[..., :m2], c)[..., m:m2]
+            c = np.concatenate((c, self.neg_arr(self.polymul(c, d)[..., : m2 - m])), axis=-1)
+            m = m2
+        return c
 
     def polydivmod(
         self, num: np.ndarray, den: np.ndarray
@@ -717,15 +770,7 @@ class LaurentSeries:
         length = out_prec + self.v
         if length <= 0:
             return LaurentSeries(fs, 0, [], out_prec)
-        a = self.coeffs[:length].astype(np.int64)
-        c = np.zeros(length, dtype=np.int64)
-        a0_inv = fs.inv(int(a[0]))
-        c[0] = a0_inv
-        for k in range(1, length):
-            upto = min(k, a.size - 1)
-            acc = fs.dot(a[1 : upto + 1], c[k - 1 :: -1][:upto]) if upto else 0
-            c[k] = fs.mul(a0_inv, fs.neg(acc))
-        return LaurentSeries(fs, -self.v, c, out_prec)
+        return LaurentSeries(fs, -self.v, fs.polyinv(self.coeffs, length), out_prec)
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self * other.invert()

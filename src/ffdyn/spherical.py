@@ -45,8 +45,8 @@ from .streams import stream
 
 Matrix = tuple[tuple[LaurentSeries, LaurentSeries], tuple[LaurentSeries, LaurentSeries]]
 
-# Chunk of congruence classes refined per numpy pass; bounds the size of
-# the transient child tensors, not the total work.
+# Chunk of congruence classes refined, or of Monte Carlo samples evaluated,
+# per numpy pass; bounds the size of the transient arrays, not the total work.
 _CHUNK = 4096
 
 
@@ -521,6 +521,17 @@ def xi_exact(g: Sequence[Sequence[LaurentSeries]], depth_cap: int = 48) -> XiExa
 # -- Monte Carlo backend ------------------------------------------------------
 
 
+def _draw_k(fs: FieldSpec, rng: np.random.Generator, precision: int):
+    """The draws behind one element of K, in stream order: the first row's
+    coefficients (redrawn until a constant term is nonzero), then the
+    residual unipotent's."""
+    while True:
+        coeffs = rng.integers(0, fs.s, size=(2, precision))
+        if coeffs[0, 0] or coeffs[1, 0]:
+            break
+    return coeffs, rng.integers(0, fs.s, size=precision)
+
+
 def sample_k(fs: FieldSpec, rng: np.random.Generator, precision: int) -> Matrix:
     """Uniform element of SL2(O) at the given coefficient precision.
 
@@ -531,10 +542,7 @@ def sample_k(fs: FieldSpec, rng: np.random.Generator, precision: int) -> Matrix:
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    while True:
-        coeffs = rng.integers(0, fs.s, size=(2, precision))
-        if coeffs[0, 0] or coeffs[1, 0]:
-            break
+    coeffs, t_coeffs = _draw_k(fs, rng, precision)
     a = LaurentSeries(fs, 0, coeffs[0], precision)
     b = LaurentSeries(fs, 0, coeffs[1], precision)
     if coeffs[0, 0]:
@@ -543,28 +551,85 @@ def sample_k(fs: FieldSpec, rng: np.random.Generator, precision: int) -> Matrix:
     else:
         d = LaurentSeries.zero_window(fs, precision)
         c = -b.invert()
-    t_coeffs = rng.integers(0, fs.s, size=precision)
     t = LaurentSeries(fs, 0, t_coeffs, precision)
     return ((a, b), (c + t * a, d + t * b))
 
 
-def _first_column_norm_exponent(g: Matrix, k: Matrix) -> int:
-    """Valuation of (g k) e_1, certified against unknown windows."""
-    col = (k[0][0], k[1][0])
-    known: list[int] = []
-    ceilings: list[int] = []
-    for i in range(2):
-        w = g[i][0] * col[0] + g[i][1] * col[1]
-        if w.has_leading_term:
-            known.append(w.v)
-        elif not w.is_exact_zero:
-            ceilings.append(w.prec)
-    if not known:
+def _sample_first_columns(
+    fs: FieldSpec, rng: np.random.Generator, samples: int, precision: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First columns (a, c + t a) of ``samples`` consecutive ``sample_k``
+    draws, as (samples, precision) coefficient arrays over indices
+    0..precision-1 (the window of every entry of k).
+
+    c = 0 when a has a unit constant term and c = -1/b otherwise, so the
+    unit-entry inverse d is never needed.
+    """
+    draws = np.empty((samples, 3, precision), dtype=np.int64)
+    for i in range(samples):
+        draws[i, :2], draws[i, 2] = _draw_k(fs, rng, precision)
+    a, b, t = draws[:, 0], draws[:, 1], draws[:, 2]
+    w = fs.polymul(t, a)[:, :precision]
+    low = a[:, 0] == 0
+    if low.any():
+        w[low] = fs.sub_arr(w[low], fs.polyinv(b[low], precision))
+    return a, w
+
+
+def _first_column_exponents(
+    g: Matrix, cols: tuple[np.ndarray, np.ndarray], precision: int
+) -> np.ndarray:
+    """Valuation of (g k) e_1 per sample, certified against unknown windows.
+
+    ``cols`` are the sampled first columns of k, known below ``precision``.
+    The windows follow LaurentSeries arithmetic: g_ij * x_j is known below
+    min(prec(g_ij) + v(x_j), precision + v(g_ij)), an exact g_ij dropping
+    the first term and a g_ij with no known nonzero coefficient counting
+    its window as v(g_ij); each row sum is known below the smaller of its
+    two.  A row
+    with no nonzero coefficient in its window is a ceiling on the norm
+    exponent; a sample with no visible valuation, or one above a ceiling,
+    raises PrecisionError.
+    """
+    fs = g[0][0].field
+    n = cols[0].shape[0]
+    xval = [_row_valuations(x, precision) for x in cols]
+    unset = np.iinfo(np.int64).max
+    best = np.full(n, unset)
+    ceilings = []
+    for row in g:
+        terms = [(e, x, v) for e, x, v in zip(row, cols, xval) if not e.is_exact_zero]
+        if not terms:
+            continue
+        prec = np.full(n, unset)
+        for e, _, v in terms:
+            ve = e.v if e.has_leading_term else e.prec
+            np.minimum(prec, precision + ve, out=prec)
+            if not e.is_exact:
+                np.minimum(prec, e.prec + v, out=prec)
+        live = [(e, x) for e, x, _ in terms if e.has_leading_term]
+        found = np.zeros(n, dtype=bool)
+        if live:
+            lo = min(e.v for e, _ in live)
+            hi = max(e.v + e.coeffs.size for e, _ in live) + precision - 1
+            acc = np.zeros((n, hi - lo), dtype=np.int64)
+            for e, x in live:
+                span = slice(e.v - lo, e.v - lo + e.coeffs.size + precision - 1)
+                acc[:, span] = fs.add_arr(acc[:, span], fs.polymul(x, e.coeffs))
+            nz = (acc != 0) & (np.arange(lo, hi) < prec[:, None])
+            found = nz.any(axis=1)
+            np.minimum(best, np.where(found, lo + nz.argmax(axis=1), unset), out=best)
+        ceilings.append(np.where(found, unset, prec))
+    if (best == unset).any() or any((best > c).any() for c in ceilings):
         raise PrecisionError("first-column norm indeterminate; increase precision")
-    val = min(known)
-    if any(val > ceil for ceil in ceilings):
-        raise PrecisionError("first-column norm indeterminate; increase precision")
-    return val
+    return best
+
+
+def _row_valuations(x: np.ndarray, width: int) -> np.ndarray:
+    """Index of the first nonzero coefficient per row; ``width`` for a row
+    of zeros (a zero series is known to vanish up to its window)."""
+    nz = x != 0
+    return np.where(nz.any(axis=1), nz.argmax(axis=1), width)
 
 
 def _default_mc_precision(g: Matrix) -> int:
@@ -595,11 +660,14 @@ def xi_monte_carlo(
     if precision is None:
         precision = _default_mc_precision(g)
     rng = stream(seed, tag, trial)
-    s = float(fs.s)
-    vals = np.empty(samples, dtype=np.float64)
-    for i in range(samples):
-        k = sample_k(fs, rng, precision)
-        vals[i] = s ** _first_column_norm_exponent(g, k)
+    exps = np.empty(samples, dtype=np.int64)
+    for start in range(0, samples, _CHUNK):
+        stop = min(start + _CHUNK, samples)
+        cols = _sample_first_columns(fs, rng, stop - start, precision)
+        exps[start:stop] = _first_column_exponents(g, cols, precision)
+    # Python float powers, one per distinct exponent
+    uniq, where = np.unique(exps, return_inverse=True)
+    vals = np.array([float(fs.s) ** int(e) for e in uniq])[where]
     value = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     return XiMonteCarlo(

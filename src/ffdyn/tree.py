@@ -156,43 +156,71 @@ class GeodesicTrace:
             yield (t, int(lev))
 
 
-def _step_profile(ray: QuotientRay):
-    """P(move up) by level and entry direction, from the edge indices.
+def _climb_probability(ray: QuotientRay) -> float:
+    """P(move up) at a vertex v_j, j >= 1, entered from below.
 
-    The reversal edge is removed from the multiplicity of the direction
-    the walk entered through; remaining lifts are chosen uniformly.
+    The walk removes the reversal edge from the multiplicity of the
+    direction it entered through and picks a remaining lift uniformly.
+    With index_up(j) = 1 for j >= 1 this leaves one free choice: v_0
+    always climbs, a vertex entered from above always descends (its only
+    upward lift is the reversal), and one entered from below climbs with
+    probability iu / (iu + id - 1) = 1 / id whatever its level.
     """
-    p_above, p_below = [], []
-    for j in (0, 1, 2):
+    probs = set()
+    for j in range(ray.j_max + 1):
         iu, idn = ray.index_up(j), ray.index_down(j)
-        ua, da = iu - 1, idn
-        p_above.append(ua / (ua + da))
         if j == 0:
-            p_below.append(1.0)  # unreachable: nothing lies below v_0
-        else:
-            ub, db = iu, idn - 1
-            p_below.append(ub / (ub + db))
-    return p_above, p_below
+            if idn != 0:
+                raise RuntimeError("the base vertex has a downward edge")
+            continue
+        if iu != 1:
+            raise RuntimeError(f"v_{j} has {iu} upward edges; excursions need exactly one")
+        probs.add(iu / (iu + idn - 1))
+    if len(probs) != 1:
+        raise RuntimeError("the climb probability depends on the level")
+    return probs.pop()
+
+
+def _excursions(ray: QuotientRay, T: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Start step and peak level of every excursion begun in T steps.
+
+    One uniform u_t is drawn per step (``rng.random(T)``), whether or not
+    the move is forced.  An excursion starting at step s climbs on step s,
+    keeps climbing while u < p, turns on the first u >= p at a step
+    z >= s + 1, and then descends to v_0: it peaks at h = z - s and the
+    next one starts at s + 2h = 2z - s.  That map preserves parity, so on
+    the even steps i = s / 2 it is i -> z - i, and the excursion starts
+    are its orbit from 0, found by pointer doubling in log2(#excursions)
+    passes.  The last excursion may run past T; when it is still climbing
+    at T, z = T and its height is the level it reached.
+    """
+    turns = rng.random(T) >= _climb_probability(ray)
+    n = (T + 1) // 2
+    ends = np.append(np.flatnonzero(turns), T)
+    # first turn at or after 2i + 1 (T when the walk climbs to the end)
+    z = ends[np.cumsum(turns)[: 2 * n : 2]]
+    jump = np.append(np.minimum(z - np.arange(n), n), n)  # n: past T
+    orbit = np.zeros(1, dtype=np.int64)
+    while jump[0] < n:
+        # orbit holds the first 2^k starts, jump advances 2^k excursions
+        orbit = np.concatenate((orbit, jump[orbit]))
+        jump = jump[jump]
+    orbit = np.sort(orbit[orbit < n])
+    starts = 2 * orbit
+    return starts, z[orbit] - starts
+
+
+def _levels(starts: np.ndarray, heights: np.ndarray, T: int) -> np.ndarray:
+    """Levels d_1..d_T of the walk with the given excursions."""
+    climbing = np.zeros(T + 1, dtype=np.int8)
+    climbing[starts] = 1
+    climbing[np.minimum(starts + heights, T)] = -1
+    np.cumsum(climbing, out=climbing)
+    return np.cumsum(2 * climbing[:T] - 1, dtype=np.int64)
 
 
 def _trace_levels(ray: QuotientRay, T: int, rng) -> np.ndarray:
-    # one uniform is consumed per step, whether or not the move is forced
-    p_above, p_below = _step_profile(ray)
-    u = rng.random(T)
-    out = np.empty(T, dtype=np.int64)
-    lev = 0
-    from_above = True
-    for t in range(T):
-        k = lev if lev < 2 else 2
-        p = p_above[k] if from_above else p_below[k]
-        if u[t] < p:
-            lev += 1
-            from_above = False
-        else:
-            lev -= 1
-            from_above = True
-        out[t] = lev
-    return out
+    return _levels(*_excursions(ray, T, rng), T)
 
 
 def simulate_geodesic(ray: QuotientRay, T: int, seed: int) -> GeodesicTrace:
@@ -216,17 +244,20 @@ def _excursion_maxima(levels: np.ndarray) -> np.ndarray:
 
 def excursion_tail_rate(maxima: np.ndarray, min_count: int = 100):
     """Geometric decay rate fitted to P(peak >= r); None if too few peaks."""
-    if maxima.size < 10 * min_count:
+    return _tail_rate(np.bincount(maxima), min_count)
+
+
+def _tail_rate(counts: np.ndarray, min_count: int = 100):
+    """``excursion_tail_rate`` from the histogram of the peaks."""
+    if counts.sum() < 10 * min_count:
         return None
+    at_least = np.cumsum(counts[::-1])[::-1]
     rs = []
     logs = []
     r = 1
-    while True:
-        c = int(np.count_nonzero(maxima >= r))
-        if c < min_count:
-            break
+    while r < at_least.size and at_least[r] >= min_count:
         rs.append(r)
-        logs.append(math.log(c))
+        logs.append(math.log(int(at_least[r])))
         r += 1
     if len(rs) < 3:
         return None
@@ -317,18 +348,21 @@ def loglaw_experiment(
         raise ValueError("rate family must supply one threshold per step")
     log_T = math.log(T) / math.log(ray.q)
     maxima = np.empty(trials, dtype=np.int64)
-    exc_all = []
+    peak_counts = np.zeros(1, dtype=np.int64)  # histogram of completed peaks
     decade_hits = 0
     cut = T // 10
     for trial in range(trials):
-        levels = _trace_levels(ray, T, stream(seed, tag, trial))
-        maxima[trial] = levels.max()
-        exc_all.append(_excursion_maxima(levels))
-        if rate is not None and bool(np.any(levels[cut:] >= rate[cut:])):
-            decade_hits += 1
+        starts, heights = _excursions(ray, T, stream(seed, tag, trial))
+        maxima[trial] = heights.max()
+        counts = np.bincount(heights[starts + 2 * heights <= T])
+        if counts.size > peak_counts.size:
+            peak_counts = np.pad(peak_counts, (0, counts.size - peak_counts.size))
+        peak_counts[: counts.size] += counts
+        if rate is not None:
+            levels = _levels(starts, heights, T)
+            decade_hits += bool(np.any(levels[cut:] >= rate[cut:]))
     ratios = maxima / log_T
     q25, q75 = np.quantile(ratios, [0.25, 0.75])
-    peaks = np.concatenate(exc_all) if exc_all else np.empty(0, dtype=np.int64)
     report = {
         "q": ray.q,
         "T": T,
@@ -339,8 +373,8 @@ def loglaw_experiment(
         "ratios": ratios,
         "median_ratio": float(np.median(ratios)),
         "quartiles": (float(q25), float(q75)),
-        "excursions": int(peaks.size),
-        "excursion_tail_rate": excursion_tail_rate(peaks),
+        "excursions": int(peak_counts.sum()),
+        "excursion_tail_rate": _tail_rate(peak_counts),
     }
     if rate is not None:
         weights = float(ray.q) ** (-ray.lY * rate.astype(np.float64))

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CertificationError, EnumerationCapError
+from .field import prime_power
 
 _DEFAULT_ENUM_CAP = 5_000_000
 
@@ -224,6 +225,12 @@ def _count_upper_bound(l: int, rank: int) -> float:
     return float(l + 1) ** (rank - 1)
 
 
+def _require_prime_power(q: int) -> None:
+    # q is the order of the residue field F_q, as in tree.quotient_ray
+    if prime_power(q) is None:
+        raise ValueError(f"q = {q} is not a prime power")
+
+
 def cusp_tail(
     T: int,
     spec: RootSystemSpec,
@@ -239,8 +246,7 @@ def cusp_tail(
     """
     if T < 1:
         raise ValueError("T must be at least 1")
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    _require_prime_power(q)
     r = spec.rank
     s_part = 0.0
     c_part = 0.0
@@ -264,6 +270,7 @@ def cusp_tail(
 
 
 def cusp_rows(spec: RootSystemSpec, q: int, T_lo: int, T_hi: int) -> list[CuspTail]:
+    _require_prime_power(q)
     return [cusp_tail(T, spec, q) for T in range(T_lo, T_hi + 1)]
 
 

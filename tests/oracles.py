@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: schoolbook polynomial arithmetic on
 Python lists, dict-based series products, literal box enumerations, Fraction
-arithmetic for exact identities, and the full-width weak Popov reduction
-the package's windowed one is checked against.  Nothing imports from ffdyn, so agreement
-between these and the package is a real cross-check, not a tautology.
+arithmetic for exact identities, discrete-log tables built one product per
+element, the full-width weak Popov reduction the package's windowed one is
+checked against, and the two Monte Carlo backends one step or one sample at
+a time.  Nothing imports from ffdyn, so agreement between these and the
+package is a real cross-check, not a tautology.
 """
 
 from __future__ import annotations
@@ -133,6 +135,52 @@ def gf_polydivmod(
                 sub = gf_neg(gf_mul(f, y, p, modulus), p, modulus)
                 rem[i] = gf_add(rem[i], sub, p, modulus)
     return ptrim(q), ptrim(rem[: len(b) - 1])
+
+
+def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
+    """Monic irreducible of degree e over F_p whose low coefficients, read
+    as base-p digits, form the smallest code; trial division."""
+    if e == 1:
+        return (0, 1)
+    divisors = [
+        [(code // p**i) % p for i in range(d)] + [1]
+        for d in range(1, e // 2 + 1)
+        for code in range(p**d)
+    ]
+    for code in range(p**e):
+        cand = [(code // p**i) % p for i in range(e)] + [1]
+        if all(pdivmod(cand, den, p)[1] for den in divisors):
+            return tuple(cand)
+    raise ValueError("no irreducible found")
+
+
+def gf_pow(x: int, n: int, p: int, modulus) -> int:
+    out = 1
+    while n:
+        if n & 1:
+            out = gf_mul(out, x, p, modulus)
+        x = gf_mul(x, x, p, modulus)
+        n >>= 1
+    return out
+
+
+def log_tables(p: int, e: int, modulus) -> tuple[list[int], list[int]]:
+    """(log, antilog) of F_(p^e) for the smallest generator code, one
+    product per element; log[0] = -1."""
+    s = p**e
+    order = s - 1
+    factors = [f for f in range(2, order + 1) if order % f == 0 and _is_prime_int(f)]
+    gen = next(
+        c for c in range(2, s)
+        if all(gf_pow(c, order // f, p, modulus) != 1 for f in factors)
+    )
+    antilog = [1]
+    for _ in range(order - 1):
+        antilog.append(gf_mul(antilog[-1], gen, p, modulus))
+    log = [-1] * s
+    for i, x in enumerate(antilog):
+        log[x] = i
+    return log, antilog
 
 
 # ---------------------------------------------------------------------------
@@ -484,3 +532,106 @@ def reduce_packed_full_width(fs, W, U, degrees, pivots, max_steps=None) -> int:
         steps += 1
         if steps > max_steps:
             raise ValueError("reduction did not terminate")
+
+
+# ---------------------------------------------------------------------------
+# The quotient-ray walk one step at a time.  ``ray`` is any object with the
+# edge indices index_up(j) and index_down(j); ``rng`` any numpy Generator.
+
+
+def step_profile(ray) -> tuple[list[float], list[float]]:
+    """P(move up) at levels 0, 1 and >= 2, entered from above and from
+    below: the reversal edge is removed from the multiplicity of the
+    direction the walk came from, the remaining lifts are equally likely."""
+    p_above, p_below = [], []
+    for j in (0, 1, 2):
+        iu, idn = ray.index_up(j), ray.index_down(j)
+        p_above.append((iu - 1) / (iu - 1 + idn))
+        p_below.append(1.0 if j == 0 else iu / (iu + idn - 1))
+    return p_above, p_below
+
+
+def trace_levels_loop(ray, T: int, rng) -> np.ndarray:
+    """Levels d_1..d_T, one uniform consumed per step even when forced."""
+    p_above, p_below = step_profile(ray)
+    u = rng.random(T)
+    out = np.empty(T, dtype=np.int64)
+    lev = 0
+    from_above = True
+    for t in range(T):
+        k = min(lev, 2)
+        p = p_above[k] if from_above else p_below[k]
+        if u[t] < p:
+            lev += 1
+            from_above = False
+        else:
+            lev -= 1
+            from_above = True
+        out[t] = lev
+    return out
+
+
+def excursion_peaks(levels: np.ndarray) -> list[int]:
+    """Peak of each excursion that returns to level 0."""
+    peaks, top = [], 0
+    for lev in levels.tolist():
+        top = max(top, lev)
+        if lev == 0:
+            peaks.append(top)
+            top = 0
+    return peaks
+
+
+def excursion_tail_rate(peaks: list[int], min_count: int = 100) -> float | None:
+    """exp of the least-squares slope of log #{peaks >= r} over r = 1, 2, ...
+    while at least min_count peaks reach r; None below 10 * min_count peaks
+    or with fewer than three such r."""
+    if len(peaks) < 10 * min_count:
+        return None
+    rs, logs = [], []
+    r = 1
+    while sum(1 for h in peaks if h >= r) >= min_count:
+        rs.append(r)
+        logs.append(math.log(sum(1 for h in peaks if h >= r)))
+        r += 1
+    if len(rs) < 3:
+        return None
+    return float(math.exp(np.polyfit(rs, logs, 1)[0]))
+
+
+# ---------------------------------------------------------------------------
+# Spherical Monte Carlo one sample at a time.  ``g`` and the sampled k are
+# 2x2 tuples of series objects with +, *, has_leading_term, is_exact_zero,
+# v and prec (the package's LaurentSeries); the arithmetic is theirs, the
+# bookkeeping of windows is redone here.
+
+
+def first_column_norm_exponent(g, k) -> int | None:
+    """Valuation of (g k) e_1; None when the windows cannot certify it."""
+    col = (k[0][0], k[1][0])
+    known: list[int] = []
+    ceilings: list[int] = []
+    for i in range(2):
+        w = g[i][0] * col[0] + g[i][1] * col[1]
+        if w.has_leading_term:
+            known.append(w.v)
+        elif not w.is_exact_zero:
+            ceilings.append(w.prec)
+    if not known:
+        return None
+    val = min(known)
+    if any(val > ceil for ceil in ceilings):
+        return None
+    return val
+
+
+def xi_monte_carlo_loop(g, samples: int, draw_k, s: int) -> tuple[float, float] | None:
+    """(mean, standard error) of s^(norm exponent) over ``samples`` calls
+    of ``draw_k()``; None when some sample is indeterminate."""
+    vals = np.empty(samples, dtype=np.float64)
+    for i in range(samples):
+        exp = first_column_norm_exponent(g, draw_k())
+        if exp is None:
+            return None
+        vals[i] = float(s) ** exp
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

@@ -2,6 +2,7 @@
 determinism and exit codes."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from ffdyn.cli import EXPERIMENTS, build_parser, main, parse_config
+from ffdyn.cli import EXPERIMENTS, build_parser, main, parse_config, run_experiment
 from ffdyn.errors import ConfigError
 
 
@@ -219,6 +220,24 @@ def test_delta_flow_csv_schema(tmp_path):
     assert report["artifact"] == "delta-flow.csv"
     assert report["wall_clock_seconds"] >= 0
     assert report["summary"]["certified_fraction"] == 1.0
+
+
+# sha256 of the artifacts of the two Monte Carlo sample configs, as
+# scripts/run_all.sh records them in runs/SHA256SUMS.  Both draw from
+# counter-based streams, so any change in the draws or in the arithmetic on
+# them shows up here.
+SAMPLE_ARTIFACT_SHA256 = {
+    "tree-loglaw": "5cdd45b9e94341f605c571cca0913ae70b48028e21c5ae0ac17ec05391308a36",
+    "xi-decay": "8bea6e1ea9fc5744ad82be7b75d8838e61581979161dd1160b3ce7555976a533",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SAMPLE_ARTIFACT_SHA256))
+def test_sample_config_artifact_digest(tag, tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / f"{tag}.cfg"
+    report = run_experiment(parse_config(path.read_text(), overrides={"out": str(tmp_path)}))
+    digest = hashlib.sha256(Path(report.artifact).read_bytes()).hexdigest()
+    assert digest == SAMPLE_ARTIFACT_SHA256[tag]
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -215,6 +215,51 @@ def test_polydivmod_matches_digit_oracle(fs):
         fs.polydivmod(np.array([1, 1]), np.zeros(0, dtype=np.int64))
 
 
+@pytest.mark.parametrize("fs", KERNEL_FIELDS, ids=lambda f: f"p{f.p}e{f.e}")
+def test_polymul_rows_match_digit_oracle(fs):
+    rng = np.random.default_rng(fs.s + 2)
+    for na, nb in [(1, 1), (5, 3), (3, 5), (6, 6)]:
+        a = rng.integers(0, fs.s, size=(2, 3, na))
+        b = rng.integers(0, fs.s, size=(2, 3, nb))
+        a[rng.random(a.shape) < 0.3] = 0
+        got = fs.polymul(a, b)
+        assert got.shape == (2, 3, na + nb - 1)
+        for idx in np.ndindex(2, 3):
+            want = oracles.gf_polymul(list(a[idx]), list(b[idx]), fs.p, fs.modulus)
+            assert oracles.ptrim(got[idx].tolist()) == want
+
+
+@pytest.mark.parametrize("fs", KERNEL_FIELDS, ids=lambda f: f"p{f.p}e{f.e}")
+def test_polyinv_matches_digit_oracle(fs):
+    rng = np.random.default_rng(fs.s + 3)
+    a = rng.integers(0, fs.s, size=(6, 5))
+    a[:, 0] = rng.integers(1, fs.s, size=6)
+    for n in (1, 2, 5, 9):
+        got = fs.polyinv(a, n)
+        assert got.shape == (6, n)
+        for i in range(6):
+            assert np.array_equal(fs.polyinv(a[i], n), got[i])
+            # the inverse modulo y^n is unique, so the product pins it down
+            prod = oracles.gf_polymul(list(a[i]), list(got[i]), fs.p, fs.modulus)
+            assert (prod + [0] * n)[:n] == [1] + [0] * (n - 1)
+    with pytest.raises(FieldError):
+        fs.polyinv(np.array([0, 1]), 3)
+
+
+@pytest.mark.parametrize(
+    "p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)] + [(2, 16), (13, 4)]
+)
+def test_log_tables_match_per_element_reference(p, e):
+    fs = FieldSpec(p, e)
+    assert fs.modulus == oracles.smallest_irreducible(p, e)
+    if e == 1:
+        assert fs._log is None and fs._antilog is None
+        return
+    log, antilog = oracles.log_tables(p, e, fs.modulus)
+    assert fs._log.tolist() == log
+    assert fs._antilog.tolist() == antilog
+
+
 # ---------------------------------------------------------------------------
 # LaurentSeries structure
 

@@ -260,6 +260,11 @@ def test_cusp_tail_validation():
         cusp_tail(0, A2, 2)
     with pytest.raises(ValueError):
         cusp_tail(2, A2, 1)
+    # q is a field order: 6 is refused like quotient_ray refuses it
+    with pytest.raises(ValueError, match="not a prime power"):
+        cusp_tail(2, A2, 6)
+    with pytest.raises(ValueError, match="not a prime power"):
+        cusp_rows(RootSystemSpec(2), 6, 2, 6)
 
 
 def test_cusp_tail_row_shape():
