@@ -448,9 +448,10 @@ def _run_delta_flow(config: ExperimentConfig):
 
 
 # Work caps checked at config time, before anything is allocated: a kg-mc
-# census enumerates s^(n(q_max+1)) candidate vectors, or on its n = 1,
-# e = 1 fast path only the (s^(q_max+1)-1)/(s-1) monic ones, and xi-decay's
-# exact sums refine about s^(2 t_max+1) congruence classes at t = t_max.
+# census builds one row per unit class, (s^(n(q_max+1))-1)/(s-1) rows; the
+# cap counts exactly those for n = 1, e = 1 and all s^(n(q_max+1))
+# candidates otherwise, about s - 1 times too many.  xi-decay's exact sums
+# refine about s^(2 t_max+1) congruence classes at t = t_max.
 _KG_CANDIDATE_CAP = 10**5
 _XI_CLASS_CAP = 10**7
 

@@ -49,6 +49,9 @@ _EPS = 1e-9
 
 _DEFAULT_SEARCH_CAP = 1_000_000
 
+# rows per candidate block of a unit-class search
+_CANDIDATE_BLOCK = 1 << 14
+
 
 # ---------------------------------------------------------------------------
 # small conversions shared by every op
@@ -111,18 +114,8 @@ def best_integer_approx(A, q) -> tuple[tuple[Poly, ...], float]:
     """
     rows = _matrix_rows(A)
     qs = _poly_vector(q, len(rows[0]))
-    fs = rows[0][0].field
-    qseries = [LaurentSeries.from_poly(t) for t in qs]
-    ps = []
-    err = 0.0
-    for row in rows:
-        w = LaurentSeries.zero(fs)
-        for a, t in zip(row, qseries):
-            w = w + a * t
-        whole, frac = w.polynomial_part()
-        ps.append(-whole)
-        err = max(err, frac.abs_value())
-    return tuple(ps), err
+    ps, fracs = _residual_rows(rows, qs)
+    return ps, max((frac.abs_value() for frac in fracs), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +196,52 @@ class ApproxSolution:
         return qtxt, ptxt, etxt, self.q_exp
 
 
-def _unit_normalized_vectors(s: int, n: int, deg: int):
+def _unit_class_blocks(s: int, n: int, deg: int, cap: int):
     """All q in Z^n \\ 0 with max deg <= deg, one per unit class.
 
     The class representative has a monic first nonzero coordinate; scalar
     multiples by F_s^* are never listed twice.  Vectors come out in
-    increasing max-degree order, so first hits are minimal witnesses.
+    increasing max-degree order, then in lexicographic order of their
+    coefficient lists, so first hits are minimal witnesses.  They are
+    yielded as int arrays (rows, n, deg + 1) of coefficient codes in
+    ascending degree, _CANDIDATE_BLOCK rows each but the last.  Raises
+    EnumerationCapError, before any block is built, above ``cap`` classes.
     """
+    classes = (s ** (n * (deg + 1)) - 1) // (s - 1)
+    if classes > cap:
+        raise EnumerationCapError(
+            f"{classes} candidate classes exceed the search cap {cap}"
+        )
+    pending, held = [], 0
     for d in range(deg + 1):
-        width = d + 1
-        for flat in itertools.product(range(s), repeat=n * width):
-            coords = [flat[i * width : (i + 1) * width] for i in range(n)]
-            if not any(c[d] for c in coords):
-                continue
-            first = next(c for c in coords if any(c))
-            lead = next(c for c in reversed(first) if c)
-            if lead != 1:
-                continue
-            yield coords
+        digits = n * (d + 1)
+        weights = s ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+        total = s**digits
+        for start in range(0, total, _CANDIDATE_BLOCK):
+            flat = np.arange(start, min(start + _CANDIDATE_BLOCK, total))
+            coords = (flat[:, None] // weights % s).reshape(-1, n, d + 1)
+            at = np.arange(coords.shape[0])
+            # leading coefficient of the first nonzero coordinate
+            first = coords[at, coords.any(axis=2).argmax(axis=1)]
+            lead = first[at, d - (first[:, ::-1] != 0).argmax(axis=1)]
+            keep = coords[:, :, d].any(axis=1) & (lead == 1)
+            block = np.zeros((int(keep.sum()), n, deg + 1), dtype=np.int64)
+            block[:, :, : d + 1] = coords[keep]
+            pending.append(block)
+            held += block.shape[0]
+            while held >= _CANDIDATE_BLOCK:
+                rows = np.concatenate(pending)
+                yield rows[:_CANDIDATE_BLOCK]
+                pending, held = [rows[_CANDIDATE_BLOCK:]], held - _CANDIDATE_BLOCK
+    if held:
+        yield np.concatenate(pending)
+
+
+def _unit_class_polys(fs: FieldSpec, n: int, deg: int, cap: int):
+    """The rows of ``_unit_class_blocks`` as tuples of n polynomials."""
+    for block in _unit_class_blocks(fs.s, n, deg, cap):
+        for q in block.tolist():
+            yield tuple(Poly(fs, c) for c in q)
 
 
 def _primitive_key(fs: FieldSpec, qs: tuple[Poly, ...]) -> tuple:
@@ -298,15 +319,9 @@ def kg_solutions(A, psi: PsiFunction, q_max, cap: int = _DEFAULT_SEARCH_CAP):
     deg = _spower_exponent(q_max, fs.s, "q_max")
     if deg < 0:
         raise ValueError("q_max must be >= 1")
-    classes = (fs.s ** (n * (deg + 1)) - 1) // (fs.s - 1)
-    if classes > cap:
-        raise EnumerationCapError(
-            f"{classes} candidate classes exceed the search cap {cap}"
-        )
     best: dict[tuple, ApproxSolution] = {}
     raw = 0
-    for coords in _unit_normalized_vectors(fs.s, n, deg):
-        qs = tuple(Poly(fs, list(c)) for c in coords)
+    for qs in _unit_class_polys(fs, n, deg, cap):
         ps, fracs = _residual_rows(rows, qs)
         q_deg = _vector_exponents(qs)
         admitted, err_exp, exact = _strict_admission(psi, m, n, q_deg, fracs)
@@ -401,21 +416,6 @@ class KGReport:
         }
 
 
-def _monic_rows(s: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """All monic polynomials of degree <= horizon as coefficient rows."""
-    blocks = []
-    degs = []
-    for d in range(horizon + 1):
-        count = s**d
-        blk = np.zeros((count, horizon + 1), dtype=np.int64)
-        if d:
-            blk[:, :d] = np.indices((s,) * d).reshape(d, -1).T
-        blk[:, d] = 1
-        blocks.append(blk)
-        degs.append(np.full(count, d, dtype=np.int64))
-    return np.concatenate(blocks), np.concatenate(degs)
-
-
 def _required_precision(psi: PsiFunction, m: int, n: int, horizon: int) -> int:
     depth = max(
         _admission_depth(psi, m, n, d) for d in range(horizon + 1)
@@ -441,7 +441,8 @@ def kg_monte_carlo(
     ``persistence_ladder(H)``.  A trial is persistent when every rung h has
     an admitted solution with deg q >= h.  Terminal solution counts (one
     per unit class of q) feed the convergent-side histogram.  Trials draw
-    from per-trial substreams of ``seed`` under ``tag``.
+    from per-trial substreams of ``seed`` under ``tag``.  Raises
+    EnumerationCapError above 1,000,000 unit classes of q.
     """
     if psi.s != fs.s:
         raise ValueError("psi and the field use different values of s")
@@ -456,24 +457,18 @@ def kg_monte_carlo(
             "precision below the admission decision depth",
             needed_precision=need,
         )
-    fast = n == 1 and fs.e == 1
-    if fast:
-        qrows, qdegs = _monic_rows(fs.s, horizon)
-        theta = np.array(
-            [_llog_ext(psi, n * d) for d in range(horizon + 1)], dtype=float
-        )
+    blocks = []
+    for q in _unit_class_blocks(fs.s, n, horizon, _DEFAULT_SEARCH_CAP):
+        degrees = horizon - q.any(axis=1)[:, ::-1].argmax(axis=1)
+        blocks.append((q.reshape(q.shape[0], -1), degrees))
+    theta = np.array(
+        [_llog_ext(psi, n * d) for d in range(horizon + 1)], dtype=float
+    )
 
-        def one_trial(trial: int) -> tuple[int, tuple[bool, ...]]:
-            rng = stream(seed, tag, trial)
-            rows = sample_matrix(fs, rng, m, 1, precision)
-            return _fast_trial(fs, rows, qrows, qdegs, theta, m, horizon, rungs)
-
-    else:
-
-        def one_trial(trial: int) -> tuple[int, tuple[bool, ...]]:
-            rng = stream(seed, tag, trial)
-            rows = sample_matrix(fs, rng, m, n, precision)
-            return _slow_trial(rows, psi, m, n, horizon, rungs)
+    def one_trial(trial: int) -> tuple[int, tuple[bool, ...]]:
+        rng = stream(seed, tag, trial)
+        rows = sample_matrix(fs, rng, m, n, precision)
+        return _kg_trial(fs, rows, blocks, theta, horizon, rungs)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -501,46 +496,46 @@ def kg_monte_carlo(
     )
 
 
-def _fast_trial(fs, rows, qrows, qdegs, theta, m, horizon, rungs):
-    """Vectorized n = 1 trial: one Hankel product per matrix row.
+def _kg_trial(fs, rows, blocks, theta, horizon, rungs):
+    """One trial: Hankel products of the candidate blocks with each row.
 
-    Coefficient u of the tail of a*q is sum_j q_j a_{u+j}; stacking u rows
-    gives the first visible index of every candidate q at once.  The window
-    depth U is chosen so an all-zero column certifies admission outright.
+    Coefficient u of the tail of sum_k a_k q_k is sum_k sum_j q_kj
+    a_k,(u+j); stacking u rows gives the first visible index of every
+    candidate q at once.  The window depth U is chosen so an all-zero
+    column certifies admission outright.
     """
+    m = len(rows)
     precision = rows[0][0].prec
     U = precision - horizon - 1
-    hit = np.zeros((qrows.shape[0], U), dtype=bool)
-    for row in rows:
-        a = row[0].window(0, precision)
-        hank = np.lib.stride_tricks.sliding_window_view(
-            a[1 : U + horizon + 1], horizon + 1
+    hankels = [
+        np.concatenate(
+            [
+                np.lib.stride_tricks.sliding_window_view(
+                    a.window(0, precision)[1 : U + horizon + 1], horizon + 1
+                )
+                for a in row
+            ],
+            axis=1,
         )
-        hit |= ((qrows @ hank.T) % fs.p) != 0
-    any_hit = hit.any(axis=1)
-    first = hit.argmax(axis=1)
-    err = -(first + 1)
-    admitted = np.where(any_hit, m * err < theta[qdegs] - _EPS, True)
-    count = int(admitted.sum())
-    adeg = qdegs[admitted]
-    passes = tuple(bool((adeg >= h).any()) for h in rungs)
-    return count, passes
-
-
-def _slow_trial(rows, psi, m, n, horizon, rungs):
-    fs = rows[0][0].field
-    count = 0
-    top = -1
-    for coords in _unit_normalized_vectors(fs.s, n, horizon):
-        qs = tuple(Poly(fs, list(c)) for c in coords)
-        _, fracs = _residual_rows(rows, qs)
-        q_deg = _vector_exponents(qs)
-        admitted, _, _ = _strict_admission(psi, m, n, q_deg, fracs)
-        if admitted:
-            count += 1
-            top = max(top, q_deg)
-    passes = tuple(top >= h for h in rungs)
-    return count, passes
+        for row in rows
+    ]
+    count, top = 0, -1
+    for q, qdegs in blocks:
+        hit = np.zeros((q.shape[0], U), dtype=bool)
+        for hank in hankels:
+            if fs.e == 1:
+                tail = q @ hank.T % fs.p
+            else:
+                tail = np.zeros(hit.shape, dtype=np.int64)
+                for c in range(q.shape[1]):
+                    tail = fs.add_arr(tail, fs.mul_arr(q[:, c : c + 1], hank[:, c]))
+            hit |= tail != 0
+        err = -(hit.argmax(axis=1) + 1)
+        admitted = np.where(hit.any(axis=1), m * err < theta[qdegs] - _EPS, True)
+        count += int(admitted.sum())
+        if admitted.any():
+            top = max(top, int(qdegs[admitted].max()))
+    return count, tuple(top >= h for h in rungs)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,15 +1022,9 @@ def zero_block_detector(
     if len(rows) != spec.m or len(rows[0]) != spec.n:
         raise ValueError(f"A must be {spec.m} x {spec.n}")
     fs = spec.field
-    classes = (fs.s ** (spec.n * (degree_bound + 1)) - 1) // (fs.s - 1)
-    if classes > cap:
-        raise EnumerationCapError(
-            f"{classes} candidate classes exceed the search cap {cap}"
-        )
     searched = 0
     indeterminate = 0
-    for coords in _unit_normalized_vectors(fs.s, spec.n, degree_bound):
-        qs = tuple(Poly(fs, list(c)) for c in coords)
+    for qs in _unit_class_polys(fs, spec.n, degree_bound, cap):
         _, fracs = _residual_rows(rows, qs)
         searched += 1
         if all(f.is_exact_zero for f in fracs):
@@ -1050,15 +1039,9 @@ def _zero_block_generic(basis, spec, degree_bound, cap) -> ZeroBlockReport:
     r = basis.rank
     if spec.rank != r:
         raise ValueError("spec rank does not match the basis")
-    classes = (fs.s ** (r * (degree_bound + 1)) - 1) // (fs.s - 1)
-    if classes > cap:
-        raise EnumerationCapError(
-            f"{classes} candidate classes exceed the search cap {cap}"
-        )
     searched = 0
     indeterminate = 0
-    for coords in _unit_normalized_vectors(fs.s, r, degree_bound):
-        us = tuple(Poly(fs, list(c)) for c in coords)
+    for us in _unit_class_polys(fs, r, degree_bound, cap):
         useries = [LaurentSeries.from_poly(u) for u in us]
         searched += 1
         vanished = True

@@ -16,7 +16,6 @@ multiplier.  Uncertified results carry the window that would have sufficed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -416,9 +415,9 @@ def enumerate_short_vectors(
     The search box for integer coefficient vectors q is provable: from
     w = B q and Cramer, deg q_j is at most (sum of the r-1 largest column
     degrees of the scaled basis) + deg(w) - deg(det).  Inside the box the
-    search is complete; small boxes are walked literally, larger ones are
-    resolved as an F_s kernel computation on the coefficient constraints.
-    Raises EnumerationCapError when the output would exceed ``cap``.
+    search is complete, and it is resolved as an F_s kernel computation on
+    the coefficient constraints.  Raises EnumerationCapError, before any
+    vector is built, when the output would exceed ``cap``.
     """
     fs = basis.field
     r = basis.rank
@@ -447,23 +446,13 @@ def enumerate_short_vectors(
             )
     if qdeg < 0:
         return []
-    n_unknowns = r * (qdeg + 1)
-    box = fs.s**n_unknowns if n_unknowns * math.log(fs.s) < 60 else None
-    if box is not None and box <= 4096:
-        sols = _enumerate_literal(fs, P, delta_cap, qdeg)
-    else:
-        sols = _enumerate_kernel(fs, P, delta_cap, qdeg, cap)
-    if len(sols) > cap:
-        raise EnumerationCapError(
-            f"{len(sols)} vectors below the bound exceeds cap {cap}"
-        )
+    sols = _enumerate_kernel(fs, P, delta_cap, qdeg, cap)
+    window = basis.window
     out = []
-    for w in sorted(sols):
+    for w in sols:
         vec = tuple(
             LaurentSeries.from_pairs(
-                fs,
-                {M - d: int(c) for d, c in enumerate(coeffs) if c},
-                None if basis.window is None else basis.window,
+                fs, {M - d: c for d, c in enumerate(coeffs) if c}, window
             )
             for coeffs in w
         )
@@ -479,55 +468,41 @@ def _apply_q(fs, P: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _enumerate_literal(fs, P, delta_cap, qdeg):
-    r = P.shape[0]
-    sols = []
-    space = list(itertools.product(range(fs.s), repeat=qdeg + 1))
-    for combo in itertools.product(space, repeat=r):
-        q = np.array(combo, dtype=np.int64)
-        if not q.any():
-            continue
-        w = _apply_q(fs, P, q)
-        nz = np.nonzero(w)[1]
-        if nz.size and nz.max() <= delta_cap:
-            sols.append(tuple(tuple(int(c) for c in row) for row in w))
-    return sols
-
-
 def _enumerate_kernel(fs, P, delta_cap, qdeg, cap):
+    """Sorted w = P q over the q in the box with deg w <= delta_cap.
+
+    Those q form the F_s kernel of the coefficient constraints above
+    delta_cap.  P is nonsingular, so every nonzero kernel combination is a
+    distinct solution and its image is the same combination of the kernel
+    basis's images.
+    """
     r, _, L = P.shape
-    hi = L + qdeg  # w degrees run 0 .. hi-1
-    n_constraints_per_row = max(hi - 1 - delta_cap, 0)
-    n_unknowns = r * (qdeg + 1)
-    A = np.zeros((r * n_constraints_per_row, n_unknowns), dtype=np.int64)
-    for i in range(r):
-        for t_off in range(n_constraints_per_row):
-            t = delta_cap + 1 + t_off
-            rowidx = i * n_constraints_per_row + t_off
-            for j in range(r):
-                for d in range(qdeg + 1):
-                    k = t - d
-                    if 0 <= k < L:
-                        A[rowidx, j * (qdeg + 1) + d] = P[i, j, k]
-    null = _nullspace(fs, A)
+    width = qdeg + 1
+    n_rows = max(L + qdeg - 1 - delta_cap, 0)  # w degrees delta_cap+1 .. L+qdeg-1
+    # A[i, t, j, d] = coefficient of X^(delta_cap+1+t) in row i of P[:, j] X^d
+    A = np.zeros((r, n_rows, r, width), dtype=np.int64)
+    for d in range(width):
+        lo = delta_cap + 1 - d
+        a, b = max(0, -lo), min(n_rows, L - lo)
+        if a < b:
+            A[:, a:b, :, d] = P[:, :, lo + a : lo + b].transpose(0, 2, 1)
+    null = _nullspace(fs, A.reshape(r * n_rows, r * width))
     dim = null.shape[0]
-    if dim * math.log(fs.s) > math.log(max(cap, 2)) + 1:
-        raise EnumerationCapError(
-            f"kernel dimension {dim} gives s^{dim} vectors, beyond cap {cap}"
-        )
-    sols = []
-    for combo in itertools.product(range(fs.s), repeat=dim):
-        if not any(combo):
-            continue
-        qflat = np.zeros(n_unknowns, dtype=np.int64)
-        for c, vec in zip(combo, null):
-            if c:
-                qflat = fs.add_arr(qflat, fs.scale_arr(c, vec))
-        if not qflat.any():
-            continue
-        q = qflat.reshape(r, qdeg + 1)
-        w = _apply_q(fs, P, q)
-        nz = np.nonzero(w)[1]
-        if nz.size and nz.max() <= delta_cap:
-            sols.append(tuple(tuple(int(c) for c in row) for row in w))
-    return sorted(set(sols))
+    count = fs.s**dim - 1
+    if count > cap:
+        raise EnumerationCapError(f"{count} vectors below the bound exceeds cap {cap}")
+    if not count:
+        return []
+    images = np.stack(
+        [_apply_q(fs, P, q) for q in null.reshape(dim, r, width)]
+    ).reshape(dim, -1)
+    # row 0 of the combination grid is the zero vector
+    combos = np.indices((fs.s,) * dim).reshape(dim, -1).T[1:]
+    if fs.e == 1:
+        W = combos @ images % fs.p
+    else:
+        W = np.zeros((count, images.shape[1]), dtype=np.int64)
+        for i in range(dim):
+            W = fs.add_arr(W, fs.mul_arr(combos[:, i : i + 1], images[i]))
+    W = W[np.lexsort(W.T[::-1])].reshape(count, r, -1)
+    return [tuple(map(tuple, w)) for w in W.tolist()]

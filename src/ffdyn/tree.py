@@ -231,17 +231,6 @@ def simulate_geodesic(ray: QuotientRay, T: int, seed: int) -> GeodesicTrace:
     return GeodesicTrace(ray.q, seed, _trace_levels(ray, T, rng))
 
 
-def _excursion_maxima(levels: np.ndarray) -> np.ndarray:
-    """Peak of each completed excursion above level 0."""
-    z = np.flatnonzero(levels == 0)
-    if z.size == 0:
-        return np.empty(0, dtype=np.int64)
-    # drop the trailing partial excursion past the last return to 0
-    closed = levels[: z[-1] + 1]
-    starts = np.concatenate(([0], z[:-1] + 1))
-    return np.maximum.reduceat(closed, starts)
-
-
 def excursion_tail_rate(maxima: np.ndarray, min_count: int = 100):
     """Geometric decay rate fitted to P(peak >= r); None if too few peaks."""
     return _tail_rate(np.bincount(maxima), min_count)

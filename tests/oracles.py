@@ -4,9 +4,12 @@ Everything here is deliberately naive: schoolbook polynomial arithmetic on
 Python lists, dict-based series products, literal box enumerations, Fraction
 arithmetic for exact identities, discrete-log tables built one product per
 element, the full-width weak Popov reduction the package's windowed one is
-checked against, and the two Monte Carlo backends one step or one sample at
-a time.  Nothing imports from ffdyn, so agreement between these and the
-package is a real cross-check, not a tautology.
+checked against, the two Monte Carlo backends one step or one sample at a
+time, and the candidate walks one candidate at a time.  Nothing imports from
+ffdyn, so agreement between these and the package is a real cross-check,
+not a tautology.  The one exception is ``slow_trial``: it evaluates each kg
+candidate by the package's series arithmetic and admission rule, so it
+checks the batched Hankel trial's walk and products, not that rule.
 """
 
 from __future__ import annotations
@@ -635,3 +638,74 @@ def xi_monte_carlo_loop(g, samples: int, draw_k, s: int) -> tuple[float, float] 
             return None
         vals[i] = float(s) ** exp
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+# ---------------------------------------------------------------------------
+# Candidate walks one candidate at a time.  ``fs`` is any field object with
+# s, polymul and add_arr; P a packed basis [r, r, L] (P[i, j, d] is the X^d
+# coefficient of entry (i, j)).
+
+
+def unit_normalized_vectors(s: int, n: int, deg: int):
+    """All q in Z^n \\ 0 with max deg <= deg, one per unit class.
+
+    The class representative has a monic first nonzero coordinate; scalar
+    multiples by F_s^* are never listed twice.  Vectors come out in
+    increasing max-degree order, so first hits are minimal witnesses.
+    """
+    for d in range(deg + 1):
+        width = d + 1
+        for flat in itertools.product(range(s), repeat=n * width):
+            coords = [flat[i * width : (i + 1) * width] for i in range(n)]
+            if not any(c[d] for c in coords):
+                continue
+            first = next(c for c in coords if any(c))
+            lead = next(c for c in reversed(first) if c)
+            if lead != 1:
+                continue
+            yield coords
+
+
+def apply_q(fs, P: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """w = P q for q [r, Q+1]; returns [r, L+Q]."""
+    out = fs.polymul(P[:, 0, :], q[0])
+    for j in range(1, P.shape[0]):
+        out = fs.add_arr(out, fs.polymul(P[:, j, :], q[j]))
+    return out
+
+
+def enumerate_literal(fs, P, delta_cap, qdeg):
+    """Every w = P q with q in the box deg q_j <= qdeg and deg w <= delta_cap."""
+    r = P.shape[0]
+    sols = []
+    space = list(itertools.product(range(fs.s), repeat=qdeg + 1))
+    for combo in itertools.product(space, repeat=r):
+        q = np.array(combo, dtype=np.int64)
+        if not q.any():
+            continue
+        w = apply_q(fs, P, q)
+        nz = np.nonzero(w)[1]
+        if nz.size and nz.max() <= delta_cap:
+            sols.append(tuple(tuple(int(c) for c in row) for row in w))
+    return sols
+
+
+def slow_trial(rows, psi, m, n, horizon, rungs):
+    """(admitted unit classes, rung passes) of one kg trial on the matrix
+    rows, one candidate at a time through series products."""
+    from ffdyn.dioph import _residual_rows, _strict_admission, _vector_exponents
+    from ffdyn.field import Poly
+
+    fs = rows[0][0].field
+    count = 0
+    top = -1
+    for coords in unit_normalized_vectors(fs.s, n, horizon):
+        qs = tuple(Poly(fs, list(c)) for c in coords)
+        _, fracs = _residual_rows(rows, qs)
+        q_deg = _vector_exponents(qs)
+        admitted, _, _ = _strict_admission(psi, m, n, q_deg, fracs)
+        if admitted:
+            count += 1
+            top = max(top, q_deg)
+    passes = tuple(top >= h for h in rungs)
+    return count, passes

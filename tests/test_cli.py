@@ -222,11 +222,13 @@ def test_delta_flow_csv_schema(tmp_path):
     assert report["summary"]["certified_fraction"] == 1.0
 
 
-# sha256 of the artifacts of the two Monte Carlo sample configs, as
-# scripts/run_all.sh records them in runs/SHA256SUMS.  Both draw from
+# sha256 of the artifacts of four Monte Carlo sample configs, as
+# scripts/run_all.sh records them in runs/SHA256SUMS.  All draw from
 # counter-based streams, so any change in the draws or in the arithmetic on
 # them shows up here.
 SAMPLE_ARTIFACT_SHA256 = {
+    "kg-mc": "e89262e9168a8f55f24b6cd0ea8d4a93e147b9bdc71caec5ac4193859ec0abb0",
+    "mult-mc": "ca6cb59f565549c0fa6a9aa57cf51a651016cc6a357d8ddb5a16696bb2d75d6e",
     "tree-loglaw": "5cdd45b9e94341f605c571cca0913ae70b48028e21c5ae0ac17ec05391308a36",
     "xi-decay": "8bea6e1ea9fc5744ad82be7b75d8838e61581979161dd1160b3ce7555976a533",
 }

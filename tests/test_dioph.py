@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ffdyn.dioph import (
+    _CANDIDATE_BLOCK,
+    _required_precision,
+    _unit_class_blocks,
     _verify_window_witness,
     best_integer_approx,
     correspondence_check,
@@ -314,6 +318,56 @@ def test_kg_mc_precision_guard():
         kg_monte_carlo(F2, power_law(2, tau=2.0), 1, 1, 4, 12, 1, precision=5)
     with pytest.raises(ValueError):
         kg_monte_carlo(F2, power_law(3, tau=1.0), 1, 1, 4, 6, 1)
+
+
+def test_kg_mc_refuses_walks_above_the_search_cap():
+    # H = 20 at s = 2: 2^21 - 1 unit classes, refused before any block is built
+    with pytest.raises(EnumerationCapError, match="2097151 candidate classes"):
+        kg_monte_carlo(F2, power_law(2, tau=1.0), 1, 1, 1, 20, 1)
+
+
+_FIELDS = [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("p,e", _FIELDS)
+def test_unit_class_blocks_match_reference_walk(p, e):
+    fs = field_spec(p, e)
+    cases = [(n, deg) for n in (1, 2, 3) for deg in range(4) if fs.s ** (n * (deg + 1)) <= 5000]
+    if fs.s == 2:
+        cases.append((2, 7))  # 2^16 - 1 classes: the walk spans several blocks
+    for n, deg in cases:
+        blocks = list(_unit_class_blocks(fs.s, n, deg, 10**6))
+        assert all(b.shape[0] == _CANDIDATE_BLOCK for b in blocks[:-1])
+        got = [row for b in blocks for row in b.tolist()]
+        want = [
+            [list(c) + [0] * (deg + 1 - len(c)) for c in coords]
+            for coords in oracles.unit_normalized_vectors(fs.s, n, deg)
+        ]
+        assert got == want, (fs, n, deg)
+
+
+@pytest.mark.parametrize("p,e", _FIELDS)
+def test_kg_trial_matches_slow_trial(p, e):
+    fs = field_spec(p, e)
+    for m, n in [(1, 1), (1, 2), (2, 1)]:
+        # the largest horizon whose s^(n(H+1)) candidates stay within 1000;
+        # (1, 2) is left out for s = 25, 27, 125, where H = 1 already has
+        # s^4 >= 390,625 candidates for the one-at-a-time reference
+        horizon = 1
+        while fs.s ** (n * (horizon + 2)) <= 1000:
+            horizon += 1
+        if fs.s ** (n * (horizon + 1)) > 20_000:
+            continue
+        rungs = persistence_ladder(horizon)
+        for tau in (1.0, 2.0):
+            psi = power_law(fs.s, tau=tau)
+            prec = _required_precision(psi, m, n, horizon)
+            for seed in range(2):
+                rep = kg_monte_carlo(fs, psi, m, n, 1, horizon, seed, precision=prec)
+                rows = sample_matrix(fs, stream(seed, "kg-mc", 0), m, n, prec)
+                count, passes = oracles.slow_trial(rows, psi, m, n, horizon, rungs)
+                assert rep.counts[0] == count, (fs, m, n, tau, seed)
+                assert tuple(rep.rung_fractions[h] == 1.0 for h in rungs) == passes
 
 
 # ---------------------------------------------------------------------------

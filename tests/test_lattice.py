@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ffdyn import lattice
-from ffdyn.errors import CertificationError, LatticeError
+from ffdyn.errors import CertificationError, EnumerationCapError, LatticeError
 from ffdyn.field import LaurentSeries, field_spec, parse_series
 from ffdyn.lattice import (
     LatticeBasis,
@@ -363,12 +363,20 @@ def test_enumerate_matches_reduction_minimum():
         assert max(coord.abs_value() for coord in v) <= lam1
 
 
+def test_enumerate_cap_is_checked_on_the_exact_count():
+    b = LatticeBasis.identity(F3, 2)
+    # norm <= s: both coordinates of degree <= 1, K = 3^4 - 1 vectors
+    assert len(enumerate_short_vectors(b, 3.0, cap=80)) == 80
+    with pytest.raises(EnumerationCapError, match="80 vectors"):
+        enumerate_short_vectors(b, 3.0, cap=79)
+
+
 def test_enumerate_kernel_and_literal_agree():
     b = basis_from_text(F3, [["X^2 + 1", "2*X"], ["X", "X^2 + 2"]])
-    from ffdyn.lattice import _enumerate_kernel, _enumerate_literal, _poly_det_degree
+    from ffdyn.lattice import _col_entry_degrees, _enumerate_kernel, _poly_det_degree
 
     M, P = b.packed()
-    lit = sorted(_enumerate_literal(F3, P, 2, 1))
+    lit = sorted(oracles.enumerate_literal(F3, P, 2, 1))
     ker = sorted(_enumerate_kernel(F3, P, 2, 1, 10**6))
     assert lit == ker
     # over every field, a random nonsingular packed basis whose literal box
@@ -387,9 +395,20 @@ def test_enumerate_kernel_and_literal_agree():
             except LatticeError:
                 pass
         delta_cap = P.shape[2] + qdeg - 2
-        lit = sorted(_enumerate_literal(fs, P, delta_cap, qdeg))
+        lit = sorted(oracles.enumerate_literal(fs, P, delta_cap, qdeg))
         assert lit, fs
         assert lit == sorted(_enumerate_kernel(fs, P, delta_cap, qdeg, 10**6)), fs
+        # the same P as the windowed basis X^-2 P, known through index 2, at
+        # the norm bound whose Cramer box is the one above
+        det_deg = _poly_det_degree(fs, P)
+        top = max(int(_col_entry_degrees(P[:, j, :]).max()) for j in range(2))
+        delta_cap = qdeg + det_deg - top
+        rows = [[LaurentSeries(fs, 0, P[i, j, ::-1], prec=3) for j in range(2)] for i in range(2)]
+        vecs = enumerate_short_vectors(LatticeBasis(fs, rows), float(fs.s) ** (delta_cap - 2))
+        assert {e.prec for v in vecs for e in v} == {3}, fs
+        width = P.shape[2] + qdeg
+        got = [tuple(tuple(e.window(3 - width, 3)[::-1].tolist()) for e in v) for v in vecs]
+        assert got == sorted(oracles.enumerate_literal(fs, P, delta_cap, qdeg)), fs
 
 
 def test_enumerate_respects_depth():

