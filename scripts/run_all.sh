@@ -9,9 +9,10 @@
 # With --check FILE (for example another checkout's runs/SHA256SUMS), the
 # new runs/SHA256SUMS is compared with FILE afterwards; any difference is
 # printed and the script exits non-zero.  Must be run from the repository
-# root (the reduce config uses a relative matrix path).  Takes about eleven
-# seconds in total on a 2-CPU Xeon with Python 3.11.7; the heavy run is
-# mult-mc (about 3.5 s), followed by strong-bc and kg-mc (about 1 s each).
+# root (the reduce config uses a relative matrix path).  Takes about nine
+# seconds in total on a 2-CPU Xeon with Python 3.11.7; the longest runs are
+# strong-bc and kg-mc (about 1.2 s each), then tree-loglaw and xi-decay
+# (about 0.9 s each), with mult-mc at about 0.35 s.
 set -euo pipefail
 
 expected=""

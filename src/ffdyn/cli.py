@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dioph import kg_monte_carlo, mult_solutions
+from .dioph import _unit_class_count, kg_monte_carlo, mult_solutions
 from .errors import ConfigError
 from .field import FieldSpec, LaurentSeries, prime_power
 from .flow import (
@@ -448,10 +448,9 @@ def _run_delta_flow(config: ExperimentConfig):
 
 
 # Work caps checked at config time, before anything is allocated: a kg-mc
-# census builds one row per unit class, (s^(n(q_max+1))-1)/(s-1) rows; the
-# cap counts exactly those for n = 1, e = 1 and all s^(n(q_max+1))
-# candidates otherwise, about s - 1 times too many.  xi-decay's exact sums
-# refine about s^(2 t_max+1) congruence classes at t = t_max.
+# census builds one row per unit class, (s^(n(q_max+1))-1)/(s-1) rows, and
+# the cap counts exactly those.  xi-decay's exact sums refine about
+# s^(2 t_max+1) congruence classes at t = t_max.
 _KG_CANDIDATE_CAP = 10**5
 _XI_CLASS_CAP = 10**7
 
@@ -459,16 +458,12 @@ _XI_CLASS_CAP = 10**7
 def _check_kg_mc(v: dict):
     if v["psi"] == "zero":
         yield "kg-mc needs a positive psi profile, not zero"
-    s, width = v["p"] ** v["e"], v["q_max"] + 1
-    if v["n"] == 1 and v["e"] == 1:
-        count = (s**width - 1) // (s - 1)
-        what = f"the {count:,} monic ones of the s^(q_max+1) = {s}^{width} candidates"
-    else:
-        count = s ** (v["n"] * width)
-        what = f"s^(n(q_max+1)) = {s}^{v['n'] * width} candidates"
+    s, digits = v["p"] ** v["e"], v["n"] * (v["q_max"] + 1)
+    count = _unit_class_count(s, v["n"], v["q_max"])
     if count > _KG_CANDIDATE_CAP:
         yield (
-            f"kg-mc would enumerate {what}, above the cap of "
+            f"kg-mc would enumerate the {count:,} unit classes of the "
+            f"s^(n(q_max+1)) = {s}^{digits} candidates, above the cap of "
             f"{_KG_CANDIDATE_CAP:,}; lower q_max or n"
         )
 

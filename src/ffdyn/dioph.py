@@ -16,6 +16,7 @@ produce a verified solution inside the predicted norm window.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -39,8 +40,9 @@ from .flow import (
 )
 from .lattice import (
     LatticeBasis,
+    _series_rows,
+    _short_vector_array,
     delta as lattice_delta,
-    enumerate_short_vectors,
     weak_popov,
 )
 from .streams import stream
@@ -196,6 +198,19 @@ class ApproxSolution:
         return qtxt, ptxt, etxt, self.q_exp
 
 
+def _unit_class_count(s: int, n: int, deg: int) -> int:
+    """Unit classes of q in Z^n \\ 0 with max deg <= deg."""
+    return (s ** (n * (deg + 1)) - 1) // (s - 1)
+
+
+def _lead_codes(rows: np.ndarray) -> np.ndarray:
+    """Top-degree code of the first nonzero coordinate of each nonzero row
+    of an array (count, n, width) in ascending degree."""
+    at = np.arange(rows.shape[0])
+    first = rows[at, rows.any(axis=2).argmax(axis=1)]
+    return first[at, first.shape[1] - 1 - (first[:, ::-1] != 0).argmax(axis=1)]
+
+
 def _unit_class_blocks(s: int, n: int, deg: int, cap: int):
     """All q in Z^n \\ 0 with max deg <= deg, one per unit class.
 
@@ -207,7 +222,7 @@ def _unit_class_blocks(s: int, n: int, deg: int, cap: int):
     ascending degree, _CANDIDATE_BLOCK rows each but the last.  Raises
     EnumerationCapError, before any block is built, above ``cap`` classes.
     """
-    classes = (s ** (n * (deg + 1)) - 1) // (s - 1)
+    classes = _unit_class_count(s, n, deg)
     if classes > cap:
         raise EnumerationCapError(
             f"{classes} candidate classes exceed the search cap {cap}"
@@ -220,11 +235,7 @@ def _unit_class_blocks(s: int, n: int, deg: int, cap: int):
         for start in range(0, total, _CANDIDATE_BLOCK):
             flat = np.arange(start, min(start + _CANDIDATE_BLOCK, total))
             coords = (flat[:, None] // weights % s).reshape(-1, n, d + 1)
-            at = np.arange(coords.shape[0])
-            # leading coefficient of the first nonzero coordinate
-            first = coords[at, coords.any(axis=2).argmax(axis=1)]
-            lead = first[at, d - (first[:, ::-1] != 0).argmax(axis=1)]
-            keep = coords[:, :, d].any(axis=1) & (lead == 1)
+            keep = coords[:, :, d].any(axis=1) & (_lead_codes(coords) == 1)
             block = np.zeros((int(keep.sum()), n, deg + 1), dtype=np.int64)
             block[:, :, : d + 1] = coords[keep]
             pending.append(block)
@@ -244,22 +255,15 @@ def _unit_class_polys(fs: FieldSpec, n: int, deg: int, cap: int):
             yield tuple(Poly(fs, c) for c in q)
 
 
-def _primitive_key(fs: FieldSpec, qs: tuple[Poly, ...]) -> tuple:
-    if len(qs) == 1:
-        rep = (qs[0].monic(),)
-    else:
-        g = qs[0]
-        for t in qs[1:]:
-            g = poly_gcd(g, t)
+def _primitive_key(qs: tuple[Poly, ...]) -> tuple:
+    """Coefficient key of a unit-class representative with its content
+    removed (n > 1); the gcd is monic, so the first nonzero coordinate of
+    the quotient stays monic."""
+    if len(qs) > 1:
+        g = functools.reduce(poly_gcd, qs)
         if g.degree > 0:
-            rep = tuple(t // g for t in qs)
-        else:
-            rep = qs
-        lead = next(t for t in rep if not t.is_zero).leading
-        if lead != 1:
-            c = fs.inv(lead)
-            rep = tuple(t.scale(c) for t in rep)
-    return tuple(tuple(int(c) for c in t.coeffs) for t in rep)
+            qs = tuple(t // g for t in qs)
+    return tuple(tuple(int(c) for c in t.coeffs) for t in qs)
 
 
 @dataclass
@@ -329,7 +333,7 @@ def kg_solutions(A, psi: PsiFunction, q_max, cap: int = _DEFAULT_SEARCH_CAP):
             continue
         raw += 1
         sol = ApproxSolution(qs, ps, q_deg, err_exp, exact)
-        key = _primitive_key(fs, qs)
+        key = _primitive_key(qs)
         old = best.get(key)
         if old is None or _solution_order(sol) < _solution_order(old):
             best[key] = sol
@@ -597,7 +601,10 @@ def mult_solutions(
     Vectors with a zero coordinate satisfy the inequality vacuously
     (Pi = 0) and are reported separately, never counted as solutions.
     psi=None stands for the identically-zero profile, which no
-    nondegenerate vector can meet.  One vector per unit class is kept.
+    nondegenerate vector can meet.  One vector per unit class is kept,
+    scaled so the top coefficient of its first nonzero coordinate is 1;
+    the classes come in the order of their first members in the sorted
+    walk of ``enumerate_short_vectors``.
     """
     if basis.rank < 2:
         raise ValueError("multiplicative regime needs rank >= 2")
@@ -605,43 +612,34 @@ def mult_solutions(
     if psi is not None and psi.s != fs.s:
         raise ValueError("psi and the basis use different values of s")
     bound_exp = _spower_exponent(norm_bound, fs.s, "norm_bound")
-    seen: set[tuple] = set()
-    solutions: list[MultiplicativeSolution] = []
-    degenerate: list[tuple[LaurentSeries, ...]] = []
-    checked = 0
-    for vec in enumerate_short_vectors(basis, float(norm_bound), cap=cap):
-        lead = next(e for e in vec if e.has_leading_term)
-        c = fs.inv(int(lead.coeffs[0]))
-        canon = tuple(e.scale(c) for e in vec)
-        key = tuple(
-            (e.v, tuple(int(x) for x in e.coeffs)) for e in canon
+    M, W = _short_vector_array(basis, float(norm_bound), cap)
+    # P is nonsingular, so the walk holds each unit class s - 1 times; its
+    # first member in sorted order is the one whose first nonzero code is 1
+    flat = W.reshape(W.shape[0], -1)
+    W = W[flat[np.arange(flat.shape[0]), (flat != 0).argmax(axis=1)] == 1]
+    W = fs.mul_arr(W, fs.inv_arr(_lead_codes(W))[:, None, None])
+    degen = ~W.any(axis=2).all(axis=1)
+    if basis.window is not None and degen.any():
+        raise CertificationError(
+            "coordinate vanishes through the window; "
+            "zero is undecidable at this precision",
+            needed_precision=basis.window + 1,
         )
-        if key in seen:
-            continue
-        seen.add(key)
-        checked += 1
-        exps = []
-        degen = False
-        for e in canon:
-            if e.has_leading_term:
-                exps.append(-int(e.valuation()))
-            elif e.prec is None:
-                degen = True
-            else:
-                raise CertificationError(
-                    "coordinate vanishes through the window; "
-                    "zero is undecidable at this precision",
-                    needed_precision=e.prec + 1,
-                )
-        if degen:
-            degenerate.append(canon)
-            continue
-        prod = sum(exps)
-        norm = max(exps)
-        if psi is not None and prod <= norm + _llog_ext(psi, norm) + _EPS:
-            solutions.append(MultiplicativeSolution(canon, tuple(exps)))
+    live = W[~degen]
+    exps = live.shape[2] - 1 - (live[:, :, ::-1] != 0).argmax(axis=2) - M
+    prod, norm = exps.sum(axis=1), exps.max(axis=1)
+    admitted = np.zeros(live.shape[0], dtype=bool)
+    if psi is not None:
+        norms, first, at = np.unique(norm, return_index=True, return_inverse=True)
+        theta = np.empty(norms.size)
+        for i in np.argsort(first):  # psi once per norm, in order of appearance
+            theta[i] = _llog_ext(psi, int(norms[i]))
+        admitted = prod <= norm + theta[at] + _EPS
+    kept = zip(_series_rows(fs, M, basis.window, live[admitted]), exps[admitted].tolist())
+    solutions = [MultiplicativeSolution(vec, tuple(e)) for vec, e in kept]
+    degenerate = _series_rows(fs, M, basis.window, W[degen])
     label = "zero" if psi is None else psi.describe()
-    return MultSolutionSet(fs.s, bound_exp, label, solutions, degenerate, checked)
+    return MultSolutionSet(fs.s, bound_exp, label, solutions, degenerate, len(W))
 
 
 # ---------------------------------------------------------------------------

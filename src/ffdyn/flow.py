@@ -723,26 +723,32 @@ def tail_distribution(
     t_arr = np.array([burn_in], dtype=np.int64)
     deltas = np.empty(trials, dtype=np.int64)
     for trial in range(trials):
-        rng = stream(seed, tag, trial)
-        if spec.m == 1 and spec.n == 1:
-            D, cert, _ = _cf_ladder(fs, rng.integers(0, fs.s, size=precision))
-            d, c = _sawtooth_eval(D, cert, t_arr, precision, False)
-            ok, val = bool(c[0]), int(d[0])
-        else:
-            entries = sample_matrix(fs, rng, spec.m, spec.n, precision)
-            traj = delta_trajectory(entries, spec, burn_in, strict=False)
-            ok, val = bool(traj.certified[-1]), int(traj.deltas[-1])
-        if not ok:
+        d, c = _trial_depths(spec, stream(seed, tag, trial), precision, t_arr)
+        if not c[0]:
             raise CertificationError(
                 f"trial {trial} uncertified at burn-in; raise the precision",
                 needed_precision=2 * precision,
             )
-        deltas[trial] = val
+        deltas[trial] = d[0]
     if thresholds is None:
         thresholds = list(range(0, int(deltas.max(initial=0)) + 2))
     hits = [int((deltas >= nthr).sum()) for nthr in thresholds]
     values = [h / trials for h in hits]
     return TailTable(fs.s, thresholds, values, hits=hits, trials=trials)
+
+
+def _trial_depths(
+    spec: FlowSpec, rng, precision: int, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(deltas, certified) at the increasing times ts for one sampled A:
+    the ladder sawtooth for m = n = 1, the generic trajectory otherwise."""
+    fs = spec.field
+    if spec.m == 1 and spec.n == 1:
+        D, cert, _ = _cf_ladder(fs, rng.integers(0, fs.s, size=precision))
+        return _sawtooth_eval(D, cert, ts, precision, False)
+    entries = sample_matrix(fs, rng, spec.m, spec.n, precision)
+    traj = delta_trajectory(entries, spec, int(ts[-1]), strict=False)
+    return traj.deltas[ts], traj.certified[ts]
 
 
 # ---------------------------------------------------------------------------
@@ -760,20 +766,11 @@ def _event_matrix(
     threads: int = 1,
 ) -> np.ndarray:
     """events[trial, t-1] = 1 iff Delta(g_(t+burn_in) u_A Z^r) >= thr[t-1]."""
-    fs = spec.field
     T = int(thr.size)
+    ts = np.arange(1, T + 1, dtype=np.int64) + burn_in
 
     def one_trial(trial: int) -> np.ndarray:
-        rng = stream(seed, tag, trial)
-        if spec.m == 1 and spec.n == 1:
-            D, cert, _ = _cf_ladder(fs, rng.integers(0, fs.s, size=precision))
-            ts = np.arange(1, T + 1, dtype=np.int64) + burn_in
-            deltas, certf = _sawtooth_eval(D, cert, ts, precision, False)
-        else:
-            entries = sample_matrix(fs, rng, spec.m, spec.n, precision)
-            traj = delta_trajectory(entries, spec, T + burn_in, strict=False)
-            deltas = traj.deltas[burn_in + 1 :]
-            certf = traj.certified[burn_in + 1 :]
+        deltas, certf = _trial_depths(spec, stream(seed, tag, trial), precision, ts)
         if not certf.all():
             bad = int(np.argmin(certf)) + 1
             raise CertificationError(

@@ -195,17 +195,9 @@ class ReducedBasis:
                 rows[i][j] = entry
         return LatticeBasis(self.field, rows)
 
-    def transform_columns(self) -> list[list[LaurentSeries]]:
+    def transform_columns(self) -> list[tuple[LaurentSeries, ...]]:
         """Columns of U as exact polynomial series (coordinates in the input basis)."""
-        cols = []
-        for j in range(self.rank):
-            col = []
-            for i in range(self.rank):
-                coeffs = self.transform[i, j, ::-1]
-                L = coeffs.size
-                col.append(LaurentSeries(self.field, -L + 1, coeffs, None))
-            cols.append(col)
-        return cols
+        return _series_rows(self.field, 0, None, self.transform.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +402,31 @@ def _nullspace(fs: FieldSpec, A: np.ndarray) -> np.ndarray:
 def enumerate_short_vectors(
     basis: LatticeBasis, norm_bound: float, cap: int = _DEFAULT_ENUM_CAP
 ) -> list[tuple[LaurentSeries, ...]]:
-    """All nonzero lattice vectors with max-norm <= norm_bound.
+    """All nonzero lattice vectors with max-norm <= norm_bound, in sorted
+    order: the rows of the array walk ``_short_vector_array`` (which
+    ``dioph.mult_solutions`` reads directly) as tuples of series.  Raises
+    EnumerationCapError, before any vector is built, above ``cap``.
+    """
+    M, W = _short_vector_array(basis, norm_bound, cap)
+    return _series_rows(basis.field, M, basis.window, W)
+
+
+def _short_vector_array(basis: LatticeBasis, norm_bound: float, cap: int):
+    """(M, W) with W[k, i, d] the X^d coefficient of coordinate i of X^M v_k
+    for the short vectors v_k, rows in lexicographic order.
 
     The search box for integer coefficient vectors q is provable: from
     w = B q and Cramer, deg q_j is at most (sum of the r-1 largest column
     degrees of the scaled basis) + deg(w) - deg(det).  Inside the box the
     search is complete, and it is resolved as an F_s kernel computation on
-    the coefficient constraints.  Raises EnumerationCapError, before any
-    vector is built, when the output would exceed ``cap``.
+    the coefficient constraints.
     """
     fs = basis.field
     r = basis.rank
-    if norm_bound <= 0:
-        return []
     M, P = basis.packed()
+    none = (M, np.zeros((0, r, 1), dtype=np.int64))
+    if norm_bound <= 0:
+        return none
     delta_cap = math.floor(math.log(norm_bound) / math.log(fs.s) + 1e-9) + M
     if basis.window is not None and delta_cap <= M - basis.window:
         raise CertificationError(
@@ -431,7 +434,7 @@ def enumerate_short_vectors(
             needed_precision=M - delta_cap + 1,
         )
     if delta_cap < 0:
-        return []
+        return none
     col_degs = sorted(
         (int(_col_entry_degrees(P[:, j, :]).max()) for j in range(r)), reverse=True
     )
@@ -445,19 +448,21 @@ def enumerate_short_vectors(
                 needed_precision=M + max(qdeg, 0) + 1,
             )
     if qdeg < 0:
-        return []
-    sols = _enumerate_kernel(fs, P, delta_cap, qdeg, cap)
-    window = basis.window
-    out = []
-    for w in sols:
-        vec = tuple(
-            LaurentSeries.from_pairs(
-                fs, {M - d: c for d, c in enumerate(coeffs) if c}, window
-            )
-            for coeffs in w
-        )
-        out.append(vec)
-    return out
+        return none
+    W = _enumerate_kernel(fs, P, delta_cap, qdeg, cap)
+    if basis.window is not None:
+        # rows with a coefficient at an index >= window have no series at
+        # that window: converting the first one raises its PrecisionError
+        deep = W[:, :, : M - basis.window + 1].any(axis=(1, 2))
+        if deep.any():
+            _series_rows(fs, M, basis.window, W[deep][:1])
+    return M, W
+
+
+def _series_rows(fs, M: int, window, W) -> list[tuple[LaurentSeries, ...]]:
+    """Rows of a short-vector array as tuples of series (window ``window``)."""
+    lo = M - W.shape[2] + 1
+    return [tuple(LaurentSeries(fs, lo, c[::-1], window) for c in w) for w in W]
 
 
 def _apply_q(fs, P: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -468,8 +473,9 @@ def _apply_q(fs, P: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _enumerate_kernel(fs, P, delta_cap, qdeg, cap):
-    """Sorted w = P q over the q in the box with deg w <= delta_cap.
+def _enumerate_kernel(fs, P, delta_cap, qdeg, cap) -> np.ndarray:
+    """Sorted w = P q, as an array (count, r, L + qdeg), over the q in the
+    box with deg w <= delta_cap.
 
     Those q form the F_s kernel of the coefficient constraints above
     delta_cap.  P is nonsingular, so every nonzero kernel combination is a
@@ -492,7 +498,7 @@ def _enumerate_kernel(fs, P, delta_cap, qdeg, cap):
     if count > cap:
         raise EnumerationCapError(f"{count} vectors below the bound exceeds cap {cap}")
     if not count:
-        return []
+        return np.zeros((0, r, L + qdeg), dtype=np.int64)
     images = np.stack(
         [_apply_q(fs, P, q) for q in null.reshape(dim, r, width)]
     ).reshape(dim, -1)
@@ -504,5 +510,4 @@ def _enumerate_kernel(fs, P, delta_cap, qdeg, cap):
         W = np.zeros((count, images.shape[1]), dtype=np.int64)
         for i in range(dim):
             W = fs.add_arr(W, fs.mul_arr(combos[:, i : i + 1], images[i]))
-    W = W[np.lexsort(W.T[::-1])].reshape(count, r, -1)
-    return [tuple(map(tuple, w)) for w in W.tolist()]
+    return W[np.lexsort(W.T[::-1])].reshape(count, r, -1)

@@ -7,9 +7,12 @@ element, the full-width weak Popov reduction the package's windowed one is
 checked against, the two Monte Carlo backends one step or one sample at a
 time, and the candidate walks one candidate at a time.  Nothing imports from
 ffdyn, so agreement between these and the package is a real cross-check,
-not a tautology.  The one exception is ``slow_trial``: it evaluates each kg
-candidate by the package's series arithmetic and admission rule, so it
-checks the batched Hankel trial's walk and products, not that rule.
+not a tautology.  The two exceptions are ``slow_trial``, which evaluates
+each kg candidate by the package's series arithmetic and admission rule, so
+it checks the batched Hankel trial's walk and products, not that rule; and
+``mult_solutions_reference``, which reads the package's series walk
+``enumerate_short_vectors`` one vector at a time, so it checks the array
+filter of ``mult_solutions``, not the walk.
 """
 
 from __future__ import annotations
@@ -709,3 +712,60 @@ def slow_trial(rows, psi, m, n, horizon, rungs):
             top = max(top, q_deg)
     passes = tuple(top >= h for h in rungs)
     return count, passes
+
+
+def mult_solutions_reference(basis, psi, norm_bound, cap: int = 200_000):
+    """The multiplicative search one vector at a time: every vector of
+    ``enumerate_short_vectors`` rescaled to a monic lead, deduplicated
+    through a set of keys, and classified coordinate by coordinate."""
+    from ffdyn.dioph import (
+        _EPS,
+        MultiplicativeSolution,
+        MultSolutionSet,
+        _llog_ext,
+        _spower_exponent,
+    )
+    from ffdyn.errors import CertificationError
+    from ffdyn.lattice import enumerate_short_vectors
+
+    if basis.rank < 2:
+        raise ValueError("multiplicative regime needs rank >= 2")
+    fs = basis.field
+    if psi is not None and psi.s != fs.s:
+        raise ValueError("psi and the basis use different values of s")
+    bound_exp = _spower_exponent(norm_bound, fs.s, "norm_bound")
+    seen: set[tuple] = set()
+    solutions = []
+    degenerate = []
+    checked = 0
+    for vec in enumerate_short_vectors(basis, float(norm_bound), cap=cap):
+        lead = next(e for e in vec if e.has_leading_term)
+        c = fs.inv(int(lead.coeffs[0]))
+        canon = tuple(e.scale(c) for e in vec)
+        key = tuple((e.v, tuple(int(x) for x in e.coeffs)) for e in canon)
+        if key in seen:
+            continue
+        seen.add(key)
+        checked += 1
+        exps = []
+        degen = False
+        for e in canon:
+            if e.has_leading_term:
+                exps.append(-int(e.valuation()))
+            elif e.prec is None:
+                degen = True
+            else:
+                raise CertificationError(
+                    "coordinate vanishes through the window; "
+                    "zero is undecidable at this precision",
+                    needed_precision=e.prec + 1,
+                )
+        if degen:
+            degenerate.append(canon)
+            continue
+        prod = sum(exps)
+        norm = max(exps)
+        if psi is not None and prod <= norm + _llog_ext(psi, norm) + _EPS:
+            solutions.append(MultiplicativeSolution(canon, tuple(exps)))
+    label = "zero" if psi is None else psi.describe()
+    return MultSolutionSet(fs.s, bound_exp, label, solutions, degenerate, checked)

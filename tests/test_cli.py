@@ -155,13 +155,16 @@ def test_work_caps_reject_unfinishable_configs():
 
 
 def test_kg_mc_cap_counts_the_rows_each_path_builds():
-    # n = 1, e = 1 builds only the monic rows: (3^11 - 1) / 2 = 88,573 of the
-    # 3^11 = 177,147 candidates; e = 2 takes the slow path, 4^9 = 262,144
+    # the walk builds one row per unit class: (3^11 - 1) / 2 = 88,573 of the
+    # 3^11 = 177,147 candidates, and (4^9 - 1) / 3 = 87,381 at e = 2; the
+    # next degree, (4^10 - 1) / 3 = 349,525, is refused
     cfg = parse_config("seed = 1\np = 3\nn = 1\nq_max = 10", tag="kg-mc")
     assert cfg.q_max == 10
+    cfg = parse_config("seed = 1\np = 2\ne = 2\nn = 1\nq_max = 8", tag="kg-mc")
+    assert cfg.q_max == 8
     with pytest.raises(ConfigError) as info:
-        parse_config("seed = 1\np = 2\ne = 2\nn = 1\nq_max = 8", tag="kg-mc")
-    assert any("4^9 candidates" in v for v in info.value.violations)
+        parse_config("seed = 1\np = 2\ne = 2\nn = 1\nq_max = 9", tag="kg-mc")
+    assert any("4^10 candidates" in v for v in info.value.violations)
 
 
 def test_every_experiment_listing_follows_the_registry():
@@ -222,13 +225,17 @@ def test_delta_flow_csv_schema(tmp_path):
     assert report["summary"]["certified_fraction"] == 1.0
 
 
-# sha256 of the artifacts of four Monte Carlo sample configs, as
-# scripts/run_all.sh records them in runs/SHA256SUMS.  All draw from
-# counter-based streams, so any change in the draws or in the arithmetic on
-# them shows up here.
+# sha256 of the artifacts of the sample configs, as scripts/run_all.sh
+# records them in runs/SHA256SUMS; reduce is left out because its matrix
+# path resolves from the working directory.  The Monte Carlo configs draw
+# from counter-based streams, so any change in the draws or in the
+# arithmetic on them shows up here.
 SAMPLE_ARTIFACT_SHA256 = {
+    "cusp-volume": "fff9947c3e9cd566bfe67feef0932ffd53e546acc81a0514813f38f9695c4bc4",
+    "delta-flow": "f6fdf9cc543198833afdfe577ccb57397f247680e8a0db51abcb91e9ec518cc9",
     "kg-mc": "e89262e9168a8f55f24b6cd0ea8d4a93e147b9bdc71caec5ac4193859ec0abb0",
     "mult-mc": "ca6cb59f565549c0fa6a9aa57cf51a651016cc6a357d8ddb5a16696bb2d75d6e",
+    "strong-bc": "e6a54a102f0493924946711aa36c0f5236d5cdab619d4d0ca9f7d0d7c573ac6c",
     "tree-loglaw": "5cdd45b9e94341f605c571cca0913ae70b48028e21c5ae0ac17ec05391308a36",
     "xi-decay": "8bea6e1ea9fc5744ad82be7b75d8838e61581979161dd1160b3ce7555976a533",
 }

@@ -441,6 +441,78 @@ def test_mult_psi_nesting():
     assert small <= big
 
 
+def _mult_outcome(search, basis, psi, bound, cap):
+    try:
+        res = search(basis, psi, bound, cap=cap)
+    except (CertificationError, EnumerationCapError, PrecisionError) as exc:
+        return type(exc), str(exc), getattr(exc, "needed_precision", None)
+
+    def key(vec):
+        return tuple((e.v, e.coeffs.tolist(), e.prec) for e in vec)
+
+    return (
+        [(key(sol.vector), sol.coord_exps) for sol in res.solutions],
+        [key(vec) for vec in res.degenerate],
+        res.checked,
+        res.bound_exp,
+        res.psi,
+    )
+
+
+def test_mult_solutions_match_reference_loop():
+    # the array filter against the canonicalise-and-dedupe loop over the
+    # series walk: solutions, degenerate vectors, their order, the class
+    # count and every error; each case lowers the bound from s^2 until the
+    # walk fits the cap, comparing the cap errors on the way
+    cap = 2000
+    compared = []
+    for fs in [field_spec(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]:
+        rng = np.random.default_rng(fs.s)
+        psis = (power_law(fs.s), power_law(fs.s, c=-1.0, tau=0.5), None)
+        for m, n in ((1, 1), (1, 2), (2, 1)):
+            A = [
+                [LaurentSeries(fs, 0, rng.integers(0, fs.s, size=8)) for _ in range(n)]
+                for _ in range(m)
+            ]
+            basis = unipotent_lattice(A, FlowSpec(fs, m, n))
+            for psi in psis:
+                for k in (2, 1, 0):
+                    got = _mult_outcome(mult_solutions, basis, psi, fs.s**k, cap)
+                    ref = _mult_outcome(
+                        oracles.mult_solutions_reference, basis, psi, fs.s**k, cap
+                    )
+                    assert got == ref, (fs, m, n, psi, k)
+                    if got[0] is not EnumerationCapError:
+                        compared.append(bool(got[0]))
+                        break
+        # truncated A: (1, 0) has a zero coordinate that no window decides
+        a = LaurentSeries(fs, 0, rng.integers(1, fs.s, size=6), prec=6)
+        basis = unipotent_lattice(a, FlowSpec(fs, 1, 1))
+        got = _mult_outcome(mult_solutions, basis, psis[0], 1.0, fs.s**2)
+        assert got == (
+            CertificationError,
+            "coordinate vanishes through the window; zero is undecidable at this precision",
+            7,
+        ), fs
+        assert got == _mult_outcome(
+            oracles.mult_solutions_reference, basis, psis[0], 1.0, fs.s**2
+        ), fs
+    # the walk fits the cap in 20 of the 27 (field, shape) cases, all but
+    # r = 3 at s = 25, 27 and every shape at s = 125; both positive
+    # profiles admit solutions in each
+    assert compared == [True, True, False] * 20
+    # entries known to different windows: the walk's vectors have
+    # coefficients past the basis window, which no series can hold
+    entries = [
+        [series(F2, {0: 1, 4: 1}, 5), series(F2, {1: 1}, 3)],
+        [LaurentSeries.zero(F2), LaurentSeries.one(F2)],
+    ]
+    basis = LatticeBasis(F2, entries)
+    got = _mult_outcome(mult_solutions, basis, power_law(2), 2.0, cap)
+    assert got[0] is PrecisionError
+    assert got == _mult_outcome(oracles.mult_solutions_reference, basis, power_law(2), 2.0, cap)
+
+
 # ---------------------------------------------------------------------------
 # correspondence between excursions and solutions
 

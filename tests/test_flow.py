@@ -29,6 +29,7 @@ from ffdyn.flow import (
     unipotent_lattice,
     TailTable,
     _cf_ladder,
+    _trial_depths,
 )
 from ffdyn.lattice import LatticeBasis, delta
 from ffdyn.streams import stream
@@ -406,6 +407,25 @@ def test_exact_rank2_tail_matches_vertex_masses():
         table = exact_rank2_tail(s, n_max=8)
         for n in range(9):
             assert table.values[n] == oracles.even_vertex_tail(s, n)
+
+
+def test_trial_depths_read_the_trajectory_of_the_drawn_matrix():
+    # both paths agree with delta_trajectory on the matrix the same stream
+    # gives; the ladder path reads its draws as the coefficients a_1..a_P
+    ts = np.array([2, 5, 11], dtype=np.int64)
+    for fs in (F2, field_spec(3)):
+        for m, n in ((1, 1), (1, 2), (2, 1)):
+            spec = FlowSpec(fs, m, n)
+            deltas, certified = _trial_depths(spec, stream(9, "test", m), 48, ts)
+            rng = stream(9, "test", m)
+            if m == n == 1:
+                A = LaurentSeries(fs, 1, rng.integers(0, fs.s, size=48), 49)
+            else:
+                A = sample_matrix(fs, rng, m, n, 48)
+            traj = delta_trajectory(A, spec, 11, strict=False)
+            assert deltas.tolist() == traj.deltas[ts].tolist(), (fs, m, n)
+            assert certified.tolist() == traj.certified[ts].tolist(), (fs, m, n)
+            assert certified.all()
 
 
 def test_tail_distribution_kappa_fit():

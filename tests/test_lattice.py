@@ -284,6 +284,22 @@ def test_delta_matches_brute_force(data):
 # transformation tracking
 
 
+def test_transform_columns_rebuild_the_reduced_columns():
+    # U = [[1, 2X], [0, 1]] is not symmetric, so rows and columns of U differ
+    b = basis_from_text(F3, [["X^2 + 2", "X^3 + 1"], ["2*X", "X^2 + X"]])
+    red = weak_popov(b)
+    ucols = red.transform_columns()
+    assert [[(e.v, e.coeffs.tolist()) for e in col] for col in ucols] == [
+        [(0, [1]), (0, [])],
+        [(-1, [2]), (0, [1])],
+    ]
+    got = red.basis_series()
+    for j in range(2):
+        for i in range(2):
+            acc = b.entries[i][0] * ucols[j][0] + b.entries[i][1] * ucols[j][1]
+            assert acc.equals(got.entries[i][j]) is True
+
+
 def test_transform_reproduces_reduction():
     b = basis_from_text(F3, [["X^2 + 2", "X + 1"], ["2*X", "X^3 + X^-1"]])
     red = weak_popov(b)
@@ -377,7 +393,7 @@ def test_enumerate_kernel_and_literal_agree():
 
     M, P = b.packed()
     lit = sorted(oracles.enumerate_literal(F3, P, 2, 1))
-    ker = sorted(_enumerate_kernel(F3, P, 2, 1, 10**6))
+    ker = sorted(tuple(map(tuple, w)) for w in _enumerate_kernel(F3, P, 2, 1, 10**6).tolist())
     assert lit == ker
     # over every field, a random nonsingular packed basis whose literal box
     # s^(2(qdeg+1)) holds a few thousand candidates (at least s^2); its
@@ -397,7 +413,9 @@ def test_enumerate_kernel_and_literal_agree():
         delta_cap = P.shape[2] + qdeg - 2
         lit = sorted(oracles.enumerate_literal(fs, P, delta_cap, qdeg))
         assert lit, fs
-        assert lit == sorted(_enumerate_kernel(fs, P, delta_cap, qdeg, 10**6)), fs
+        assert lit == sorted(
+            tuple(map(tuple, w)) for w in _enumerate_kernel(fs, P, delta_cap, qdeg, 10**6).tolist()
+        ), fs
         # the same P as the windowed basis X^-2 P, known through index 2, at
         # the norm bound whose Cramer box is the one above
         det_deg = _poly_det_degree(fs, P)
