@@ -449,8 +449,10 @@ def _run_delta_flow(config: ExperimentConfig):
 
 # Work caps checked at config time, before anything is allocated: a kg-mc
 # census builds one row per unit class, (s^(n(q_max+1))-1)/(s-1) rows, and
-# the cap counts exactly those.  xi-decay's exact sums refine about
-# s^(2 t_max+1) congruence classes at t = t_max.
+# the cap counts exactly those.  xi-decay's exact sums cover about
+# s^(2 t_max+1) congruence classes at t = t_max; they are counted by ranks,
+# not built, so that cap bounds the class count (``XiExact.classes``), not
+# the work.
 _KG_CANDIDATE_CAP = 10**5
 _XI_CLASS_CAP = 10**7
 

@@ -394,6 +394,35 @@ class FieldSpec:
                 rem[k - dd : k + 1] = self.sub_arr(rem[k - dd : k + 1], seg)
         return quo, _trim_poly(rem[:dd])
 
+    def rank_profile(self, a: np.ndarray) -> np.ndarray:
+        """Boolean per row of the 2-D code array a: whether the row is
+        independent of the rows above it, so the rank of the first k rows is
+        the number of True among them.
+
+        Column elimination: the first row left with a nonzero entry is the
+        next pivot row, and one of its nonzero columns is cleared from the
+        others, which zeroes the row (and that column) from then on.  Column
+        operations keep the rank of every set of rows.
+        """
+        r = np.array(a, dtype=np.int64)
+        pivots = np.zeros(r.shape[0], dtype=bool)
+        row = 0
+        while row < r.shape[0]:
+            live = r[row:].any(axis=1)
+            step = int(live.argmax())
+            if not live[step]:
+                break
+            row += step
+            pivots[row] = True
+            col = int(r[row].argmax())
+            lead = self.scale_arr(self.inv(int(r[row, col])), r[row:, col])
+            if self.e == 1:
+                r[row:] = (r[row:] - lead[:, None] * r[row]) % self.p
+            else:
+                r[row:] = self.sub_arr(r[row:], self.mul_arr(lead[:, None], r[row]))
+            row += 1
+        return pivots
+
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, e={self.e})"
 

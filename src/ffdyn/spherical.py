@@ -21,8 +21,11 @@ mod (1/X)^N; the level-N coset sum over K collapses to that column
 average because K acts transitively on unimodular columns with fibers
 of equal size).  The integrand is locally constant, so once every class
 is resolved the level-N and level-(N+1) sums agree exactly and the
-common value is certified exact.  The Monte Carlo backend samples K
-uniformly at a finite precision and reports a standard error.
+common value is certified exact.  The classes are counted, not built:
+the first column of g k is F_s-linear in the class digits, so the number
+of classes with each integrand value is a difference of kernel sizes,
+read off one rank profile over F_s per level.  The Monte Carlo backend
+samples K uniformly at a finite precision and reports a standard error.
 
 ``decay_check`` scans Xi on the diagonal one-parameter subgroup
 diag(X^t, X^-t) and fits the smallest integer sigma for which
@@ -45,8 +48,8 @@ from .streams import stream
 
 Matrix = tuple[tuple[LaurentSeries, LaurentSeries], tuple[LaurentSeries, LaurentSeries]]
 
-# Chunk of congruence classes refined, or of Monte Carlo samples evaluated,
-# per numpy pass; bounds the size of the transient arrays, not the total work.
+# Monte Carlo samples evaluated per numpy pass; bounds the size of the
+# transient arrays, not the total work.
 _CHUNK = 4096
 
 
@@ -326,7 +329,10 @@ class XiExact:
 
     ``depth`` is the first level N whose sum agrees with level N+1
     (at that point every class is resolved, so all deeper levels agree
-    as well).  ``classes`` counts evaluated congruence classes.
+    as well).  ``classes`` is the number of congruence classes the level
+    sums cover, counted and never built: the s^2 - 1 unimodular classes
+    of level 1 and the s^2 refinements of each class still unresolved at
+    the level above.
     """
 
     value: Fraction
@@ -347,11 +353,10 @@ class XiMonteCarlo:
 class _ComponentGeometry:
     """Buffer layout for one coordinate of w = g * (a, c)^T.
 
-    The class tree stores, per congruence class, the dense coefficients
-    of both coordinates of w over a window starting at ``base``.  A
-    coefficient of a or c appended at depth k adds a shifted copy of the
-    corresponding column entry of g, so the buffer grows by one column
-    per level.
+    At depth N the coordinate's coefficients at indices base .. hi + N - 1
+    are F_s-linear in the class digits a_1..a_N, c_1..c_N: the digit of
+    depth k adds a copy of the corresponding column entry of g times
+    X^-(k-1), so the buffer grows by one index per level.
     """
 
     def __init__(self, u: LaurentSeries, v: LaurentSeries):
@@ -378,41 +383,23 @@ class _ComponentGeometry:
         return row
 
 
-def _s_power(s: int, exponent: int) -> Fraction:
-    return Fraction(s) ** int(exponent)
-
-
-def _rep_contribution(
-    frontier: list[np.ndarray], geoms: list[_ComponentGeometry], s: int, mass: Fraction
-) -> Fraction:
-    """Sum of mass * integrand at the zero-tail representative per class."""
-    if frontier[0].shape[0] == 0:
-        return Fraction(0)
-    sentinel = 10**9
-    exps = []
-    for comp, geom in zip(frontier, geoms):
-        nz = comp != 0
-        found = nz.any(axis=1)
-        idx = nz.argmax(axis=1)
-        exps.append(np.where(found, geom.base + idx, sentinel))
-    rep = np.minimum(exps[0], exps[1])
-    if (rep >= sentinel).any():
-        raise RuntimeError("representative column maps to zero; matrix singular")
-    total = Fraction(0)
-    for exp, count in zip(*np.unique(rep, return_counts=True)):
-        total += int(count) * _s_power(s, int(exp))
-    return mass * total
-
-
 def xi_exact(g: Sequence[Sequence[LaurentSeries]], depth_cap: int = 48) -> XiExact:
     """Exact Xi(g) by stabilized congruence-class sums.
 
     Classes are prefixes of the first column (a, c) of k mod (1/X)^N;
-    the level-N sum evaluates the integrand at each class representative
-    with uniform mass.  Classes whose integrand the window already pins
-    down are retired with their exact value; the rest are refined.  The
-    value is reported once consecutive level sums agree and no class
-    remains unresolved, which certifies every deeper level agrees too.
+    the level-N sum gives each class uniform mass times the integrand at
+    its zero-tail representative.  A class whose integrand the window
+    already pins down keeps that value in every descendant; the rest are
+    unresolved.  The value is reported once consecutive level sums agree
+    and no class remains unresolved, which certifies every deeper level
+    agrees too.
+
+    No class is built.  The coefficients of w = g (a, c) are F_s-linear in
+    the digits, so the classes whose coordinates vanish below given
+    indices form a kernel of s^(2N - rank) classes, and those among them
+    with (a_1, c_1) = 0 are the level-(N-1) ones times 1/X.  One rank
+    profile per level thus counts the classes of each valuation of w and
+    the unresolved ones.
     """
     g = as_matrix(g)
     fs = g[0][0].field
@@ -426,91 +413,69 @@ def xi_exact(g: Sequence[Sequence[LaurentSeries]], depth_cap: int = 48) -> XiExa
         _ComponentGeometry(g[0][0], g[0][1]),
         _ComponentGeometry(g[1][0], g[1][1]),
     ]
+    lo = min(geom.base for geom in geoms)
+    top = max(geom.hi for geom in geoms)
+    # The rows of the digit functionals (one per buffer index of each
+    # coordinate) sort by key 2 * index + tie, the lower-base coordinate's
+    # row after the other's at an equal index.  "w vanishes below index m"
+    # is then key < 2m, and "unresolved at depth N" (w vanishes below index
+    # lo + N and, if the bases differ, the higher-base coordinate at lo + N
+    # too) is key < unresolved_key + 2N: every count is of the classes
+    # killed by a key prefix of the rows.
+    ties = (int(geoms[0].base <= geoms[1].base), int(geoms[1].base < geoms[0].base))
+    unresolved_key = 2 * lo + int(geoms[0].base != geoms[1].base)
+    heads = np.array([2 * geom.base + tie for geom, tie in zip(geoms, ties)])
+    # the digit-1 columns (a_1, c_1) by key - 2 lo; the last row stays zero
+    digit1 = np.zeros((2 * (top - lo) + 3, 2), dtype=np.int64)
+    for geom, tie in zip(geoms, ties):
+        for col, entry in enumerate((geom.u, geom.v)):
+            row = geom.level_row(1, entry)
+            digit1[2 * (geom.base - lo + np.arange(row.size)) + tie, col] = row
 
-    da = np.repeat(np.arange(s, dtype=np.int64), s)
-    dc = np.tile(np.arange(s, dtype=np.int64), s)
-
-    stable = Fraction(0)
+    # Depth 0 has no digit columns and one class, the zero column.  The rows
+    # at depth N are those of depth N-1 one index further on (the digits
+    # a_2.., c_2.. act as a_1.., c_1.. times 1/X) plus a row at each base,
+    # with the digit-1 columns in front.
+    keys = np.sort(
+        np.concatenate(
+            [2 * (geom.base + np.arange(geom.length(0))) + tie for geom, tie in zip(geoms, ties)]
+        )
+    )
+    rows = np.zeros((keys.size, 0), dtype=np.int64)
+    ranks = np.zeros(keys.size + 1, dtype=np.int64)
     classes = 0
+    unresolved = 1
     s_prev: Fraction | None = None
-    # frontier: per component, (n, L) coefficient buffers; depth 0 = empty prefix
-    frontier = [np.zeros((1, 0), dtype=np.int64) for _ in geoms]
 
     for depth in range(1, depth_cap + 1):
-        if depth == 1:
-            keep_deltas = slice(1, None)  # drop (0, 0): column must be unimodular
-        else:
-            keep_deltas = slice(None)
-        da_lvl, dc_lvl = da[keep_deltas], dc[keep_deltas]
-        n_deltas = da_lvl.size
-        mass = Fraction(1, (s * s - 1) * s ** (2 * (depth - 1)))
+        prev_keys, prev_ranks = keys, ranks
+        keys = np.concatenate((prev_keys + 2, heads))
+        order = np.argsort(keys)
+        keys = keys[order]
+        rows = np.concatenate((rows, np.zeros((2, rows.shape[1]), dtype=np.int64)))[order]
+        rows = np.concatenate((digit1[np.minimum(keys - 2 * lo, len(digit1) - 1)], rows), axis=1)
+        # ranks[k] is the rank of the first k rows
+        ranks = np.concatenate(([0], np.cumsum(fs.rank_profile(rows))))
 
-        level_rows = []
-        for geom in geoms:
-            u_row = geom.level_row(depth, geom.u)
-            v_row = geom.level_row(depth, geom.v)
-            grid = fs.add_arr(
-                fs.mul_arr(da_lvl[:, None], u_row[None, :]),
-                fs.mul_arr(dc_lvl[:, None], v_row[None, :]),
-            )
-            level_rows.append(grid)
+        def count(key: np.ndarray) -> list[int]:
+            """Classes with (a_1, c_1) != 0 that the rows below each key kill."""
+            free = 2 * depth - ranks[np.searchsorted(keys, key)]
+            shifted = 2 * depth - 2 - prev_ranks[np.searchsorted(prev_keys, key - 2)]
+            return [s ** int(f) - s ** int(h) for f, h in zip(free, shifted)]
 
-        n_parents = frontier[0].shape[0]
-        new_frontier = [
-            np.zeros((0, geom.length(depth)), dtype=np.int64) for geom in geoms
-        ]
-        pending: list[list[np.ndarray]] = [[] for _ in geoms]
-        level_stable = Fraction(0)
+        # classes with valuation of w at least m, for m = lo .. past the last index
+        at_least = count(2 * np.arange(lo, top + depth + 1))
+        if at_least[-1]:
+            raise RuntimeError("representative column maps to zero; matrix singular")
+        total = sum(s**i * (n - m) for i, (n, m) in enumerate(zip(at_least, at_least[1:])))
+        level = Fraction(total, (s * s - 1) * s ** (2 * depth - 2)) * Fraction(s) ** lo
 
-        for start in range(0, n_parents, _CHUNK):
-            stop = min(start + _CHUNK, n_parents)
-            children = []
-            for comp, geom, grid in zip(frontier, geoms, level_rows):
-                chunk = comp[start:stop]
-                pad = geom.length(depth) - chunk.shape[1]
-                if pad:
-                    chunk = np.pad(chunk, ((0, 0), (0, pad)))
-                child = fs.add_arr(chunk[:, None, :], grid[None, :, :])
-                children.append(child.reshape(-1, geom.length(depth)))
-            classes += children[0].shape[0]
-
-            vals = []
-            founds = []
-            for child, geom in zip(children, geoms):
-                nz = child[:, :depth] != 0
-                found = nz.any(axis=1)
-                idx = nz.argmax(axis=1)
-                vals.append(geom.base + idx)
-                founds.append(found)
-            ceil0 = depth + geoms[0].base
-            ceil1 = depth + geoms[1].base
-            f0, f1 = founds
-            v0, v1 = vals
-            both = f0 & f1
-            only0 = f0 & ~f1
-            only1 = ~f0 & f1
-            minval = np.where(both, np.minimum(v0, v1), 0)
-            minval = np.where(only0, v0, minval)
-            minval = np.where(only1, v1, minval)
-            determined = both | (only0 & (v0 <= ceil1)) | (only1 & (v1 <= ceil0))
-
-            det_vals = minval[determined]
-            for exp, count in zip(*np.unique(det_vals, return_counts=True)):
-                level_stable += int(count) * _s_power(s, int(exp))
-            undet = ~determined
-            if undet.any():
-                for i, child in enumerate(children):
-                    pending[i].append(child[undet])
-
-        stable += mass * level_stable
-        if pending[0]:
-            new_frontier = [np.concatenate(chunks, axis=0) for chunks in pending]
-        frontier = new_frontier
-
-        s_depth = stable + _rep_contribution(frontier, geoms, s, mass)
-        if s_prev is not None and s_depth == s_prev and frontier[0].shape[0] == 0:
-            return XiExact(value=s_depth, stabilized=True, depth=depth - 1, classes=classes)
-        s_prev = s_depth
+        # s^2 refinements per unresolved class, less the column (0, 0) at level 1
+        classes += unresolved * s * s - (depth == 1)
+        (unresolved,) = count(np.array([unresolved_key + 2 * depth]))
+        if level == s_prev and not unresolved:
+            return XiExact(value=level, stabilized=True, depth=depth - 1, classes=classes)
+        s_prev = level
 
     raise CertificationError(
         f"congruence-class sum did not stabilize by depth {depth_cap}",

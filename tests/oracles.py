@@ -7,12 +7,14 @@ element, the full-width weak Popov reduction the package's windowed one is
 checked against, the two Monte Carlo backends one step or one sample at a
 time, and the candidate walks one candidate at a time.  Nothing imports from
 ffdyn, so agreement between these and the package is a real cross-check,
-not a tautology.  The two exceptions are ``slow_trial``, which evaluates
+not a tautology.  The three exceptions are ``slow_trial``, which evaluates
 each kg candidate by the package's series arithmetic and admission rule, so
-it checks the batched Hankel trial's walk and products, not that rule; and
+it checks the batched Hankel trial's walk and products, not that rule;
 ``mult_solutions_reference``, which reads the package's series walk
 ``enumerate_short_vectors`` one vector at a time, so it checks the array
-filter of ``mult_solutions``, not the walk.
+filter of ``mult_solutions``, not the walk; and ``xi_exact_reference``,
+which walks the congruence classes on the package's field arithmetic and
+buffer layout, so it checks the class counting of ``xi_exact``.
 """
 
 from __future__ import annotations
@@ -111,6 +113,28 @@ def gf_mul(x: int, y: int, p: int, modulus) -> int:
 def gf_inv(x: int, p: int, modulus) -> int:
     s = p ** (len(modulus) - 1)
     return next(y for y in range(1, s) if gf_mul(x, y, p, modulus) == 1)
+
+
+def gf_rank(rows: list[list[int]], p: int, modulus) -> int:
+    """Rank of a list of code rows by Gauss-Jordan row reduction."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = gf_inv(rows[rank][col], p, modulus)
+        rows[rank] = [gf_mul(inv, x, p, modulus) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = gf_neg(rows[i][col], p, modulus)
+                rows[i] = [
+                    gf_add(x, gf_mul(f, y, p, modulus), p, modulus)
+                    for x, y in zip(rows[i], rows[rank])
+                ]
+        rank += 1
+    return rank
 
 
 def gf_polymul(a: list[int], b: list[int], p: int, modulus) -> list[int]:
@@ -769,3 +793,97 @@ def mult_solutions_reference(basis, psi, norm_bound, cap: int = 200_000):
             solutions.append(MultiplicativeSolution(canon, tuple(exps)))
     label = "zero" if psi is None else psi.describe()
     return MultSolutionSet(fs.s, bound_exp, label, solutions, degenerate, checked)
+
+
+def xi_exact_reference(g, depth_cap: int = 48, max_classes: int | None = None):
+    """Exact Xi(g) by walking the congruence classes: every class of the
+    first column mod (1/X)^N is built as a coefficient buffer, classes the
+    window determines are retired with their value, the rest are refined
+    one level and the undetermined ones evaluated at their zero-tail
+    representative.  Builds one buffer per class, so it checks
+    ``xi_exact``'s rank counts, not its speed; returns None instead of
+    building a level that would take the count above ``max_classes``."""
+    from ffdyn.errors import CertificationError
+    from ffdyn.spherical import XiExact, _ComponentGeometry, _require_det_one, as_matrix
+
+    g = as_matrix(g)
+    fs = g[0][0].field
+    for row in g:
+        for entry in row:
+            if not entry.is_exact:
+                raise ValueError("exact backend requires exact matrix entries")
+    _require_det_one(g)
+    s = fs.s
+    geoms = [
+        _ComponentGeometry(g[0][0], g[0][1]),
+        _ComponentGeometry(g[1][0], g[1][1]),
+    ]
+
+    def representatives(frontier, mass):
+        if frontier[0].shape[0] == 0:
+            return Fraction(0)
+        sentinel = 10**9
+        exps = []
+        for comp, geom in zip(frontier, geoms):
+            nz = comp != 0
+            exps.append(np.where(nz.any(axis=1), geom.base + nz.argmax(axis=1), sentinel))
+        rep = np.minimum(exps[0], exps[1])
+        if (rep >= sentinel).any():
+            raise RuntimeError("representative column maps to zero; matrix singular")
+        total = Fraction(0)
+        for exp, count in zip(*np.unique(rep, return_counts=True)):
+            total += int(count) * Fraction(s) ** int(exp)
+        return mass * total
+
+    da = np.repeat(np.arange(s, dtype=np.int64), s)
+    dc = np.tile(np.arange(s, dtype=np.int64), s)
+    stable = Fraction(0)
+    classes = 0
+    s_prev = None
+    # per component, (n, L) coefficient buffers; depth 0 = the empty prefix
+    frontier = [np.zeros((1, 0), dtype=np.int64) for _ in geoms]
+    for depth in range(1, depth_cap + 1):
+        # depth 1 drops (0, 0): the column must be unimodular
+        da_lvl, dc_lvl = (da[1:], dc[1:]) if depth == 1 else (da, dc)
+        mass = Fraction(1, (s * s - 1) * s ** (2 * (depth - 1)))
+        if max_classes is not None and classes + frontier[0].shape[0] * da_lvl.size > max_classes:
+            return None
+        children = []
+        for comp, geom in zip(frontier, geoms):
+            grid = fs.add_arr(
+                fs.mul_arr(da_lvl[:, None], geom.level_row(depth, geom.u)[None, :]),
+                fs.mul_arr(dc_lvl[:, None], geom.level_row(depth, geom.v)[None, :]),
+            )
+            pad = geom.length(depth) - comp.shape[1]
+            child = fs.add_arr(np.pad(comp, ((0, 0), (0, pad)))[:, None, :], grid[None])
+            children.append(child.reshape(-1, geom.length(depth)))
+        classes += children[0].shape[0]
+
+        vals, founds = [], []
+        for child, geom in zip(children, geoms):
+            nz = child[:, :depth] != 0
+            founds.append(nz.any(axis=1))
+            vals.append(geom.base + nz.argmax(axis=1))
+        f0, f1 = founds
+        v0, v1 = vals
+        minval = np.where(f0 & f1, np.minimum(v0, v1), np.where(f0, v0, v1))
+        determined = (
+            (f0 & f1)
+            | (f0 & ~f1 & (v0 <= depth + geoms[1].base))
+            | (~f0 & f1 & (v1 <= depth + geoms[0].base))
+        )
+        level = Fraction(0)
+        for exp, count in zip(*np.unique(minval[determined], return_counts=True)):
+            level += int(count) * Fraction(s) ** int(exp)
+        stable += mass * level
+        frontier = [child[~determined] for child in children]
+
+        s_depth = stable + representatives(frontier, mass)
+        if s_prev is not None and s_depth == s_prev and frontier[0].shape[0] == 0:
+            return XiExact(value=s_depth, stabilized=True, depth=depth - 1, classes=classes)
+        s_prev = s_depth
+
+    raise CertificationError(
+        f"congruence-class sum did not stabilize by depth {depth_cap}",
+        needed_precision=depth_cap + 1,
+    )

@@ -246,6 +246,25 @@ def test_polyinv_matches_digit_oracle(fs):
         fs.polyinv(np.array([0, 1]), 3)
 
 
+@pytest.mark.parametrize("fs", KERNEL_FIELDS, ids=lambda f: f"p{f.p}e{f.e}")
+def test_rank_profile_matches_digit_oracle(fs):
+    rng = np.random.default_rng(fs.s + 4)
+    for n_rows, n_cols in [(6, 4), (4, 6), (9, 9), (1, 3), (5, 1)]:
+        a = rng.integers(0, fs.s, size=(n_rows, n_cols))
+        a[rng.random(a.shape) < 0.4] = 0
+        a[n_rows // 2] = 0
+        # a row that repeats a multiple of an earlier one adds no rank
+        a[-1] = fs.scale_arr(int(rng.integers(1, fs.s)), a[0])
+        got = fs.rank_profile(a)
+        assert got.shape == (n_rows,) and got.dtype == bool
+        for k in range(n_rows + 1):
+            want = oracles.gf_rank(a[:k].tolist(), fs.p, fs.modulus)
+            assert int(got[:k].sum()) == want
+        assert not got[-1] or n_rows == 1
+    assert fs.rank_profile(np.zeros((3, 0), dtype=np.int64)).tolist() == [False] * 3
+    assert fs.rank_profile(np.zeros((0, 2), dtype=np.int64)).size == 0
+
+
 @pytest.mark.parametrize(
     "p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)] + [(2, 16), (13, 4)]
 )

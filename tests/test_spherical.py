@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ffdyn.errors import CertificationError, FieldError, PrecisionError
-from ffdyn.field import LaurentSeries, field_spec
+from ffdyn.field import LaurentSeries, field_spec, prime_power
 from ffdyn.spherical import (
     IwasawaFactors,
     as_matrix,
@@ -310,6 +310,77 @@ def test_xi_exact_validation():
 def test_xi_exact_depth_cap():
     with pytest.raises(CertificationError):
         xi_exact(torus_element(F2, 3), depth_cap=3)
+
+
+# (p, e): the largest torus exponent of the differential grid, and how many
+# of its matrices the reference walk checks within XI_GRID_BUDGET classes
+# (a walk that would build more is skipped).
+XI_GRID = {
+    (2, 1): (7, 46), (3, 1): (4, 30), (5, 1): (3, 25),
+    (2, 2): (3, 25), (3, 2): (2, 20), (5, 2): (1, 14),
+    (2, 3): (2, 20), (3, 3): (1, 14), (5, 3): (0, 5),
+}
+XI_GRID_BUDGET = 150_000
+
+
+def xi_grid(fs, t_max):
+    k1 = upper_unipotent(fs, xp(fs, -1, fs.s - 1))
+    k2 = lower_unipotent(fs, LaurentSeries(fs, 1, [1, fs.s - 1]))
+    n1 = upper_unipotent(fs, xp(fs, 1))
+    yield identity2(fs)
+    for t in range(-1, t_max + 1):
+        g = torus_element(fs, t)
+        yield g
+        yield mat_inverse2(g)
+        yield matmul2(k1, matmul2(g, k2))
+        yield matmul2(n1, g)
+        yield matmul2(g, matmul2(n1, torus_element(fs, 1)))
+
+
+def xi_outcome(fn, g, **kw):
+    """fn(g, **kw), or the type, message and needed precision of the error
+    it raises."""
+    try:
+        return fn(g, **kw)
+    except (CertificationError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "needed_precision", None)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_xi_exact_matches_class_walk(p, e):
+    fs = field_spec(p, e)
+    t_max, expected = XI_GRID[p, e]
+    compared = 0
+    for g in xi_grid(fs, t_max):
+        ref = oracles.xi_exact_reference(g, max_classes=XI_GRID_BUDGET)
+        if ref is None:
+            continue
+        assert xi_exact(g) == ref
+        # a cap one level short of the stopping level raises the same error
+        short = xi_outcome(oracles.xi_exact_reference, g, depth_cap=ref.depth)
+        assert short[0] is CertificationError
+        assert xi_outcome(xi_exact, g, depth_cap=ref.depth) == short
+        compared += 1
+    assert compared == expected
+    zero = LaurentSeries.zero(fs)
+    windowed = tuple(tuple(x.truncate(8) for x in row) for row in torus_element(fs, 1))
+    det_x2 = ((xp(fs, 1), zero), (zero, xp(fs, 1)))
+    for g in (windowed, det_x2):
+        out = xi_outcome(xi_exact, g)
+        assert out[0] is ValueError
+        assert out == xi_outcome(oracles.xi_exact_reference, g)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 8, 9, 25, 27])
+def test_xi_exact_closed_form_past_the_class_walk(s):
+    # up to 27^17 classes, counted; s = 9, t = 3 alone is 4,782,968 classes
+    # (Xi = 29/3645), which the class walk built one by one
+    fs = field_spec(*prime_power(s))
+    for t in range(9):
+        out = xi_exact(torus_element(fs, t))
+        assert out.value == oracles.xi_closed_form(s, t)
+        assert out.classes == (s ** (2 * t + 1) - 1 if t else s * s - 1)
 
 
 def test_xi_evaluate_dispatch():
