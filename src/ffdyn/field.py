@@ -10,8 +10,11 @@ raise ``PrecisionError`` instead of guessing.
 
 Field elements are encoded as integers in [0, s).  For prime fields the code
 is the residue itself; for extensions it is the base-p digit expansion in a
-root of the stored modulus, with multiplication done through discrete-log
-tables.
+root of the stored modulus (the polynomial basis of Lidl and Niederreiter,
+Finite Fields, ch. 2).  Extension fields of order up to ``_TABLE_MAX_ORDER``
+multiply, negate and (for odd p) add by lookup in (s, s) and s-entry tables;
+larger ones multiply through discrete-log tables and add digit by digit.
+Over p = 2 addition is XOR of codes at every order.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import numpy as np
 from .errors import FieldError, PrecisionError
 
 _MAX_ORDER = 65536
+# largest extension order that gets (s, s) product and sum tables: 8 MB each
+_TABLE_MAX_ORDER = 1024
 
 _FIELD_CACHE: dict[tuple[int, int], "FieldSpec"] = {}
 
@@ -110,6 +115,8 @@ class FieldSpec:
         "_log",
         "_antilog",
         "_add_table",
+        "_mul_table",
+        "_neg_table",
         "_digits",
         "_powers",
     )
@@ -130,17 +137,14 @@ class FieldSpec:
             self._powers = np.array([p**i for i in range(e)], dtype=np.int64)
             self._digits = np.arange(s, dtype=np.int64)[:, None] // self._powers % p
             self._build_log_tables()
-            if s <= 1024:
-                d = self._digits
-                self._add_table = ((d[:, None, :] + d[None, :, :]) % p @ self._powers)
-            else:
-                self._add_table = None
         else:
             self._digits = None
             self._powers = None
-            self._add_table = None
             self._log = None
             self._antilog = None
+        self._add_table = self._mul_table = self._neg_table = None
+        if e > 1 and s <= _TABLE_MAX_ORDER:
+            self._build_op_tables()
 
     # -- extension bootstrap -------------------------------------------------
     #
@@ -198,6 +202,17 @@ class FieldSpec:
         self._antilog = antilog
         self._log = log
 
+    def _build_op_tables(self) -> None:
+        """Product and negation tables; a sum table only for odd p, since
+        ``add_arr`` XORs codes over p = 2."""
+        p, d = self.p, self._digits
+        lg = self._log[1:]
+        self._mul_table = np.zeros((self.s, self.s), dtype=np.int64)
+        self._mul_table[1:, 1:] = self._antilog[(lg[:, None] + lg) % (self.s - 1)]
+        self._neg_table = (-d) % p @ self._powers
+        if p > 2:
+            self._add_table = (d[:, None, :] + d[None, :, :]) % p @ self._powers
+
     # -- scalar element ops ----------------------------------------------------
 
     def check(self, a: int) -> int:
@@ -213,6 +228,8 @@ class FieldSpec:
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
+        if self._neg_table is not None:
+            return int(self._neg_table[a])
         return int(self.neg_arr(np.int64(a)))
 
     def sub(self, a: int, b: int) -> int:
@@ -221,6 +238,8 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
+        if self._mul_table is not None:
+            return int(self._mul_table[a, b])
         if a == 0 or b == 0:
             return 0
         return int(self._antilog[(self._log[a] + self._log[b]) % (self.s - 1)])
@@ -246,6 +265,17 @@ class FieldSpec:
         return int(self._antilog[k])
 
     # -- vectorized element ops ------------------------------------------------
+    #
+    # A two-operand table is read at the flat index a * s + b, which numpy
+    # takes in about half the time of the pair index [a, b].  The products
+    # are written over the index array, so a lookup holds one array of the
+    # output's size, as the pair index does; every index is in range, and
+    # "wrap" is the mode in which numpy's take writes in place (it copies
+    # under "raise").
+
+    def _lookup(self, table: np.ndarray, a, b) -> np.ndarray:
+        idx = np.asarray(a, dtype=np.int64) * self.s + b
+        return table.take(idx, out=idx if idx.ndim else None, mode="wrap")
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
@@ -253,7 +283,7 @@ class FieldSpec:
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self._add_table is not None:
-            return self._add_table[a, b]
+            return self._lookup(self._add_table, a, b)
         d = (self._digits[a] + self._digits[b]) % self.p
         return d @ self._powers
 
@@ -262,6 +292,8 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2:
             return np.asarray(a).copy()
+        if self._neg_table is not None:
+            return self._neg_table.take(a)
         d = (-self._digits[a]) % self.p
         return d @ self._powers
 
@@ -271,6 +303,8 @@ class FieldSpec:
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
             return (a * b) % self.p
+        if self._mul_table is not None:
+            return self._lookup(self._mul_table, a, b)
         a = np.asarray(a)
         b = np.asarray(b)
         out = self._antilog[(self._log[a] + self._log[b]) % (self.s - 1)]
@@ -299,6 +333,8 @@ class FieldSpec:
             return np.asarray(a).copy()
         if self.e == 1:
             return (c * a) % self.p
+        if self._mul_table is not None:
+            return self._mul_table[c].take(a)
         return self.mul_arr(np.int64(c), a)
 
     # -- polynomial kernels ----------------------------------------------------
@@ -384,14 +420,15 @@ class FieldSpec:
         rem = np.array(num, dtype=np.int64)
         dd = den.size - 1
         lead_inv = self.inv(int(den[-1]))
+        # c * neg_den clears a leading coefficient c: one add per quotient term
+        neg_den = self.scale_arr(self.neg(lead_inv), den)
         quo = np.zeros(max(rem.size - dd, 0), dtype=np.int64)
         for k in range(rem.size - 1, dd - 1, -1):
             c = int(rem[k])
             if c:
-                f = self.mul(c, lead_inv)
-                quo[k - dd] = f
-                seg = self.scale_arr(f, den)
-                rem[k - dd : k + 1] = self.sub_arr(rem[k - dd : k + 1], seg)
+                quo[k - dd] = self.mul(c, lead_inv)
+                seg = self.scale_arr(c, neg_den)
+                rem[k - dd : k + 1] = self.add_arr(rem[k - dd : k + 1], seg)
         return quo, _trim_poly(rem[:dd])
 
     def rank_profile(self, a: np.ndarray) -> np.ndarray:
@@ -434,6 +471,8 @@ class FieldSpec:
 
 
 def _trim_poly(coeffs: np.ndarray) -> np.ndarray:
+    if coeffs.size and coeffs[-1]:
+        return coeffs  # the common case: no scan for the last nonzero
     nz = np.nonzero(coeffs)[0]
     if nz.size == 0:
         return coeffs[:0]

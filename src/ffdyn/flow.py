@@ -347,17 +347,22 @@ def rate_to_psi(rate: RateFunction, tol: float = 1e-12) -> PsiFunction:
 
 
 def _cf_ladder(
-    fs: FieldSpec, coeffs: np.ndarray
+    fs: FieldSpec, coeffs: np.ndarray, horizon: int
 ) -> tuple[np.ndarray, np.ndarray, Sequence]:
     """Rungs D, their certification flags and the partial quotients of the
-    Euclid ladder for the coefficients a_1..a_P.
+    Euclid ladder for the coefficients a_1..a_P, up to the first rung past
+    ``horizon``.
 
     quotients[k - 1], the k-th partial quotient, is an ascending coefficient
-    sequence of degree D_k - D_(k-1).  Over F_2 the remainders and quotients
-    are Python ints used as bit vectors, where subtraction is XOR; every
-    other field divides coefficient arrays.
+    sequence of degree D_k - D_(k-1).  The sawtooth at t reads the rungs
+    around t, so stopping right after the first D_k > horizon leaves every
+    depth, flag and convergent at t <= horizon as the full ladder has them;
+    a horizon >= P runs the whole ladder.  Over F_2 the remainders and
+    quotients are Python ints used as bit vectors, where subtraction is XOR;
+    every other field divides coefficient arrays.
     """
     P = int(coeffs.size)
+    last_deg = P - horizon  # a divisor of lower degree is a rung past horizon
     degs, quotients = [], []  # degree of each divisor, quotient by it
     if fs.p == 2 and fs.e == 1:
         packed = np.packbits(coeffs.astype(np.uint8))
@@ -371,6 +376,8 @@ def _cf_ladder(
                 q |= 1 << k
             degs.append(d1)
             quotients.append(q)
+            if d1 < last_deg:
+                break
             r0, r1 = r1, r0
         quotients = _BitQuotients(quotients)
     else:
@@ -381,6 +388,8 @@ def _cf_ladder(
             q, rem = fs.polydivmod(r0, r1)
             degs.append(r1.size - 1)
             quotients.append(q)
+            if degs[-1] < last_deg:
+                break
             r0, r1 = r1, rem
     D = P - np.array([P, *degs], dtype=np.int64)
     cert = np.ones(D.size, dtype=bool)
@@ -502,7 +511,7 @@ def _trajectory_cf(spec: FlowSpec, a: LaurentSeries, T: int) -> TrajectoryResult
             raise CertificationError(
                 "window too small for any ladder rung", needed_precision=2
             )
-    D, cert, quotients = _cf_ladder(fs, a.window(1, P + 1))
+    D, cert, quotients = _cf_ladder(fs, a.window(1, P + 1), T)
     ts = np.arange(0, T + 1, dtype=np.int64)
     deltas, certified = _sawtooth_eval(D, cert, ts, P, exact)
     needed = None
@@ -744,7 +753,8 @@ def _trial_depths(
     the ladder sawtooth for m = n = 1, the generic trajectory otherwise."""
     fs = spec.field
     if spec.m == 1 and spec.n == 1:
-        D, cert, _ = _cf_ladder(fs, rng.integers(0, fs.s, size=precision))
+        coeffs = rng.integers(0, fs.s, size=precision)
+        D, cert, _ = _cf_ladder(fs, coeffs, int(ts[-1]))
         return _sawtooth_eval(D, cert, ts, precision, False)
     entries = sample_matrix(fs, rng, spec.m, spec.n, precision)
     traj = delta_trajectory(entries, spec, int(ts[-1]), strict=False)

@@ -89,6 +89,83 @@ def test_array_ops_match_scalar_ops():
             assert mul[i] == fs.mul(int(a[i]), int(b[i]))
 
 
+def _check_kernels_against_oracle(fs, a, b, log, antilog):
+    """Element kernels of fs on the code arrays a, b (same shape) against
+    the digit-polynomial oracle and per-element log tables."""
+    p, mod, s = fs.p, fs.modulus, fs.s
+    pairs = list(zip(a.tolist(), b.tolist()))
+    mul = [oracles.gf_mul(x, y, p, mod) for x, y in pairs]
+    assert mul == [
+        antilog[(log[x] + log[y]) % (s - 1)] if x and y else 0 for x, y in pairs
+    ]
+    assert fs.mul_arr(a, b).tolist() == mul
+    assert [fs.mul(x, y) for x, y in pairs] == mul
+    neg = [oracles.gf_neg(y, p, mod) for y in b.tolist()]
+    assert fs.neg_arr(b).tolist() == neg
+    assert [fs.neg(y) for y in b.tolist()] == neg
+    sub = [oracles.gf_add(x, n, p, mod) for x, n in zip(a.tolist(), neg)]
+    assert fs.sub_arr(a, b).tolist() == sub
+    assert [fs.sub(x, y) for x, y in pairs] == sub
+    for c in {0, 1, int(b[0]), s - 1}:
+        want = [oracles.gf_mul(c, y, p, mod) for y in b.tolist()]
+        assert fs.scale_arr(c, b).tolist() == want
+        # a scalar against an array, as the polynomial kernels call it
+        assert fs.mul_arr(np.int64(c), b).tolist() == want
+    # a (B, 1) column against an (n,) row, as rank_profile and the batched
+    # products call it
+    col, row = a[:5, None], b[:7]
+    grid = [[oracles.gf_mul(x, y, p, mod) for y in row.tolist()] for x in col[:, 0]]
+    assert fs.mul_arr(col, row).tolist() == grid
+    assert fs.mul_arr(row, col).tolist() == grid
+    diff = [
+        [oracles.gf_add(x, oracles.gf_neg(y, p, mod), p, mod) for y in row.tolist()]
+        for x in col[:, 0]
+    ]
+    assert fs.sub_arr(col, row).tolist() == diff
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (2, 3)])
+def test_table_kernels_match_digit_oracle(p, e):
+    # the array ops and the scalar ops read the same tables, so each is
+    # checked against arithmetic that shares nothing with them
+    fs = FieldSpec(p, e)
+    s = fs.s
+    assert fs._mul_table.shape == (s, s) and fs._neg_table.shape == (s,)
+    assert (fs._add_table is None) == (p == 2)
+    log, antilog = oracles.log_tables(p, e, fs.modulus)
+    # every pair of codes, zero operands included
+    a = np.arange(s).repeat(s)
+    b = np.tile(np.arange(s), s)
+    _check_kernels_against_oracle(fs, a, b, log, antilog)
+    rng = np.random.default_rng(10 * p + e)
+    for _ in range(20):
+        num = rng.integers(0, s, size=int(rng.integers(0, 9)))
+        num[rng.random(num.size) < 0.3] = 0
+        den = rng.integers(0, s, size=int(rng.integers(1, 5)))
+        den[-1] = rng.integers(1, s)
+        quo, rem = fs.polydivmod(num, den)
+        want_q, want_r = oracles.gf_polydivmod(num.tolist(), den.tolist(), p, fs.modulus)
+        assert oracles.ptrim(quo.tolist()) == want_q
+        assert rem.tolist() == want_r
+
+
+def test_fields_above_the_table_bound_use_log_tables():
+    fs = FieldSpec(2, 11)
+    assert fs.s > 1024
+    assert fs._mul_table is None and fs._neg_table is None and fs._add_table is None
+    log, antilog = oracles.log_tables(2, 11, fs.modulus)
+    rng = np.random.default_rng(211)
+    a = rng.integers(0, fs.s, size=300)
+    b = rng.integers(0, fs.s, size=300)
+    a[:20] = 0
+    b[10:30] = 0
+    _check_kernels_against_oracle(fs, a, b, log, antilog)
+    # at the bound itself the product table is built, but over p = 2 no
+    # sum table: addition XORs codes
+    big = FieldSpec(2, 10)
+    assert big._mul_table.shape == (1024, 1024) and big._add_table is None
+
+
 def test_pow():
     assert F3.pow_(2, 5) == 2
     assert F3.pow_(2, -1) == F3.inv(2)

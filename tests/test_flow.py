@@ -29,6 +29,7 @@ from ffdyn.flow import (
     unipotent_lattice,
     TailTable,
     _cf_ladder,
+    _sawtooth_eval,
     _trial_depths,
 )
 from ffdyn.lattice import LatticeBasis, delta
@@ -299,7 +300,7 @@ def test_cf_ladder_matches_euclid_oracle(p, e):
         coeffs = rng.integers(0, fs.s, size=int(rng.integers(1, 40)))
         coeffs[rng.random(coeffs.size) < 0.2] = 0
         a = [0] + [int(c) for c in coeffs]
-        D, cert, quotients = _cf_ladder(fs, coeffs)
+        D, cert, quotients = _cf_ladder(fs, coeffs, horizon=coeffs.size)
         want = oracles.cf_partial_quotients(a, p, fs.modulus)
         assert [oracles.ptrim(list(q)) for q in quotients] == want
         assert list(D) == [0, *np.cumsum([len(q) - 1 for q in want])]
@@ -307,6 +308,42 @@ def test_cf_ladder_matches_euclid_oracle(p, e):
             assert list(D) == oracles.cf_denominator_degrees(a, p)
         P = coeffs.size
         assert list(cert) == [True] + [D[k - 1] + D[k] <= P for k in range(1, D.size)]
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+def test_cf_ladder_horizon_is_a_prefix_of_the_full_ladder(p, e):
+    fs = field_spec(p, e)
+    rng = stream(15, "test", 10 * fs.s + e)
+    cases = []
+    for _ in range(4):
+        coeffs = rng.integers(0, fs.s, size=int(rng.integers(1, 48)))
+        coeffs[rng.random(coeffs.size) < 0.2] = 0
+        cases.append(coeffs)
+    cases.append(np.zeros(12, dtype=np.int64))
+    # N = X^25 M with deg M <= 4: the Euclid ends by rung 5, before the
+    # horizons 10 and 15 below
+    finite = np.zeros(30, dtype=np.int64)
+    finite[:5] = rng.integers(1, fs.s, size=5)
+    cases.append(finite)
+    for coeffs in cases:
+        P = coeffs.size
+        full_D, full_cert, full_q = _cf_ladder(fs, coeffs, horizon=P)
+        full_q = [[int(c) for c in q] for q in full_q]
+        if coeffs is finite:
+            assert full_D[-1] <= 5
+        for horizon in sorted({0, 1, P // 3, P // 2, P - 1, P, P + 5}):
+            D, cert, quotients = _cf_ladder(fs, coeffs, horizon)
+            past = np.nonzero(full_D > horizon)[0]
+            n = int(past[0]) + 1 if past.size else full_D.size
+            assert D.tolist() == full_D[:n].tolist()
+            assert cert.tolist() == full_cert[:n].tolist()
+            assert [[int(c) for c in q] for q in quotients] == full_q[: n - 1]
+            ts = np.arange(0, horizon + 1, dtype=np.int64)
+            for exact in (False, True):
+                got = _sawtooth_eval(D, cert, ts, P, exact)
+                want = _sawtooth_eval(full_D, full_cert, ts, P, exact)
+                assert got[0].tolist() == want[0].tolist()
+                assert got[1].tolist() == want[1].tolist()
 
 
 @settings(max_examples=60, deadline=None)
