@@ -15,6 +15,7 @@ against the input window.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BracketError, CertificationError, FieldError
-from .field import FieldSpec, LaurentSeries, Poly
+from .field import FieldSpec, LaurentSeries, Poly, field_spec
 from .lattice import DeltaValue, LatticeBasis, _pivot_of, _reduce_packed
 from .streams import stream
 
@@ -357,30 +358,17 @@ def _cf_ladder(
     sequence of degree D_k - D_(k-1).  The sawtooth at t reads the rungs
     around t, so stopping right after the first D_k > horizon leaves every
     depth, flag and convergent at t <= horizon as the full ladder has them;
-    a horizon >= P runs the whole ladder.  Over F_2 the remainders and
-    quotients are Python ints used as bit vectors, where subtraction is XOR;
-    every other field divides coefficient arrays.
+    a horizon >= P runs the whole ladder.  Over p = 2 the remainders are
+    bit planes of Python ints (``_plane_rungs``), where subtraction is XOR;
+    odd p divides coefficient arrays.
     """
     P = int(coeffs.size)
     last_deg = P - horizon  # a divisor of lower degree is a rung past horizon
-    degs, quotients = [], []  # degree of each divisor, quotient by it
-    if fs.p == 2 and fs.e == 1:
-        packed = np.packbits(coeffs.astype(np.uint8))
-        r0 = 1 << P
-        r1 = int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - P)
-        while r1:
-            d1 = r1.bit_length() - 1
-            q = 0
-            while (k := r0.bit_length() - 1 - d1) >= 0:
-                r0 ^= r1 << k
-                q |= 1 << k
-            degs.append(d1)
-            quotients.append(q)
-            if d1 < last_deg:
-                break
-            r0, r1 = r1, r0
-        quotients = _BitQuotients(quotients)
+    if fs.p == 2:
+        degs, quotients = _plane_rungs(fs, _stacked_planes(coeffs, fs.e), P, last_deg)
+        quotients = _BitQuotients(quotients, fs.e)
     else:
+        degs, quotients = [], []  # degree of each divisor, quotient by it
         r0 = np.zeros(P + 1, dtype=np.int64)
         r0[P] = 1
         r1 = Poly(fs, coeffs[::-1]).coeffs  # a_i at slot P - i
@@ -397,22 +385,123 @@ def _cf_ladder(
     return D, cert, quotients
 
 
+# A polynomial over F_(2^e) is held as e bit planes: plane j is a Python int
+# whose bit d is bit j of the code of its X^d coefficient.  Multiplying by a
+# fixed c is F_2-linear on codes, so c X^k r is e XOR sums of r's planes,
+# shifted by k: out-plane j takes in-plane i wherever c x^i has bit j set.
+
+
+def _stacked_planes(coeffs: np.ndarray, e: int) -> int:
+    """The e planes of N = sum a_i X^(P-i), for codes a_1..a_P in ``coeffs``,
+    stacked in one int: plane j at bits P (e - 1 - j) and up."""
+    P = coeffs.size
+    # row j holds bit j of every code; over F_2 the codes are the bits
+    bits = coeffs if e == 1 else coeffs >> np.arange(e)[:, None] & 1
+    packed = np.packbits(bits.astype(np.uint8))
+    return int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - e * P)
+
+
+@functools.cache
+def _plane_tables(e: int) -> tuple[tuple, tuple, tuple]:
+    """log, antilog and, per code c, the in-planes that feed each out-plane
+    of c times a polynomial over F_(2^e): O(s e) ints, built by the first
+    ladder over that field."""
+    fs = field_spec(2, e)
+    order = fs.s - 1
+    bits = [tuple(j for j in range(e) if m >> j & 1) for m in range(fs.s)]
+    # cols[c - 1, i] is the code of c x^i; masks[c - 1, j], row j of c's
+    # matrix, has bit i set where column i has bit j set
+    lg = fs._log
+    cols = fs._antilog[(lg[1:, None] + lg[1 << np.arange(e)]) % order]
+    masks = np.zeros_like(cols)
+    for i in range(e):
+        masks |= (cols[:, i, None] >> np.arange(e) & 1) << i
+    rows = ((),) + tuple(tuple(bits[m] for m in row) for row in masks.tolist())
+    return tuple(lg.tolist()), tuple(fs._antilog.tolist()), rows
+
+
+def _plane_rungs(
+    fs: FieldSpec, stacked: int, P: int, last_deg: int
+) -> tuple[list[int], list[int]]:
+    """Divisor degrees and quotients of the ladder on X^P and the polynomial
+    whose planes are ``stacked``, stopping after the first divisor of degree
+    below ``last_deg``.
+
+    Each step clears the leading term of r0 by r0 += c X^k r1 with
+    c = lead(r0) / lead(r1), read from the log tables; a plane's bit length
+    gives its degree plus one, and the lead code has bit j set where plane
+    j reaches the top degree.  A quotient is one int holding its codes in
+    e-bit fields, degree i at bits e i and up.  Over F_2 every lead is 1, so
+    a step is one shift and one XOR, with no lead code and no lookup.
+    """
+    degs, quotients = [], []
+    if fs.e == 1:
+        r0, r1 = 1 << P, stacked
+        while r1:
+            d1 = r1.bit_length() - 1
+            q = 0
+            while (k := r0.bit_length() - 1 - d1) >= 0:
+                r0 ^= r1 << k
+                q |= 1 << k
+            degs.append(d1)
+            quotients.append(q)
+            if d1 < last_deg:
+                break
+            r0, r1 = r1, r0
+        return degs, quotients
+    e = fs.e
+    log, antilog, rows = _plane_tables(e)
+    mask = (1 << P) - 1
+    r0 = [1 << P] + [0] * (e - 1)
+    r1 = [stacked >> (P * (e - 1 - j)) & mask for j in range(e)]
+    top0, lead0 = P + 1, 1  # degree + 1 and leading code of r0
+    top1 = lead1 = 0
+    for j, r in enumerate(r1):
+        b = r.bit_length()
+        if b >= top1:
+            top1, lead1 = b, (lead1 if b == top1 else 0) | 1 << j
+    while top1:
+        log1 = log[lead1]
+        q = 0
+        while (k := top0 - top1) >= 0:
+            c = antilog[log[lead0] - log1]  # a negative index wraps mod s - 1
+            shifted = [r << k for r in r1] if k else r1
+            top0 = lead0 = 0
+            for j, row in enumerate(rows[c]):
+                r = r0[j]
+                for i in row:
+                    r ^= shifted[i]
+                r0[j] = r
+                b = r.bit_length()
+                if b >= top0:
+                    top0, lead0 = b, (lead0 if b == top0 else 0) | 1 << j
+            q |= c << (k * e)
+        degs.append(top1 - 1)
+        quotients.append(q)
+        if top1 <= last_deg:
+            break
+        r0, r1, top0, top1, lead0, lead1 = r1, r0, top1, top0, lead1, lead0
+    return degs, quotients
+
+
 class _BitQuotients(Sequence):
-    """F_2 quotients kept as bit-vector ints and read as coefficient lists.
+    """p = 2 quotients kept as ints of e-bit codes and read as code lists.
 
     The Monte Carlo callers of the ladder never read the quotients, so
     they are not converted up front.
     """
 
-    def __init__(self, ints: list[int]):
+    def __init__(self, ints: list[int], e: int):
         self._ints = ints
+        self._e = e
 
     def __len__(self) -> int:
         return len(self._ints)
 
     def __getitem__(self, k: int) -> list[int]:
-        q = self._ints[k]
-        return [(q >> i) & 1 for i in range(q.bit_length())]
+        q, e = self._ints[k], self._e
+        mask = (1 << e) - 1
+        return [(q >> i) & mask for i in range(0, q.bit_length(), e)]
 
 
 def _sawtooth_eval(

@@ -502,12 +502,18 @@ def _enumerate_kernel(fs, P, delta_cap, qdeg, cap) -> np.ndarray:
     images = np.stack(
         [_apply_q(fs, P, q) for q in null.reshape(dim, r, width)]
     ).reshape(dim, -1)
-    # row 0 of the combination grid is the zero vector
-    combos = np.indices((fs.s,) * dim).reshape(dim, -1).T[1:]
-    if fs.e == 1:
-        W = combos @ images % fs.p
-    else:
-        W = np.zeros((count, images.shape[1]), dtype=np.int64)
-        for i in range(dim):
-            W = fs.add_arr(W, fs.mul_arr(combos[:, i : i + 1], images[i]))
-    return W[np.lexsort(W.T[::-1])].reshape(count, r, -1)
+    return _combinations(fs, images).reshape(count, r, -1)
+
+
+def _combinations(fs, images: np.ndarray) -> np.ndarray:
+    """The nonzero F_s-combinations of the rows of ``images``, sorted.
+
+    The combinations of images 0..i are those of images 0..i-1, each added
+    to every multiple of image i, so row 0 stays the zero vector.
+    """
+    W = np.zeros((1, images.shape[1]), dtype=np.int64)
+    codes = np.arange(fs.s, dtype=np.int64)[:, None, None]
+    for image in images:
+        W = fs.add_arr(fs.mul_arr(codes, image), W).reshape(-1, W.shape[1])
+    W = W[1:]
+    return W[np.lexsort(W.T[::-1])]

@@ -520,6 +520,38 @@ def sample_k(fs: FieldSpec, rng: np.random.Generator, precision: int) -> Matrix:
     return ((a, b), (c + t * a, d + t * b))
 
 
+def _draw_samples(
+    fs: FieldSpec, rng: np.random.Generator, samples: int, precision: int
+) -> np.ndarray:
+    """The draws of ``samples`` consecutive ``_draw_k`` calls, as
+    (samples, 3, precision): the accepted first row, then t.
+
+    Integers are drawn in as few calls as the rejections allow: one for
+    every sample that draws no rejected row, then, whenever the array runs
+    short, exactly the integers the remaining samples need without further
+    rejections.  A bounded draw reads the stream element by element, so
+    the values, and where the stream ends, are those of the ``_draw_k``
+    loop.
+    """
+    block = 3 * precision  # one sample with no rejected row
+    flat = rng.integers(0, fs.s, size=samples * block)
+    nonzero = (flat != 0).tobytes()
+    starts = []
+    pos = 0
+    while len(starts) < samples:
+        if pos + block > flat.size:
+            need = pos + (samples - len(starts)) * block - flat.size
+            flat = np.concatenate((flat, rng.integers(0, fs.s, size=need)))
+            nonzero = (flat != 0).tobytes()
+        if nonzero[pos] or nonzero[pos + precision]:
+            starts.append(pos)
+            pos += block
+        else:  # both constant terms vanish: the row is drawn again
+            pos += 2 * precision
+    idx = np.array(starts, dtype=np.int64)[:, None] + np.arange(block)
+    return flat[idx].reshape(samples, 3, precision)
+
+
 def _sample_first_columns(
     fs: FieldSpec, rng: np.random.Generator, samples: int, precision: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -530,10 +562,7 @@ def _sample_first_columns(
     c = 0 when a has a unit constant term and c = -1/b otherwise, so the
     unit-entry inverse d is never needed.
     """
-    draws = np.empty((samples, 3, precision), dtype=np.int64)
-    for i in range(samples):
-        draws[i, :2], draws[i, 2] = _draw_k(fs, rng, precision)
-    a, b, t = draws[:, 0], draws[:, 1], draws[:, 2]
+    a, b, t = _draw_samples(fs, rng, samples, precision).transpose(1, 0, 2)
     w = fs.polymul(t, a)[:, :precision]
     low = a[:, 0] == 0
     if low.any():

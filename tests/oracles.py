@@ -329,6 +329,23 @@ def cf_partial_quotients(a: list[int], p: int, modulus=(0, 1)) -> list[list[int]
     return out
 
 
+def cf_ladder_arrays(fs, coeffs: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """Divisor degrees and quotients of the whole ladder on (X^P, N), by one
+    ``fs.polydivmod`` on coefficient arrays per rung: the Euclid that every
+    field but F_2 ran before the p = 2 ladder moved to bit planes."""
+    P = coeffs.size
+    r0 = np.zeros(P + 1, dtype=np.int64)
+    r0[P] = 1
+    r1 = np.array(ptrim([int(c) for c in coeffs[::-1]]), dtype=np.int64)
+    degs, quotients = [], []
+    while r1.size:
+        q, rem = fs.polydivmod(r0, r1)
+        degs.append(r1.size - 1)
+        quotients.append([int(c) for c in q])
+        r0, r1 = r1, rem
+    return degs, quotients
+
+
 def sawtooth_delta(degs: list[int], t: int) -> int:
     """min(t - D_k, D_{k+1} - t) for the bracketing rung; D list ascending."""
     import bisect
@@ -699,6 +716,20 @@ def apply_q(fs, P: np.ndarray, q: np.ndarray) -> np.ndarray:
     for j in range(1, P.shape[0]):
         out = fs.add_arr(out, fs.polymul(P[:, j, :], q[j]))
     return out
+
+
+def combination_grid(fs, images: np.ndarray) -> np.ndarray:
+    """Every nonzero F_s-combination of the rows of ``images``, one per point
+    of the coefficient grid F_s^dim, sorted lexicographically."""
+    dim = images.shape[0]
+    combos = np.indices((fs.s,) * dim).reshape(dim, -1).T[1:]  # row 0 is zero
+    if fs.e == 1:
+        W = combos @ images % fs.p
+    else:
+        W = np.zeros((combos.shape[0], images.shape[1]), dtype=np.int64)
+        for i in range(dim):
+            W = fs.add_arr(W, fs.mul_arr(combos[:, i : i + 1], images[i]))
+    return W[np.lexsort(W.T[::-1])]
 
 
 def enumerate_literal(fs, P, delta_cap, qdeg):

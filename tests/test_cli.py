@@ -249,6 +249,21 @@ def test_sample_config_artifact_digest(tag, tmp_path):
     assert digest == SAMPLE_ARTIFACT_SHA256[tag]
 
 
+# a strong-bc run over F_4, whose ladder runs on bit planes; the digest was
+# recorded while every p = 2 extension field divided coefficient arrays
+STRONG_BC_F4_SHA256 = "a123f3586a266c890173585162ea43d2a7cf16594d33ac5eb70d4ae1193ca75f"
+
+
+def test_strong_bc_f4_artifact_digest(tmp_path):
+    text = (
+        "tag = strong-bc\np = 2\ne = 2\nT = 2000\ntrials = 6\n"
+        "rate = log\nrate_c = 0.5\nseed = 1104\n"
+    )
+    report = run_experiment(parse_config(text, overrides={"out": str(tmp_path)}))
+    digest = hashlib.sha256(Path(report.artifact).read_bytes()).hexdigest()
+    assert digest == STRONG_BC_F4_SHA256
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = _write(tmp_path / "c.cfg", "T = 16\ntrials = 2\nseed = 5\n")
     out = tmp_path / "out"

@@ -292,7 +292,12 @@ def test_trajectory_matches_bruteforce_ladder(fs):
                 assert traj.deltas[t] == oracles.sawtooth_delta(degs, t)
 
 
-@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+# the p = 2 bit-plane ladder also at e = 4, 8 and 10, where a code spans
+# several bytes of a plane index
+LADDER_FIELDS = [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)] + [(2, 4), (2, 8), (2, 10)]
+
+
+@pytest.mark.parametrize("p,e", LADDER_FIELDS)
 def test_cf_ladder_matches_euclid_oracle(p, e):
     fs = field_spec(p, e)
     for trial in range(6):
@@ -310,7 +315,7 @@ def test_cf_ladder_matches_euclid_oracle(p, e):
         assert list(cert) == [True] + [D[k - 1] + D[k] <= P for k in range(1, D.size)]
 
 
-@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+@pytest.mark.parametrize("p,e", LADDER_FIELDS)
 def test_cf_ladder_horizon_is_a_prefix_of_the_full_ladder(p, e):
     fs = field_spec(p, e)
     rng = stream(15, "test", 10 * fs.s + e)
@@ -325,6 +330,8 @@ def test_cf_ladder_horizon_is_a_prefix_of_the_full_ladder(p, e):
     finite = np.zeros(30, dtype=np.int64)
     finite[:5] = rng.integers(1, fs.s, size=5)
     cases.append(finite)
+    # long inputs whose first quotient has a high degree
+    cases += _long_inputs(rng, fs.s)
     for coeffs in cases:
         P = coeffs.size
         full_D, full_cert, full_q = _cf_ladder(fs, coeffs, horizon=P)
@@ -344,6 +351,31 @@ def test_cf_ladder_horizon_is_a_prefix_of_the_full_ladder(p, e):
                 want = _sawtooth_eval(full_D, full_cert, ts, P, exact)
                 assert got[0].tolist() == want[0].tolist()
                 assert got[1].tolist() == want[1].tolist()
+
+
+def _long_inputs(rng, s: int) -> list[np.ndarray]:
+    """Coefficient arrays of 300 and more entries, with runs of leading zeros
+    (so the first quotient has that degree plus one) and one run inside."""
+    out = []
+    for P, zeros in ((300, 0), (300, 131), (517, 9)):
+        coeffs = rng.integers(0, s, size=P)
+        coeffs[:zeros] = 0
+        coeffs[P // 2 : P // 2 + 23] = 0
+        out.append(coeffs)
+    return out
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 8, 10])
+def test_cf_ladder_on_long_inputs_matches_array_euclid(e):
+    fs = field_spec(2, e)
+    for coeffs in _long_inputs(stream(13, "test", e), fs.s):
+        P = coeffs.size
+        degs, want = oracles.cf_ladder_arrays(fs, coeffs)
+        D, cert, quotients = _cf_ladder(fs, coeffs, horizon=P)
+        assert [list(q) for q in quotients] == want
+        assert D.tolist() == [0, *(P - d for d in degs)]
+        assert cert.tolist() == [True] + [D[k - 1] + D[k] <= P for k in range(1, D.size)]
+    assert len(want[0]) > 9  # the leading zeros made a long first quotient
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,6 +562,29 @@ def test_strong_bc_reproducible_across_threads():
     a = strong_bc_experiment(spec, ladder, trials=12, seed=77, threads=1)
     b = strong_bc_experiment(spec, ladder, trials=12, seed=77, threads=3)
     assert np.array_equal(a.counts, b.counts)
+
+
+@pytest.mark.parametrize("e", [2, 3])
+def test_strong_bc_counts_match_the_euclid_oracle(e):
+    # F_4 and F_8: each trial's coefficients, read from the same stream,
+    # give the rungs by literal Euclid and the hits by the sawtooth
+    fs = field_spec(2, e)
+    spec = FlowSpec(fs, 1, 1)
+    T, burn_in, precision, seed = 24, 4, 72, 31
+    thr = np.array([1 + (t % 3 == 0) for t in range(1, T + 1)])
+    res = strong_bc_experiment(
+        spec, thr, trials=6, seed=seed, burn_in=burn_in, precision=precision, checkpoints=8
+    )
+    for trial in range(6):
+        a = [0] + stream(seed, "strong-bc", trial).integers(0, fs.s, size=precision).tolist()
+        quotients = oracles.cf_partial_quotients(a, 2, fs.modulus)
+        degs = [0, *np.cumsum([len(q) - 1 for q in quotients]).tolist()]
+        hits = np.array(
+            [oracles.sawtooth_delta(degs, t + burn_in) >= thr[t - 1] for t in range(1, T + 1)]
+        )
+        counts = np.cumsum(hits)[res.checkpoints - 1]
+        assert res.counts[trial].tolist() == counts.tolist(), trial
+    assert res.counts[:, -1].max() > 0
 
 
 def test_strong_bc_needs_table_for_bigger_blocks():

@@ -429,6 +429,22 @@ def test_enumerate_kernel_and_literal_agree():
         assert got == sorted(oracles.enumerate_literal(fs, P, delta_cap, qdeg)), fs
 
 
+def test_combinations_by_doubling_match_the_grid():
+    from ffdyn.lattice import _combinations
+
+    for fs in [field_spec(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]:
+        rng = np.random.default_rng(10 * fs.s + 1)
+        # as many images as keep s^dim to a few thousand rows; a repeated
+        # image gives repeated rows, which must come out equally often
+        for dim in range(1, max(int(np.log(5000) / np.log(fs.s)), 1) + 1):
+            images = rng.integers(0, fs.s, size=(dim, 7))
+            if dim > 1:
+                images[-1] = images[0]
+            got = _combinations(fs, images)
+            assert got.shape == (fs.s**dim - 1, 7), fs
+            assert np.array_equal(got, oracles.combination_grid(fs, images)), (fs, dim)
+
+
 def test_enumerate_respects_depth():
     b = diag_basis(F2, [-2, 2])
     vecs = enumerate_short_vectors(b, 2.0**-2)

@@ -9,7 +9,14 @@ import pytest
 import oracles
 from ffdyn.errors import PrecisionError
 from ffdyn.field import LaurentSeries, field_spec
-from ffdyn.spherical import matmul2, sample_k, torus_element, xi_monte_carlo
+from ffdyn.spherical import (
+    _draw_k,
+    _draw_samples,
+    matmul2,
+    sample_k,
+    torus_element,
+    xi_monte_carlo,
+)
 from ffdyn.streams import stream
 from ffdyn.tree import (
     _trace_levels,
@@ -67,6 +74,25 @@ def _check_against_loop(g, samples, seed, precision=None):
     assert got is not None
     assert (repr(got.value), repr(got.stderr)) == tuple(map(repr, want))
     return got
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_joined_draws_match_the_draw_k_loop(p, e):
+    # s = 2, 3, 4, 9; at precision 1 and s = 2 a quarter of the rows are
+    # drawn again, so the joined draw runs short and asks for more
+    fs = field_spec(p, e)
+    for seed in range(4):
+        for samples, precision in ((1, 1), (9, 1), (700, 1), (300, 2), (40, 7)):
+            joined = stream(seed, "xi-mc", samples)
+            got = _draw_samples(fs, joined, samples, precision)
+            loop = stream(seed, "xi-mc", samples)
+            want = np.empty_like(got)
+            for i in range(samples):
+                want[i, :2], want[i, 2] = _draw_k(fs, loop, precision)
+            assert np.array_equal(got, want), (seed, samples, precision)
+            # the stream ends where the loop leaves it
+            after = [rng.integers(0, 2**40, size=3).tolist() for rng in (joined, loop)]
+            assert after[0] == after[1]
 
 
 @pytest.mark.parametrize("fs", FIELDS, ids=lambda f: f"p{f.p}e{f.e}")
