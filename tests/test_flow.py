@@ -292,8 +292,8 @@ def test_trajectory_matches_bruteforce_ladder(fs):
                 assert traj.deltas[t] == oracles.sawtooth_delta(degs, t)
 
 
-# the p = 2 bit-plane ladder also at e = 4, 8 and 10, where a code spans
-# several bytes of a plane index
+# the p = 2 bit-plane ladder also at e = 4, 8 and 10: more planes, and at
+# e = 10 codes that do not fit in a byte
 LADDER_FIELDS = [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)] + [(2, 4), (2, 8), (2, 10)]
 
 
