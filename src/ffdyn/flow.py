@@ -455,11 +455,8 @@ def _plane_rungs(
     r0 = [1 << P] + [0] * (e - 1)
     r1 = [stacked >> (P * (e - 1 - j)) & mask for j in range(e)]
     top0, lead0 = P + 1, 1  # degree + 1 and leading code of r0
-    top1 = lead1 = 0
-    for j, r in enumerate(r1):
-        b = r.bit_length()
-        if b >= top1:
-            top1, lead1 = b, (lead1 if b == top1 else 0) | 1 << j
+    top1 = max(r.bit_length() for r in r1)
+    lead1 = sum(1 << j for j, r in enumerate(r1) if r.bit_length() == top1)
     while top1:
         log1 = log[lead1]
         q = 0
