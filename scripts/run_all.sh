@@ -12,12 +12,12 @@
 # runs/<tag>/, so a run that fails leaves no artifact and shows up as a
 # difference.  Must be run from the repository root (the reduce config uses
 # a relative matrix path), with ffdyn importable by python3: PYTHONPATH=src
-# or an installed package.  Takes about 3.7 s in total on a 2-CPU Xeon
-# with Python 3.11.7, half of it interpreter start and imports; by their
-# reports the longest runs are kg-mc (about 0.5 s), then tree-loglaw and
-# xi-decay (about 0.4 s each; the exact sums are about 0.01 s of
-# xi-decay, the rest is Monte Carlo), strong-bc (about 0.3 s) and
-# mult-mc (about 0.15 s).
+# or an installed package.  Takes about 4.2 s in total on a 2-CPU Xeon
+# with Python 3.11.7, about half of it interpreter start and imports; by
+# their reports the longest runs are tree-loglaw and strong-bc (about
+# 0.5 s each), then kg-mc and xi-decay (about 0.2 s each; the exact sums
+# are about 0.01 s of xi-decay, the rest is Monte Carlo) and mult-mc
+# (about 0.15 s).
 set -euo pipefail
 
 expected=""

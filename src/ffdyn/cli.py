@@ -15,7 +15,9 @@ Every run writes two files into the output directory: the data artifact
 ``<tag>.csv`` or ``<tag>.json`` and the run report ``<tag>-report.json``.
 Artifacts carry a schema stamp in-file (CSV first line, JSON top-level
 field) and contain no timing, so re-runs with the same config, seed and
-package version are byte-identical regardless of ``--threads``.  The
+package version are byte-identical.  ``--threads`` (and the ``threads``
+config key) is accepted by every experiment and has no effect: trials run
+one after another in one thread.  The
 report echoes the resolved config, the experiment summary, the version
 and the verdict against any configured thresholds; its wall-clock entry
 is the one intentionally non-reproducible field.
@@ -447,12 +449,12 @@ def _run_delta_flow(config: ExperimentConfig):
     return ("trial", "t", "delta", "certified"), rows, summary, "certified_fraction"
 
 
-# Work caps checked at config time, before anything is allocated: a kg-mc
-# census builds one row per unit class, (s^(n(q_max+1))-1)/(s-1) rows, and
-# the cap counts exactly those.  xi-decay's exact sums cover about
-# s^(2 t_max+1) congruence classes at t = t_max; they are counted by ranks,
-# not built, so that cap bounds the class count (``XiExact.classes``), not
-# the work.
+# Work caps checked at config time, before anything is allocated.  A kg-mc
+# census covers the (s^(n(q_max+1))-1)/(s-1) unit classes of q, and the kg
+# cap counts exactly those; xi-decay's exact sums cover about s^(2 t_max+1)
+# congruence classes at t = t_max (``XiExact.classes``).  Both are counted
+# by ranks over F_s, not built, so each cap bounds a class count, not the
+# work.
 _KG_CANDIDATE_CAP = 10**5
 _XI_CLASS_CAP = 10**7
 
@@ -482,7 +484,6 @@ def _run_kg_mc(config: ExperimentConfig):
         config.q_max,
         config.seed,
         precision=config.precision,
-        threads=config.threads,
     )
     rows = [(int(r), float(report.rung_fractions[r])) for r in report.rungs]
     return ("rung", "fraction"), rows, report.summary(), "persistent_fraction"
@@ -557,7 +558,6 @@ def _run_strong_bc(config: ExperimentConfig):
         config.trials,
         config.seed,
         precision=config.precision,
-        threads=config.threads,
         **kwargs,
     )
     summary = result.summary()
@@ -971,8 +971,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             metavar="N",
-            help="worker threads for the kg-mc and strong-bc trial loops "
-            "(the other experiments ignore it)",
+            help="accepted for compatibility and has no effect: every "
+            "experiment runs its trials in one thread",
         )
         p.add_argument(
             "--format", choices=("csv", "json"), help="artifact format (default: csv)"

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -203,6 +202,14 @@ def _unit_class_count(s: int, n: int, deg: int) -> int:
     return (s ** (n * (deg + 1)) - 1) // (s - 1)
 
 
+def _check_class_cap(s: int, n: int, deg: int, cap: int) -> None:
+    classes = _unit_class_count(s, n, deg)
+    if classes > cap:
+        raise EnumerationCapError(
+            f"{classes} candidate classes exceed the search cap {cap}"
+        )
+
+
 def _lead_codes(rows: np.ndarray) -> np.ndarray:
     """Top-degree code of the first nonzero coordinate of each nonzero row
     of an array (count, n, width) in ascending degree."""
@@ -222,11 +229,7 @@ def _unit_class_blocks(s: int, n: int, deg: int, cap: int):
     ascending degree, _CANDIDATE_BLOCK rows each but the last.  Raises
     EnumerationCapError, before any block is built, above ``cap`` classes.
     """
-    classes = _unit_class_count(s, n, deg)
-    if classes > cap:
-        raise EnumerationCapError(
-            f"{classes} candidate classes exceed the search cap {cap}"
-        )
+    _check_class_cap(s, n, deg, cap)
     pending, held = [], 0
     for d in range(deg + 1):
         digits = n * (d + 1)
@@ -444,8 +447,10 @@ def kg_monte_carlo(
     horizon is the degree bound H (so ||q|| <= s^H); the ladder is
     ``persistence_ladder(H)``.  A trial is persistent when every rung h has
     an admitted solution with deg q >= h.  Terminal solution counts (one
-    per unit class of q) feed the convergent-side histogram.  Trials draw
-    from per-trial substreams of ``seed`` under ``tag``.  Raises
+    per unit class of q) feed the convergent-side histogram; they are
+    counted by ranks over F_s (``_kg_rank_count``), no candidate is built.
+    Trials draw from per-trial substreams of ``seed`` under ``tag``, one
+    after another: ``threads`` is accepted and has no effect.  Raises
     EnumerationCapError above 1,000,000 unit classes of q.
     """
     if psi.s != fs.s:
@@ -461,24 +466,17 @@ def kg_monte_carlo(
             "precision below the admission decision depth",
             needed_precision=need,
         )
-    blocks = []
-    for q in _unit_class_blocks(fs.s, n, horizon, _DEFAULT_SEARCH_CAP):
-        degrees = horizon - q.any(axis=1)[:, ::-1].argmax(axis=1)
-        blocks.append((q.reshape(q.shape[0], -1), degrees))
-    theta = np.array(
-        [_llog_ext(psi, n * d) for d in range(horizon + 1)], dtype=float
-    )
-
-    def one_trial(trial: int) -> tuple[int, tuple[bool, ...]]:
-        rng = stream(seed, tag, trial)
-        rows = sample_matrix(fs, rng, m, n, precision)
-        return _kg_trial(fs, rows, blocks, theta, horizon, rungs)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(t) for t in range(trials)]
+    _check_class_cap(fs.s, n, horizon, _DEFAULT_SEARCH_CAP)
+    # a class of degree d is admitted iff its first depths[d] tail
+    # coefficients vanish; the window holds U = precision - H - 1 of them
+    window = precision - horizon - 1
+    depths = [
+        min(window, _admission_depth(psi, m, n, d) - 1) for d in range(horizon + 1)
+    ]
+    results = []
+    for trial in range(trials):
+        rows = sample_matrix(fs, stream(seed, tag, trial), m, n, precision)
+        results.append(_kg_rank_count(fs, rows, depths, rungs))
     counts = np.array([c for c, _ in results], dtype=np.int64)
     passes = np.array([p for _, p in results], dtype=bool)
     persistent = passes.all(axis=1)
@@ -500,45 +498,34 @@ def kg_monte_carlo(
     )
 
 
-def _kg_trial(fs, rows, blocks, theta, horizon, rungs):
-    """One trial: Hankel products of the candidate blocks with each row.
+def _kg_rank_count(fs, rows, depths, rungs):
+    """One trial: (admitted unit classes, rung passes), counted by ranks.
 
-    Coefficient u of the tail of sum_k a_k q_k is sum_k sum_j q_kj
-    a_k,(u+j); stacking u rows gives the first visible index of every
-    candidate q at once.  The window depth U is chosen so an all-zero
-    column certifies admission outright.
+    Tail coefficient u of row i of qA is sum_c sum_j q_cj a_ic,(u+1+j), so
+    the q with max deg <= d whose first k tail coefficients vanish form the
+    left kernel V(d, k) of the functional matrix whose rows are the
+    monomials e_c X^j (j <= d) and whose columns are the pairs (u < k, i).
+    With the rows ordered by degree, one rank profile per distinct depth k
+    gives dim V(d, k) for every d, and the classes of degree exactly d
+    admitted at depth k number (s^dim V(d, k) - s^dim V(d-1, k)) / (s - 1).
     """
-    m = len(rows)
+    m, n, horizon, depth = len(rows), len(rows[0]), len(depths) - 1, max(depths)
     precision = rows[0][0].prec
-    U = precision - horizon - 1
-    hankels = [
-        np.concatenate(
-            [
-                np.lib.stride_tricks.sliding_window_view(
-                    a.window(0, precision)[1 : U + horizon + 1], horizon + 1
-                )
-                for a in row
-            ],
-            axis=1,
-        )
-        for row in rows
-    ]
+    windows = np.array([[a.window(0, precision) for a in row] for row in rows])
+    index = 1 + np.add.outer(np.arange(horizon + 1), np.arange(depth))
+    functionals = windows[:, :, index].transpose(2, 1, 3, 0)
+    functionals = functionals.reshape(n * (horizon + 1), depth * m)
+    dims = {}
+    for k in set(depths):
+        ranks = np.cumsum(fs.rank_profile(functionals[:, : k * m]))[n - 1 :: n]
+        dims[k] = [0] + (n * np.arange(1, horizon + 2) - ranks).tolist()
+    s = fs.s
     count, top = 0, -1
-    for q, qdegs in blocks:
-        hit = np.zeros((q.shape[0], U), dtype=bool)
-        for hank in hankels:
-            if fs.e == 1:
-                tail = q @ hank.T % fs.p
-            else:
-                tail = np.zeros(hit.shape, dtype=np.int64)
-                for c in range(q.shape[1]):
-                    tail = fs.add_arr(tail, fs.mul_arr(q[:, c : c + 1], hank[:, c]))
-            hit |= tail != 0
-        err = -(hit.argmax(axis=1) + 1)
-        admitted = np.where(hit.any(axis=1), m * err < theta[qdegs] - _EPS, True)
-        count += int(admitted.sum())
-        if admitted.any():
-            top = max(top, int(qdegs[admitted].max()))
+    for d, k in enumerate(depths):
+        admitted = (s ** dims[k][d + 1] - s ** dims[k][d]) // (s - 1)
+        if admitted:
+            count += admitted
+            top = d
     return count, tuple(top >= h for h in rungs)
 
 

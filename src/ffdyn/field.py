@@ -278,20 +278,20 @@ class FieldSpec:
         return table.take(idx, out=idx if idx.ndim else None, mode="wrap")
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (a + b) % self.p
         if self.p == 2:
             return np.bitwise_xor(a, b)
+        if self.e == 1:
+            return (a + b) % self.p
         if self._add_table is not None:
             return self._lookup(self._add_table, a, b)
         d = (self._digits[a] + self._digits[b]) % self.p
         return d @ self._powers
 
     def neg_arr(self, a: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (-a) % self.p
         if self.p == 2:
             return np.asarray(a).copy()
+        if self.e == 1:
+            return (-a) % self.p
         if self._neg_table is not None:
             return self._neg_table.take(a)
         d = (-self._digits[a]) % self.p

@@ -859,13 +859,12 @@ def _event_matrix(
     burn_in: int,
     precision: int,
     tag: str,
-    threads: int = 1,
 ) -> np.ndarray:
     """events[trial, t-1] = 1 iff Delta(g_(t+burn_in) u_A Z^r) >= thr[t-1]."""
     T = int(thr.size)
     ts = np.arange(1, T + 1, dtype=np.int64) + burn_in
-
-    def one_trial(trial: int) -> np.ndarray:
+    events = np.empty((trials, T), dtype=np.int8)
+    for trial in range(trials):
         deltas, certf = _trial_depths(spec, stream(seed, tag, trial), precision, ts)
         if not certf.all():
             bad = int(np.argmin(certf)) + 1
@@ -873,18 +872,7 @@ def _event_matrix(
                 f"trial {trial} uncertified at t = {bad}; raise the precision",
                 needed_precision=2 * precision,
             )
-        return (deltas >= thr).astype(np.int8)
-
-    events = np.empty((trials, T), dtype=np.int8)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for trial, row in enumerate(ex.map(one_trial, range(trials))):
-                events[trial] = row
-    else:
-        for trial in range(trials):
-            events[trial] = one_trial(trial)
+        events[trial] = deltas >= thr
     return events
 
 
@@ -982,7 +970,8 @@ def strong_bc_experiment(
     expected sum uses the exact rank-2 tail when m = n = 1; other block
     shapes need a calibrated phi_table.  When the expected final sum is below
     the divergence floor the result is flagged convergent and counts are
-    reported raw.
+    reported raw.  Trials run one after another: ``threads`` is accepted
+    and has no effect.
     """
     thr = np.ceil(np.asarray(thresholds, dtype=float) - 1e-9).astype(np.int64)
     T = int(thr.size)
@@ -998,7 +987,7 @@ def strong_bc_experiment(
     cps = _geometric_checkpoints(T, checkpoints)
     if precision is None:
         precision = 2 * (T + burn_in) + 96
-    events = _event_matrix(spec, thr, trials, seed, burn_in, precision, tag, threads)
+    events = _event_matrix(spec, thr, trials, seed, burn_in, precision, tag)
     counts = np.cumsum(events, axis=1, dtype=np.int64)[:, cps - 1]
     return StrongBCResult(
         spec=spec,

@@ -7,9 +7,15 @@ element, the full-width weak Popov reduction the package's windowed one is
 checked against, the two Monte Carlo backends one step or one sample at a
 time, and the candidate walks one candidate at a time.  Nothing imports from
 ffdyn, so agreement between these and the package is a real cross-check,
-not a tautology.  The three exceptions are ``slow_trial``, which evaluates
+not a tautology.  The five exceptions are ``slow_trial``, which evaluates
 each kg candidate by the package's series arithmetic and admission rule, so
-it checks the batched Hankel trial's walk and products, not that rule;
+it checks the kg rank count's admitted classes, not that rule;
+``hankel_trial``, the batched Hankel walk that the rank count replaced,
+which reads the package's unit-class blocks, field kernels and admission
+rule, so it checks the rank count on inputs too large for ``slow_trial``;
+``zero_block_reference``, which walks the unit classes one at a time
+through the package's series arithmetic, so it checks the block walk and
+the hit and indeterminate bookkeeping of ``zero_block_detector``;
 ``mult_solutions_reference``, which reads the package's series walk
 ``enumerate_short_vectors`` one vector at a time, so it checks the array
 filter of ``mult_solutions``, not the walk; and ``xi_exact_reference``,
@@ -767,6 +773,91 @@ def slow_trial(rows, psi, m, n, horizon, rungs):
             top = max(top, q_deg)
     passes = tuple(top >= h for h in rungs)
     return count, passes
+
+
+def hankel_trial(rows, psi, m, n, horizon, rungs):
+    """(admitted unit classes, rung passes) of one kg trial on the matrix
+    rows: Hankel products of every unit-class candidate block with each
+    row, the batched walk that the rank count replaced.
+
+    Coefficient u of the tail of sum_k a_k q_k is sum_k sum_j q_kj
+    a_k,(u+j); stacking u rows gives the first visible index of every
+    candidate q at once.  The window depth U is chosen so an all-zero
+    column certifies admission outright.
+    """
+    from ffdyn.dioph import _DEFAULT_SEARCH_CAP, _EPS, _llog_ext, _unit_class_blocks
+
+    fs = rows[0][0].field
+    blocks = []
+    for q in _unit_class_blocks(fs.s, n, horizon, _DEFAULT_SEARCH_CAP):
+        degrees = horizon - q.any(axis=1)[:, ::-1].argmax(axis=1)
+        blocks.append((q.reshape(q.shape[0], -1), degrees))
+    theta = np.array(
+        [_llog_ext(psi, n * d) for d in range(horizon + 1)], dtype=float
+    )
+    precision = rows[0][0].prec
+    U = precision - horizon - 1
+    hankels = [
+        np.concatenate(
+            [
+                np.lib.stride_tricks.sliding_window_view(
+                    a.window(0, precision)[1 : U + horizon + 1], horizon + 1
+                )
+                for a in row
+            ],
+            axis=1,
+        )
+        for row in rows
+    ]
+    count, top = 0, -1
+    for q, qdegs in blocks:
+        hit = np.zeros((q.shape[0], U), dtype=bool)
+        for hank in hankels:
+            if fs.e == 1:
+                tail = q @ hank.T % fs.p
+            else:
+                tail = np.zeros(hit.shape, dtype=np.int64)
+                for c in range(q.shape[1]):
+                    tail = fs.add_arr(tail, fs.mul_arr(q[:, c : c + 1], hank[:, c]))
+            hit |= tail != 0
+        err = -(hit.argmax(axis=1) + 1)
+        admitted = np.where(hit.any(axis=1), m * err < theta[qdegs] - _EPS, True)
+        count += int(admitted.sum())
+        if admitted.any():
+            top = max(top, int(qdegs[admitted].max()))
+    return count, tuple(top >= h for h in rungs)
+
+
+def zero_block_reference(target, m, degree_bound):
+    """(found, witness, searched, indeterminate) of the zero-block search,
+    one unit class at a time through series products.
+
+    ``target`` is an m x n matrix of series, whose block is the fractional
+    part of each row of Aq, or a basis with ``entries``, whose block is the
+    first m coordinates of the lattice vector.  A class whose block is
+    exactly zero is a hit; one whose block only vanishes through the window
+    is indeterminate.
+    """
+    from ffdyn.field import LaurentSeries, Poly
+
+    lattice = hasattr(target, "entries")
+    rows = target.entries[:m] if lattice else target
+    fs = rows[0][0].field
+    searched = indeterminate = 0
+    for coords in unit_normalized_vectors(fs.s, len(rows[0]), degree_bound):
+        qs = tuple(Poly(fs, list(c)) for c in coords)
+        searched += 1
+        block = []
+        for row in rows:
+            w = LaurentSeries.zero(fs)
+            for a, q in zip(row, qs):
+                w = w + a * LaurentSeries.from_poly(q)
+            block.append(w if lattice else w.polynomial_part()[1])
+        if all(w.is_exact_zero for w in block):
+            return True, qs, searched, indeterminate
+        if not any(w.has_leading_term for w in block):
+            indeterminate += 1
+    return False, None, searched, indeterminate
 
 
 def mult_solutions_reference(basis, psi, norm_bound, cap: int = 200_000):

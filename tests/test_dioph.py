@@ -27,6 +27,7 @@ from ffdyn.errors import CertificationError, EnumerationCapError, PrecisionError
 from ffdyn.field import LaurentSeries, Poly, field_spec
 from ffdyn.flow import (
     FlowSpec,
+    PsiLogPower,
     PsiPowerLaw,
     delta_trajectory,
     flow_apply,
@@ -368,6 +369,86 @@ def test_kg_trial_matches_slow_trial(p, e):
                 count, passes = oracles.slow_trial(rows, psi, m, n, horizon, rungs)
                 assert rep.counts[0] == count, (fs, m, n, tau, seed)
                 assert tuple(rep.rung_fractions[h] == 1.0 for h in rungs) == passes
+
+
+def _kg_psis(s):
+    return (power_law(s, tau=1.0), power_law(s, c=0.5, tau=1.3), PsiLogPower(s, 2.0))
+
+
+def _assert_kg_matches_hankel_trial(fs, psi, m, n, horizon, precision, trials, seed):
+    rep = kg_monte_carlo(fs, psi, m, n, trials, horizon, seed, precision=precision)
+    rungs = persistence_ladder(horizon)
+    passes = []
+    for trial in range(trials):
+        rows = sample_matrix(fs, stream(seed, "kg-mc", trial), m, n, precision)
+        count, passed = oracles.hankel_trial(rows, psi, m, n, horizon, rungs)
+        assert rep.counts[trial] == count, (fs, m, n, psi.describe(), precision, trial)
+        passes.append(passed)
+    want = np.array(passes, dtype=bool)
+    assert rep.rung_fractions == {h: float(want[:, i].mean()) for i, h in enumerate(rungs)}
+    assert rep.persistent_fraction == float(want.all(axis=1).mean())
+
+
+@pytest.mark.parametrize("p,e", _FIELDS)
+def test_kg_rank_count_matches_hankel_trial(p, e):
+    fs = field_spec(p, e)
+    for m, n in itertools.product((1, 2), repeat=2):
+        # the largest horizon with at most 4000 unit classes; n = 2 is left
+        # out for s = 125, where H = 1 already has 1,968,876 classes
+        horizon = 1
+        while (fs.s ** (n * (horizon + 2)) - 1) // (fs.s - 1) <= 4000:
+            horizon += 1
+        if (fs.s ** (n * (horizon + 1)) - 1) // (fs.s - 1) > 20_000:
+            continue
+        for psi in _kg_psis(fs.s):
+            need = _required_precision(psi, m, n, horizon)
+            for precision in (need, need + 3):
+                _assert_kg_matches_hankel_trial(fs, psi, m, n, horizon, precision, 3, 5)
+
+
+def test_kg_rank_count_matches_hankel_trial_at_the_trial_batch_shape():
+    # the kg-mc item of the trial-batch benchmark: p = 2, n = 1, H = 12
+    psi = power_law(2, tau=1.0)
+    need = _required_precision(psi, 1, 1, 12)
+    _assert_kg_matches_hankel_trial(F2, psi, 1, 1, 12, need, 40, 1002)
+
+
+def _zero_block_cases(fs, rng):
+    """(target, spec, degree bound, expect a hit, expect indeterminate > 0)
+    on the matrix path and the basis path."""
+    c = int(rng.integers(1, fs.s))
+    classes = lambda r, d: (fs.s ** (r * (d + 1)) - 1) // (fs.s - 1)
+    d1 = max(d for d in range(6) if classes(1, d) <= 2000)
+    d2 = max(d for d in range(4) if classes(2, d) <= 2000)
+    s11, s12, s21 = FlowSpec(fs, 1, 1), FlowSpec(fs, 1, 2), FlowSpec(fs, 2, 1)
+    exact = series(fs, {1: c})  # c X^-1, cleared exactly by q = X
+    windowed = sample_matrix(fs, rng, 1, 1, d1 + 1)
+    cases = [
+        ([[exact]], s11, d1, True, False),
+        (windowed, s11, d1, False, True),
+        (sample_matrix(fs, rng, 1, 1, 4 * d1 + 8), s11, d1, False, False),
+        (unipotent_lattice(series(fs, {0: c}), s11), s11, d2, True, False),
+        (unipotent_lattice(series(fs, {0: c}, prec=2), s11), s11, d2, False, True),
+        (unipotent_lattice(sample_matrix(fs, rng, 1, 1, 2), s11), s11, d2, None, None),
+    ]
+    if classes(2, 1) <= 2000:
+        cases += [
+            (sample_matrix(fs, rng, 1, 2, 3), s12, 1, None, None),
+            (sample_matrix(fs, rng, 2, 1, 3), s21, 1, None, None),
+            (unipotent_lattice([[exact], [series(fs, {2: c})]], s21), s21, 0, None, None),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("p,e", _FIELDS)
+def test_zero_block_detector_matches_reference(p, e):
+    fs = field_spec(p, e)
+    for target, spec, bound, hit, undecided in _zero_block_cases(fs, stream(p * 10 + e, "test", 0)):
+        rep = zero_block_detector(target, spec, degree_bound=bound)
+        want = oracles.zero_block_reference(target, spec.m, bound)
+        assert (rep.found, rep.witness, rep.searched, rep.indeterminate) == want, (fs, spec, bound)
+        if hit is not None:
+            assert rep.found == hit and (rep.indeterminate > 0) == undecided
 
 
 # ---------------------------------------------------------------------------
