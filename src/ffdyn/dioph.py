@@ -203,6 +203,7 @@ def _unit_class_count(s: int, n: int, deg: int) -> int:
 
 
 def _check_class_cap(s: int, n: int, deg: int, cap: int) -> None:
+    """Raise EnumerationCapError above ``cap`` unit classes of q."""
     classes = _unit_class_count(s, n, deg)
     if classes > cap:
         raise EnumerationCapError(
@@ -468,7 +469,7 @@ def kg_monte_carlo(
         )
     _check_class_cap(fs.s, n, horizon, _DEFAULT_SEARCH_CAP)
     # a class of degree d is admitted iff its first depths[d] tail
-    # coefficients vanish; the window holds U = precision - H - 1 of them
+    # coefficients vanish; the window holds precision - H - 1 of them
     window = precision - horizon - 1
     depths = [
         min(window, _admission_depth(psi, m, n, d) - 1) for d in range(horizon + 1)

@@ -371,46 +371,36 @@ def test_kg_trial_matches_slow_trial(p, e):
                 assert tuple(rep.rung_fractions[h] == 1.0 for h in rungs) == passes
 
 
-def _kg_psis(s):
-    return (power_law(s, tau=1.0), power_law(s, c=0.5, tau=1.3), PsiLogPower(s, 2.0))
-
-
-def _assert_kg_matches_hankel_trial(fs, psi, m, n, horizon, precision, trials, seed):
-    rep = kg_monte_carlo(fs, psi, m, n, trials, horizon, seed, precision=precision)
-    rungs = persistence_ladder(horizon)
-    passes = []
-    for trial in range(trials):
-        rows = sample_matrix(fs, stream(seed, "kg-mc", trial), m, n, precision)
-        count, passed = oracles.hankel_trial(rows, psi, m, n, horizon, rungs)
-        assert rep.counts[trial] == count, (fs, m, n, psi.describe(), precision, trial)
-        passes.append(passed)
-    want = np.array(passes, dtype=bool)
-    assert rep.rung_fractions == {h: float(want[:, i].mean()) for i, h in enumerate(rungs)}
-    assert rep.persistent_fraction == float(want.all(axis=1).mean())
-
-
 @pytest.mark.parametrize("p,e", _FIELDS)
 def test_kg_rank_count_matches_hankel_trial(p, e):
     fs = field_spec(p, e)
+    shapes = []
     for m, n in itertools.product((1, 2), repeat=2):
         # the largest horizon with at most 4000 unit classes; n = 2 is left
         # out for s = 125, where H = 1 already has 1,968,876 classes
         horizon = 1
         while (fs.s ** (n * (horizon + 2)) - 1) // (fs.s - 1) <= 4000:
             horizon += 1
-        if (fs.s ** (n * (horizon + 1)) - 1) // (fs.s - 1) > 20_000:
-            continue
-        for psi in _kg_psis(fs.s):
-            need = _required_precision(psi, m, n, horizon)
-            for precision in (need, need + 3):
-                _assert_kg_matches_hankel_trial(fs, psi, m, n, horizon, precision, 3, 5)
-
-
-def test_kg_rank_count_matches_hankel_trial_at_the_trial_batch_shape():
-    # the kg-mc item of the trial-batch benchmark: p = 2, n = 1, H = 12
-    psi = power_law(2, tau=1.0)
-    need = _required_precision(psi, 1, 1, 12)
-    _assert_kg_matches_hankel_trial(F2, psi, 1, 1, 12, need, 40, 1002)
+        if (fs.s ** (n * (horizon + 1)) - 1) // (fs.s - 1) <= 20_000:
+            shapes.append((m, n, horizon))
+    if fs.s == 2:
+        shapes.append((1, 1, 12))  # the kg-mc item of the trial-batch benchmark
+    psis = (power_law(fs.s, tau=1.0), power_law(fs.s, c=0.5, tau=1.3), PsiLogPower(fs.s, 2.0))
+    trials, seed = 3, 5
+    for (m, n, horizon), psi in itertools.product(shapes, psis):
+        rungs = persistence_ladder(horizon)
+        need = _required_precision(psi, m, n, horizon)
+        for precision in (need, need + 3):
+            rep = kg_monte_carlo(fs, psi, m, n, trials, horizon, seed, precision=precision)
+            passes = []
+            for trial in range(trials):
+                rows = sample_matrix(fs, stream(seed, "kg-mc", trial), m, n, precision)
+                count, passed = oracles.hankel_trial(rows, psi, m, n, horizon, rungs)
+                assert rep.counts[trial] == count, (fs, m, n, psi.describe(), precision)
+                passes.append(passed)
+            want = np.array(passes)
+            assert rep.rung_fractions == {h: want[:, i].mean() for i, h in enumerate(rungs)}
+            assert rep.persistent_fraction == want.all(axis=1).mean()
 
 
 def _zero_block_cases(fs, rng):
