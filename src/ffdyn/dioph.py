@@ -506,24 +506,26 @@ def _kg_rank_count(fs, rows, depths, rungs):
     the q with max deg <= d whose first k tail coefficients vanish form the
     left kernel V(d, k) of the functional matrix whose rows are the
     monomials e_c X^j (j <= d) and whose columns are the pairs (u < k, i).
-    With the rows ordered by degree, one rank profile per distinct depth k
-    gives dim V(d, k) for every d, and the classes of degree exactly d
-    admitted at depth k number (s^dim V(d, k) - s^dim V(d-1, k)) / (s - 1).
+    With the rows ordered by degree and the columns by u, one elimination
+    gives the rank behind dim V(d, k) for every d and k, and the classes of
+    degree exactly d admitted at depth k number
+    (s^dim V(d, k) - s^dim V(d-1, k)) / (s - 1).
     """
     m, n, horizon, depth = len(rows), len(rows[0]), len(depths) - 1, max(depths)
     precision = rows[0][0].prec
     windows = np.array([[a.window(0, precision) for a in row] for row in rows])
     index = 1 + np.add.outer(np.arange(horizon + 1), np.arange(depth))
     functionals = windows[:, :, index].transpose(2, 1, 3, 0)
-    functionals = functionals.reshape(n * (horizon + 1), depth * m)
-    dims = {}
-    for k in set(depths):
-        ranks = np.cumsum(fs.rank_profile(functionals[:, : k * m]))[n - 1 :: n]
-        dims[k] = [0] + (n * np.arange(1, horizon + 2) - ranks).tolist()
+    pivots = fs.pivot_columns(functionals.reshape(n * (horizon + 1), depth * m)).tolist()
     s = fs.s
     count, top = 0, -1
     for d, k in enumerate(depths):
-        admitted = (s ** dims[k][d + 1] - s ** dims[k][d]) // (s - 1)
+        # dim V(e - 1, k): the n e rows of degree < e less their pivots
+        # among the first k m columns
+        low, high = (
+            n * e - sum(0 <= c < k * m for c in pivots[: n * e]) for e in (d, d + 1)
+        )
+        admitted = (s**high - s**low) // (s - 1)
         if admitted:
             count += admitted
             top = d

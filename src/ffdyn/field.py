@@ -434,15 +434,22 @@ class FieldSpec:
     def rank_profile(self, a: np.ndarray) -> np.ndarray:
         """Boolean per row of the 2-D code array a: whether the row is
         independent of the rows above it, so the rank of the first k rows is
-        the number of True among them.
+        the number of True among them."""
+        return self.pivot_columns(a) >= 0
 
-        Column elimination: the first row left with a nonzero entry is the
-        next pivot row, and one of its nonzero columns is cleared from the
-        others, which zeroes the row (and that column) from then on.  Column
-        operations keep the rank of every set of rows.
+    def pivot_columns(self, a: np.ndarray) -> np.ndarray:
+        """Per row of the 2-D code array a, its pivot column, or -1 when the
+        row depends on the rows above it.  The rank of the first k rows on
+        the first c columns is the number of pivots below c among them.
+
+        Elimination in row order: the first row left with a nonzero entry
+        is the next pivot row, and its leftmost nonzero column is cleared
+        from the rows below, which zeroes the row from then on.  Each step
+        adds a multiple of that column to later columns only, so it keeps
+        the rank of every set of rows on every leading set of columns.
         """
         r = np.array(a, dtype=np.int64)
-        pivots = np.zeros(r.shape[0], dtype=bool)
+        pivots = np.full(r.shape[0], -1, dtype=np.int64)
         row = 0
         while row < r.shape[0]:
             live = r[row:].any(axis=1)
@@ -450,8 +457,8 @@ class FieldSpec:
             if not live[step]:
                 break
             row += step
-            pivots[row] = True
-            col = int(r[row].argmax())
+            col = int(r[row].astype(bool).argmax())
+            pivots[row] = col
             lead = self.scale_arr(self.inv(int(r[row, col])), r[row:, col])
             if self.e == 1:
                 r[row:] = (r[row:] - lead[:, None] * r[row]) % self.p

@@ -334,9 +334,14 @@ def test_rank_profile_matches_digit_oracle(fs):
         a[-1] = fs.scale_arr(int(rng.integers(1, fs.s)), a[0])
         got = fs.rank_profile(a)
         assert got.shape == (n_rows,) and got.dtype == bool
+        pivots = fs.pivot_columns(a)
         for k in range(n_rows + 1):
             want = oracles.gf_rank(a[:k].tolist(), fs.p, fs.modulus)
             assert int(got[:k].sum()) == want
+            # the pivots also give the rank on every leading set of columns
+            for c in range(n_cols + 1):
+                want = oracles.gf_rank(a[:k, :c].tolist(), fs.p, fs.modulus)
+                assert int(((pivots[:k] >= 0) & (pivots[:k] < c)).sum()) == want
         assert not got[-1] or n_rows == 1
     assert fs.rank_profile(np.zeros((3, 0), dtype=np.int64)).tolist() == [False] * 3
     assert fs.rank_profile(np.zeros((0, 2), dtype=np.int64)).size == 0
