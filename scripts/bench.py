@@ -17,11 +17,14 @@ The record holds:
 - ``sha256sums``: ``runs/SHA256SUMS`` from those runs, as {artifact: sha256}
   (the script fails if two runs disagree, since a faster checkout must
   make the same artifacts);
+- ``tier1``: one run of the Tier-1 suite (``python -m pytest -q
+  --continue-on-collection-errors`` with ``--durations=10``): its wall
+  time, its result line and its ten slowest test phases;
 - ``machine``: the git commit (marked dirty if edited), CPU model, CPU count, Python and numpy.
 
 Without ``--out`` the file is ``BENCH_<n>.json`` in the checkout's root,
 with n one past the highest already there (0 for the first).  With
-``run_seconds`` at 30 a record takes about four minutes.
+``run_seconds`` at 30 a record takes about four minutes plus the suite.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +94,25 @@ def sample_config_runs() -> tuple[dict, dict]:
     return configs, digests
 
 
+def tier1_suite() -> dict:
+    """{"wall_s", "result", "slowest"} of one Tier-1 run; a failing test
+    is recorded in the result line, not raised."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    cmd.append("--durations=10")
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, env=_env(), capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode not in (0, 1):  # 1: some test failed
+        raise SystemExit(f"the Tier-1 suite did not run:\n{proc.stdout}{proc.stderr}")
+    lines = proc.stdout.splitlines()
+    slowest = []
+    for line in lines:
+        m = re.fullmatch(r"([\d.]+)s (setup|call|teardown)\s+(\S.*)", line.strip())
+        if m:
+            slowest.append({"test": m[3], "phase": m[2], "seconds": float(m[1])})
+    return {"wall_s": round(wall, 2), "result": lines[-1].strip("= "), "slowest": slowest}
+
+
 def machine() -> dict:
     import numpy as np
 
@@ -139,6 +162,7 @@ def main(argv=None) -> int:
         },
         "sample_configs": configs,
         "sha256sums": digests,
+        "tier1": tier1_suite(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
