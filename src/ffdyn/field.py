@@ -300,6 +300,15 @@ class FieldSpec:
     def sub_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.add_arr(a, self.neg_arr(b))
 
+    def submul_arr(self, a: np.ndarray, c, b: np.ndarray) -> np.ndarray:
+        """a - c b, for a code c or a code array c broadcast against b: the
+        one update of every elimination step."""
+        if self.p == 2:
+            return a ^ (c & b if self.e == 1 else self.mul_arr(c, b))
+        if self.e == 1:
+            return (a - c * b) % self.p
+        return self.add_arr(a, self.mul_arr(self.neg_arr(c), b))
+
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
             return (a * b) % self.p
@@ -460,10 +469,7 @@ class FieldSpec:
             col = int(r[row].astype(bool).argmax())
             pivots[row] = col
             lead = self.scale_arr(self.inv(int(r[row, col])), r[row:, col])
-            if self.e == 1:
-                r[row:] = (r[row:] - lead[:, None] * r[row]) % self.p
-            else:
-                r[row:] = self.sub_arr(r[row:], self.mul_arr(lead[:, None], r[row]))
+            r[row:] = self.submul_arr(r[row:], lead[:, None], r[row])
             row += 1
         return pivots
 

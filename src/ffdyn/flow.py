@@ -23,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BracketError, CertificationError, FieldError
+from .errors import BracketError, CertificationError, FieldError, LatticeError
 from .field import FieldSpec, LaurentSeries, Poly, field_spec
-from .lattice import DeltaValue, LatticeBasis, _pivot_of, _reduce_packed
+from .lattice import DeltaValue, LatticeBasis, _column_pivots, _reduce_packed
 from .streams import stream
 
 DEFAULT_BURN_IN = 8
@@ -431,8 +431,10 @@ def _plane_rungs(
     c = lead(r0) / lead(r1), read from the log tables; a plane's bit length
     gives its degree plus one, and the lead code has bit j set where plane
     j reaches the top degree.  A quotient is one int holding its codes in
-    e-bit fields, degree i at bits e i and up.  Over F_2 every lead is 1, so
-    a step is one shift and one XOR, with no lead code and no lookup.
+    e-bit fields, degree i at bits e i and up.  A step that leaves r0's
+    degree where it was would repeat forever, so it raises LatticeError.
+    Over F_2 every lead is 1, so a step is one shift and one XOR, with no
+    lead code, no lookup and no such check.
     """
     degs, quotients = [], []
     if fs.e == 1:
@@ -472,6 +474,8 @@ def _plane_rungs(
                 b = r.bit_length()
                 if b >= top0:
                     top0, lead0 = b, (lead0 if b == top0 else 0) | 1 << j
+            if top0 >= k + top1:
+                raise LatticeError("a ladder step did not lower the remainder's degree")
             q |= c << (k * e)
         degs.append(top1 - 1)
         quotients.append(q)
@@ -630,7 +634,10 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     """The incremental reduction engine along the flow, t = 0..T.
 
     Keeps W = X^M g_t u_A U in weak Popov form, U the cumulative unimodular
-    transform, and yields (depth, needed, column) at each t.  needed is None
+    transform, and yields (depth, needed, column) at each t.  A step of the
+    flow shifts the rows of W by slice assignment, after which every
+    column's (degree, pivot) is read in one ``_column_pivots`` pass and
+    ``_reduce_packed`` restores the form.  needed is None
     when every column of U is certified at t, else the input precision that
     would certify them all; column is the U column of the shortest reduced
     vector trimmed to its degree, (p_1..p_m, q_1..q_n) in the basis u_A.
@@ -646,8 +653,6 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     _, W0 = basis.packed(scale=M)
     W = np.zeros((r, r, L), dtype=np.int64)
     W[:, :, : W0.shape[2]] = W0
-    degrees = np.empty(r, dtype=np.int64)
-    pivots = np.empty(r, dtype=np.int64)
     # transform degrees stay well below twice (initial column degrees plus
     # flow stretch); the reducer raises before overflowing the buffer
     U = np.zeros((r, r, 2 * (r * M + 2 * m * n * T) + 16), dtype=np.int64)
@@ -655,14 +660,12 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     udegrees = np.zeros(r, dtype=np.int64)
     for t in range(T + 1):
         if t:
-            top = np.roll(W[:m], n, axis=2)
-            top[:, :, :n] = 0
-            W[:m] = top
-            bot = np.roll(W[m:], -m, axis=2)
-            bot[:, :, -m:] = 0
-            W[m:] = bot
-        for j in range(r):
-            degrees[j], pivots[j] = _pivot_of(W[:, j, :])
+            # g_1 multiplies the first m rows by X^n and divides the rest by X^m
+            W[:m, :, n:] = W[:m, :, :-n]
+            W[:m, :, :n] = 0
+            W[m:, :, :-m] = W[m:, :, m:]
+            W[m:, :, -m:] = 0
+        degrees, pivots = _column_pivots(W)
         _reduce_packed(fs, W, U, degrees, pivots, udegrees)
         needed = None
         if N is not None:

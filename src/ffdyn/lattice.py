@@ -204,21 +204,26 @@ class ReducedBasis:
 # packed-array reduction core (shared with the flow module)
 
 
-def _col_entry_degrees(col: np.ndarray) -> np.ndarray:
-    """Entry degrees of one packed column [r, L]; -1 marks zero entries."""
-    mask = col != 0
-    has = mask.any(axis=1)
-    last = col.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
-    return np.where(has, last, -1)
-
-
 def _pivot_of(col: np.ndarray) -> tuple[int, int]:
-    """(degree, pivot row) with the lowest row index among maximal degrees."""
-    degs = _col_entry_degrees(col)
-    d = int(degs.max())
-    if d < 0:
+    """(degree, pivot row) with the lowest row index among maximal degrees:
+    the column's degree is its last nonzero coefficient slice, and the
+    pivot the first nonzero row of that slice."""
+    live = col.any(axis=0).nonzero()[0]
+    if not live.size:
         return -1, -1
-    return d, int(np.argmax(degs == d))
+    d = int(live[-1])
+    return d, int(col[:, d].nonzero()[0][0])
+
+
+def _column_pivots(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_pivot_of`` of every column of a packed [r, c, L] array, as two
+    int64 arrays (degrees, pivots)."""
+    live = W.any(axis=0)
+    deg = live.shape[1] - 1 - live[:, ::-1].argmax(axis=1)
+    # a zero column's slice at L - 1 is zero, like every other of its slices
+    lead = W[:, np.arange(W.shape[1]), deg] != 0
+    zero = ~lead.any(axis=0)
+    return np.where(zero, -1, deg), np.where(zero, -1, lead.argmax(axis=0))
 
 
 def _reduce_packed(
@@ -232,11 +237,12 @@ def _reduce_packed(
 ) -> int:
     """Drive (W, U) to weak Popov form in place; returns steps taken.
 
-    ``degrees``/``pivots`` (of the columns of W) and ``udegrees`` (of the
-    columns of U) must hold current per-column values on entry and are
-    maintained.  Collisions are resolved deterministically: among columns
-    sharing the lowest colliding pivot row, the one with larger (degree,
-    index) is reduced against the smaller.
+    ``degrees``/``pivots`` (of the columns of W, as ``_column_pivots`` gives
+    them) and ``udegrees`` (of the columns of U) must hold current
+    per-column values on entry; each step is one ``_simple_transform``,
+    which keeps them current.  Collisions are resolved deterministically:
+    among columns sharing the lowest colliding pivot row, the one with
+    larger (degree, index) is reduced against the smaller.
     """
     r = W.shape[0]
     if max_steps is None:
@@ -273,26 +279,30 @@ def _simple_transform(fs, W, U, degrees, pivots, udegrees, keep: int, red: int) 
     """Column red -= c X^e column keep, cancelling the pivot of red.
 
     Column keep of W has degree dk and column keep of U degree
-    udegrees[keep], so only the windows they reach are updated."""
+    udegrees[keep], so only the windows they reach are updated, each by one
+    ``submul_arr``.  The new degree of red is at most its old one, dr, so
+    its (degree, pivot) is read from the slice W[:, red, dr] while that is
+    nonzero, and from a ``_pivot_of`` scan below dr once it is zero."""
     row = int(pivots[keep])
     dk, dr = int(degrees[keep]), int(degrees[red])
     e = dr - dk
     c = fs.mul(int(W[row, red, dr]), fs.inv(int(W[row, keep, dk])))
-    seg = fs.scale_arr(c, W[:, keep, : dk + 1])
-    W[:, red, e : dr + 1] = fs.sub_arr(W[:, red, e : dr + 1], seg)
+    W[:, red, e : dr + 1] = fs.submul_arr(W[:, red, e : dr + 1], c, W[:, keep, : dk + 1])
     uk, ur = int(udegrees[keep]), int(udegrees[red])
     top = uk + e
     if top >= U.shape[2]:
         raise LatticeError("transform buffer overflow")  # guarded by caller sizing
-    useg = fs.scale_arr(c, U[:, keep, : uk + 1])
-    U[:, red, e : top + 1] = fs.sub_arr(U[:, red, e : top + 1], useg)
+    U[:, red, e : top + 1] = fs.submul_arr(U[:, red, e : top + 1], c, U[:, keep, : uk + 1])
     if top > ur:
         udegrees[red] = top
-    elif top == ur:
-        # the leading terms may cancel; nothing above top is nonzero
-        nz = np.nonzero(U[:, red, : top + 1])[1]
-        udegrees[red] = int(nz.max()) if nz.size else 0
-    degrees[red], pivots[red] = _pivot_of(W[:, red, : dr + 1])
+    elif top == ur and not U[:, red, top].any():
+        # the leading terms cancelled; nothing above top is nonzero
+        udegrees[red] = max(_pivot_of(U[:, red, :top])[0], 0)
+    lead = W[:, red, dr].nonzero()[0]
+    if lead.size:
+        pivots[red] = lead[0]
+    else:
+        degrees[red], pivots[red] = _pivot_of(W[:, red, :dr])
 
 
 def weak_popov(basis: LatticeBasis) -> ReducedBasis:
@@ -301,10 +311,7 @@ def weak_popov(basis: LatticeBasis) -> ReducedBasis:
     M, W = basis.packed()
     r = basis.rank
     W = W.copy()
-    degrees = np.empty(r, dtype=np.int64)
-    pivots = np.empty(r, dtype=np.int64)
-    for j in range(r):
-        degrees[j], pivots[j] = _pivot_of(W[:, j, :])
+    degrees, pivots = _column_pivots(W)
     # U entry degrees stay below 2 * (sum of column degrees) throughout
     budget = 2 * int(degrees.clip(min=0).sum()) + 8
     U = np.zeros((r, r, budget + 1), dtype=np.int64)
@@ -385,7 +392,7 @@ def _nullspace(fs: FieldSpec, A: np.ndarray) -> np.ndarray:
         R[row] = fs.scale_arr(inv, R[row])
         for i in range(m):
             if i != row and R[i, col]:
-                R[i] = fs.sub_arr(R[i], fs.scale_arr(int(R[i, col]), R[row]))
+                R[i] = fs.submul_arr(R[i], int(R[i, col]), R[row])
         pivot_cols.append(col)
         row += 1
         if row == m:
@@ -435,9 +442,7 @@ def _short_vector_array(basis: LatticeBasis, norm_bound: float, cap: int):
         )
     if delta_cap < 0:
         return none
-    col_degs = sorted(
-        (int(_col_entry_degrees(P[:, j, :]).max()) for j in range(r)), reverse=True
-    )
+    col_degs = sorted(_column_pivots(P)[0].tolist(), reverse=True)
     det_deg = _poly_det_degree(fs, P)
     qdeg = sum(col_degs[: r - 1]) + delta_cap - det_deg
     if basis.window is not None:

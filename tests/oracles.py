@@ -4,7 +4,7 @@ Everything here is deliberately naive: schoolbook polynomial arithmetic on
 Python lists, dict-based series products, literal box enumerations, Fraction
 arithmetic for exact identities, discrete-log tables built one product per
 element, the full-width weak Popov reduction the package's windowed one is
-checked against, the two Monte Carlo backends one step or one sample at a
+checked against (alone and along the flow), the two Monte Carlo backends one step or one sample at a
 time, and the candidate walks one candidate at a time.  Nothing imports from
 ffdyn, so agreement between these and the package is a real cross-check,
 not a tautology.  The five exceptions are ``slow_trial``, which evaluates
@@ -517,8 +517,9 @@ def excursion_tail(q: int, r: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Full-width weak Popov reduction of packed arrays W [r, r, L] (W[i, j, d] is
-# the X^d coefficient of entry (i, j)) with transform U.  Every simple
-# transformation updates whole columns and every degree comes from a scan.
+# the X^d coefficient of entry (i, j)) with transform U, alone and along the
+# flow.  Every simple transformation updates whole columns by scale_arr and
+# sub_arr, and every degree comes from a scan.
 # ``fs`` is any object with the field operations mul, inv, scale_arr and
 # sub_arr on integer codes.
 
@@ -585,6 +586,31 @@ def reduce_packed_full_width(fs, W, U, degrees, pivots, max_steps=None) -> int:
         steps += 1
         if steps > max_steps:
             raise ValueError("reduction did not terminate")
+
+
+def flow_reduction_reference(fs, W, U, m: int, n: int, T: int) -> list[tuple]:
+    """The incremental reduction along the flow, t = 0..T, in place on the
+    packed basis W and transform U: each t shifts the first m rows of W up
+    by n degrees and the rest down by m (np.roll, wrapped slices zeroed),
+    scans every column for its pivot and reduces at full width.  Returns,
+    per t, (degrees and pivots after the shift, then W, U, degrees, pivots
+    and step count after the reduction)."""
+    states = []
+    for t in range(T + 1):
+        if t:
+            top = np.roll(W[:m], n, axis=2)
+            top[:, :, :n] = 0
+            W[:m] = top
+            bot = np.roll(W[m:], -m, axis=2)
+            bot[:, :, -m:] = 0
+            W[m:] = bot
+        scan = [packed_pivot(W[:, j, :]) for j in range(W.shape[1])]
+        degrees = np.array([d for d, _ in scan], dtype=np.int64)
+        pivots = np.array([i for _, i in scan], dtype=np.int64)
+        shifted = (degrees.copy(), pivots.copy())
+        steps = reduce_packed_full_width(fs, W, U, degrees, pivots)
+        states.append((*shifted, W.copy(), U.copy(), degrees, pivots, steps))
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,39 @@ def _kernel_operands(fs, rng):
     yield np.array([0, 1], dtype=np.int64)
 
 
+@pytest.mark.parametrize(
+    "fs", KERNEL_FIELDS + [FieldSpec(2, 11), FieldSpec(3, 7)], ids=lambda f: f"p{f.p}e{f.e}"
+)
+def test_submul_matches_digit_oracle(fs):
+    # the two fields past the table bound take the log-table path
+    p, mod = fs.p, fs.modulus
+    rng = np.random.default_rng(fs.s + 7)
+    a = rng.integers(0, fs.s, size=(4, 9))
+    b = rng.integers(0, fs.s, size=9)
+    a[0] = 0
+    a[1:, :2] = 0
+    b[3:5] = 0
+    before = (a.copy(), b.copy())
+
+    def want(cs):
+        return [
+            [
+                oracles.gf_add(x, oracles.gf_neg(oracles.gf_mul(c, y, p, mod), p, mod), p, mod)
+                for x, y in zip(row, b.tolist())
+            ]
+            for row, c in zip(a.tolist(), cs)
+        ]
+
+    units = range(1, fs.s) if fs.s <= 125 else rng.integers(1, fs.s, size=6).tolist()
+    for c in [0, *units]:
+        assert fs.submul_arr(a, c, b).tolist() == want([c] * 4)
+    # a (B, 1) column of codes against a row, as pivot_columns calls it
+    cs = rng.integers(0, fs.s, size=(4, 1))
+    cs[:2, 0] = 0, 1
+    assert fs.submul_arr(a, cs, b).tolist() == want(cs[:, 0].tolist())
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+
 @pytest.mark.parametrize("fs", KERNEL_FIELDS, ids=lambda f: f"p{f.p}e{f.e}")
 def test_polymul_matches_digit_oracle(fs):
     rng = np.random.default_rng(fs.s)

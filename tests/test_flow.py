@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ffdyn.errors import BracketError, CertificationError, FieldError
+from ffdyn import flow
+from ffdyn.errors import BracketError, CertificationError, FieldError, LatticeError
 from ffdyn.field import LaurentSeries, field_spec
 from ffdyn.flow import (
     DriftVector,
@@ -378,6 +379,20 @@ def test_cf_ladder_on_long_inputs_matches_array_euclid(e):
     assert len(want[0]) > 9  # the leading zeros made a long first quotient
 
 
+@pytest.mark.parametrize("e", [3, 4])
+def test_plane_ladder_raises_when_a_step_keeps_the_degree(e, monkeypatch):
+    # with each code's rows transposed a step multiplies r1 by the wrong
+    # matrix, which leaves r0's leading term in place; unchecked, the
+    # ladder would then repeat that step forever
+    log, antilog, rows = flow._plane_tables(e)
+    transposed = [tuple(tuple(j for j in range(e) if i in m[j]) for i in range(e)) for m in rows[1:]]
+    assert transposed != list(rows[1:])
+    monkeypatch.setattr(flow, "_plane_tables", lambda e: (log, antilog, ((),) + tuple(transposed)))
+    coeffs = stream(16, "test", e).integers(0, 2**e, size=40)
+    with pytest.raises(LatticeError, match="did not lower"):
+        _cf_ladder(field_spec(2, e), coeffs, horizon=coeffs.size)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.sampled_from([2, 3]),
@@ -456,6 +471,47 @@ def test_trajectory_generic_multirow_matches_static_reduction():
         assert dv.certified
         assert traj.deltas[t] == dv.value
     assert np.abs(np.diff(traj.deltas)).max() <= 2
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+def test_trajectory_engine_matches_full_width_reference(p, e, monkeypatch):
+    # every t of the engine, before and after its reduction, against the
+    # np.roll shift, per-column pivot scans and full-width transforms
+    fs = field_spec(p, e)
+    real = flow._reduce_packed
+    seen = []
+
+    def recording(fs_, W, U, degrees, pivots, udegrees):
+        shifted = (W.copy(), degrees.copy(), pivots.copy())
+        steps = real(fs_, W, U, degrees, pivots, udegrees)
+        seen.append((*shifted, W.copy(), U.copy(), degrees.copy(), pivots.copy(), steps))
+        assert list(udegrees) == oracles.column_degrees(U)
+        return steps
+
+    monkeypatch.setattr(flow, "_reduce_packed", recording)
+    T = 10
+    total = 0
+    for m, n in ((1, 2), (2, 1), (2, 2)):
+        spec = FlowSpec(fs, m, n)
+        A = sample_matrix(fs, stream(17, "test", 100 * fs.s + 10 * m + n), m, n, (m + n) * T)
+        seen.clear()
+        depths = [d for d, _, _ in flow._trajectory_generic(spec, A, T)]
+        basis = unipotent_lattice(A, spec)
+        M = max(basis.scaling_exponent(), m * T)
+        W = np.zeros_like(seen[0][0])
+        W[:, :, : M + 1] = basis.packed(scale=M)[1]
+        assert np.array_equal(W, seen[0][0])
+        U = np.zeros_like(seen[0][4])
+        U[:, :, 0] = np.eye(m + n, dtype=np.int64)
+        want = oracles.flow_reduction_reference(fs, W, U, m, n, T)
+        assert len(seen) == len(want) == T + 1
+        for t, (got, ref) in enumerate(zip(seen, want)):
+            assert got[1].tolist() == ref[0].tolist() and got[2].tolist() == ref[1].tolist()
+            for a, b in zip(got[3:], ref[2:]):
+                assert np.array_equal(a, b), (m, n, t)
+            assert depths[t] == M - int(ref[4].min())
+        total += sum(ref[-1] for ref in want)
+    assert total > 0
 
 
 def test_trajectory_method_validation():

@@ -99,6 +99,22 @@ def test_windowed_reduction_matches_full_width_reference(p, e, monkeypatch):
     assert total > 0
 
 
+def test_column_pivots_match_the_pivot_scan():
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        r, c, L = (int(x) for x in rng.integers(1, 6, size=3))
+        W = rng.integers(0, 5, size=(r, c, L))
+        W[rng.random(W.shape) < 0.5] = 0
+        W[:, int(rng.integers(c))] = 0  # a zero column
+        if trial % 2:
+            W[:, :, -1] = 0  # no column reaches the last slice
+        degrees, pivots = lattice._column_pivots(W)
+        assert degrees.dtype == pivots.dtype == np.int64
+        want = [oracles.packed_pivot(W[:, j, :]) for j in range(c)]
+        assert list(zip(degrees.tolist(), pivots.tolist())) == want
+        assert [lattice._pivot_of(W[:, j, :]) for j in range(c)] == want
+
+
 def test_transform_buffer_overflow_raises():
     # columns (1, 0) and (X, 1) collide in row 0 with shift e = 1, which a
     # transform buffer one coefficient wide cannot hold
@@ -389,7 +405,7 @@ def test_enumerate_cap_is_checked_on_the_exact_count():
 
 def test_enumerate_kernel_and_literal_agree():
     b = basis_from_text(F3, [["X^2 + 1", "2*X"], ["X", "X^2 + 2"]])
-    from ffdyn.lattice import _col_entry_degrees, _enumerate_kernel, _poly_det_degree
+    from ffdyn.lattice import _enumerate_kernel, _poly_det_degree
 
     M, P = b.packed()
     lit = sorted(oracles.enumerate_literal(F3, P, 2, 1))
@@ -419,7 +435,7 @@ def test_enumerate_kernel_and_literal_agree():
         # the same P as the windowed basis X^-2 P, known through index 2, at
         # the norm bound whose Cramer box is the one above
         det_deg = _poly_det_degree(fs, P)
-        top = max(int(_col_entry_degrees(P[:, j, :]).max()) for j in range(2))
+        top = max(oracles.packed_pivot(P[:, j, :])[0] for j in range(2))
         delta_cap = qdeg + det_deg - top
         rows = [[LaurentSeries(fs, 0, P[i, j, ::-1], prec=3) for j in range(2)] for i in range(2)]
         vecs = enumerate_short_vectors(LatticeBasis(fs, rows), float(fs.s) ** (delta_cap - 2))
