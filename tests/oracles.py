@@ -4,7 +4,7 @@ Everything here is deliberately naive: schoolbook polynomial arithmetic on
 Python lists, dict-based series products, literal box enumerations, Fraction
 arithmetic for exact identities, discrete-log tables built one product per
 element, the full-width weak Popov reduction the package's windowed one is
-checked against (alone and along the flow), the two Monte Carlo backends one step or one sample at a
+checked against, the two Monte Carlo backends one step or one sample at a
 time, and the candidate walks one candidate at a time.  Nothing imports from
 ffdyn, so agreement between these and the package is a real cross-check,
 not a tautology.  The five exceptions are ``slow_trial``, which evaluates

@@ -385,9 +385,11 @@ def test_plane_ladder_raises_when_a_step_keeps_the_degree(e, monkeypatch):
     # matrix, which leaves r0's leading term in place; unchecked, the
     # ladder would then repeat that step forever
     log, antilog, rows = flow._plane_tables(e)
-    transposed = [tuple(tuple(j for j in range(e) if i in m[j]) for i in range(e)) for m in rows[1:]]
-    assert transposed != list(rows[1:])
-    monkeypatch.setattr(flow, "_plane_tables", lambda e: (log, antilog, ((),) + tuple(transposed)))
+    transposed = tuple(
+        tuple(tuple(j for j in range(e) if i in m[j]) for i in range(e)) for m in rows[1:]
+    )
+    assert transposed != rows[1:]
+    monkeypatch.setattr(flow, "_plane_tables", lambda e: (log, antilog, ((),) + transposed))
     coeffs = stream(16, "test", e).integers(0, 2**e, size=40)
     with pytest.raises(LatticeError, match="did not lower"):
         _cf_ladder(field_spec(2, e), coeffs, horizon=coeffs.size)
