@@ -17,6 +17,12 @@ The record holds:
 - ``sha256sums``: ``runs/SHA256SUMS`` from those runs, as {artifact: sha256}
   (the script fails if two runs disagree, since a faster checkout must
   make the same artifacts);
+- ``threaded_configs``: {tag: {"runs_s", "median_s"}} as in
+  ``sample_configs``, for the sample config of each experiment that
+  shards its trials over processes (``THREADED_TAGS``), each run three
+  times with ``--threads`` at the usable CPU count (recorded as
+  ``threads``); the script fails if an artifact differs from
+  ``sha256sums``;
 - ``tier1``: one run of the Tier-1 suite (``python -m pytest -q
   --continue-on-collection-errors`` with ``--durations=10``): its wall
   time, its result line and its ten slowest test phases;
@@ -30,6 +36,7 @@ with n one past the highest already there (0 for the first).  With
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -37,12 +44,14 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 RUNS = 3  # runs of the sample configs
+THREADED_TAGS = ("kg-mc", "strong-bc", "tree-loglaw")
 
 
 def _env() -> dict:
@@ -92,6 +101,31 @@ def sample_config_runs() -> tuple[dict, dict]:
         digest, path = line.split(maxsplit=1)
         digests[path.removeprefix("./")] = digest
     return configs, digests
+
+
+def threaded_config_runs(digests: dict) -> dict:
+    """{"threads", tag: {"runs_s", "median_s"}} over RUNS runs of each
+    THREADED_TAGS sample config at --threads = the usable CPU count."""
+    threads = len(os.sched_getaffinity(0))
+    out: dict = {"threads": threads}
+    for tag in THREADED_TAGS:
+        walls = []
+        for _ in range(RUNS):
+            with tempfile.TemporaryDirectory() as tmp:
+                cmd = [sys.executable, "-m", "ffdyn", tag]
+                cmd += ["--config", f"scripts/configs/{tag}.cfg", "--out", tmp]
+                cmd += ["--threads", str(threads)]
+                proc = subprocess.run(cmd, cwd=ROOT, env=_env(), capture_output=True, text=True)
+                if proc.returncode != 0:
+                    raise SystemExit(f"{tag} --threads {threads} failed:\n{proc.stdout}{proc.stderr}")
+                rep = json.loads((Path(tmp) / f"{tag}-report.json").read_text())
+                artifact = Path(tmp) / rep["artifact"]
+                digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+                if digest != digests[f"{tag}/{rep['artifact']}"]:
+                    raise SystemExit(f"{tag} at --threads {threads} made a different artifact")
+                walls.append(rep["wall_clock_seconds"])
+        out[tag] = {"runs_s": walls, "median_s": statistics.median(walls)}
+    return out
 
 
 def tier1_suite() -> dict:
@@ -162,6 +196,7 @@ def main(argv=None) -> int:
         },
         "sample_configs": configs,
         "sha256sums": digests,
+        "threaded_configs": threaded_config_runs(digests),
         "tier1": tier1_suite(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
