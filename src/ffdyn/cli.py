@@ -16,8 +16,10 @@ Every run writes two files into the output directory: the data artifact
 Artifacts carry a schema stamp in-file (CSV first line, JSON top-level
 field) and contain no timing, so re-runs with the same config, seed and
 package version are byte-identical.  ``--threads`` (and the ``threads``
-config key) is accepted by every experiment and has no effect: trials run
-one after another in one thread.  The
+config key) is accepted by every experiment.  kg-mc, strong-bc and
+tree-loglaw run their trials in up to that many worker processes, capped
+at the usable CPUs, and write the same artifacts for every thread count;
+the other experiments run in one process.  The
 report echoes the resolved config, the experiment summary, the version
 and the verdict against any configured thresholds; its wall-clock entry
 is the one intentionally non-reproducible field.
@@ -484,6 +486,7 @@ def _run_kg_mc(config: ExperimentConfig):
         config.q_max,
         config.seed,
         precision=config.precision,
+        threads=config.threads,
     )
     rows = [(int(r), float(report.rung_fractions[r])) for r in report.rungs]
     return ("rung", "fraction"), rows, report.summary(), "persistent_fraction"
@@ -558,6 +561,7 @@ def _run_strong_bc(config: ExperimentConfig):
         config.trials,
         config.seed,
         precision=config.precision,
+        threads=config.threads,
         **kwargs,
     )
     summary = result.summary()
@@ -625,7 +629,13 @@ def _run_tree_loglaw(config: ExperimentConfig):
         rate = _rate_ladder(config.rate, config.rate_c, config.T, config.q, lY=lY)
         desc = f"{config.rate}(c={config.rate_c:g})"
     report = loglaw_experiment(
-        ray, config.trials, config.T, config.seed, rate=rate, rate_desc=desc
+        ray,
+        config.trials,
+        config.T,
+        config.seed,
+        rate=rate,
+        rate_desc=desc,
+        threads=config.threads,
     )
     rows = [
         (trial, int(level), float(ratio))

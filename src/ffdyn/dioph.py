@@ -44,7 +44,7 @@ from .lattice import (
     delta as lattice_delta,
     weak_popov,
 )
-from .streams import stream
+from .streams import map_trials, stream
 
 _EPS = 1e-9
 
@@ -450,9 +450,10 @@ def kg_monte_carlo(
     an admitted solution with deg q >= h.  Terminal solution counts (one
     per unit class of q) feed the convergent-side histogram; they are
     counted by ranks over F_s (``_kg_rank_count``), no candidate is built.
-    Trials draw from per-trial substreams of ``seed`` under ``tag``, one
-    after another: ``threads`` is accepted and has no effect.  Raises
-    EnumerationCapError above 1,000,000 unit classes of q.
+    Trials draw from per-trial substreams of ``seed`` under ``tag`` and run
+    in up to ``threads`` worker processes, capped at the usable CPUs
+    (``streams.map_trials``); the report is the same for every ``threads``.
+    Raises EnumerationCapError above 1,000,000 unit classes of q.
     """
     if psi.s != fs.s:
         raise ValueError("psi and the field use different values of s")
@@ -474,10 +475,12 @@ def kg_monte_carlo(
     depths = [
         min(window, _admission_depth(psi, m, n, d) - 1) for d in range(horizon + 1)
     ]
-    results = []
-    for trial in range(trials):
+
+    def trial_counts(trial):
         rows = sample_matrix(fs, stream(seed, tag, trial), m, n, precision)
-        results.append(_kg_rank_count(fs, rows, depths, rungs))
+        return _kg_rank_count(fs, rows, depths, rungs)
+
+    results = map_trials(trial_counts, trials, threads)
     counts = np.array([c for c, _ in results], dtype=np.int64)
     passes = np.array([p for _, p in results], dtype=bool)
     persistent = passes.all(axis=1)

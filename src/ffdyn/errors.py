@@ -42,3 +42,7 @@ class ConfigError(FFDynError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+    def __reduce__(self):
+        # args holds the joined message; rebuild from the list instead
+        return type(self), (self.violations,), self.__dict__

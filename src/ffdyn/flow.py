@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BracketError, CertificationError, FieldError, LatticeError
 from .field import FieldSpec, LaurentSeries, Poly, field_spec
 from .lattice import DeltaValue, LatticeBasis, _column_pivots, _reduce_packed
-from .streams import stream
+from .streams import map_trials, stream
 
 DEFAULT_BURN_IN = 8
 
@@ -862,12 +862,14 @@ def _event_matrix(
     burn_in: int,
     precision: int,
     tag: str,
+    threads: int = 1,
 ) -> np.ndarray:
-    """events[trial, t-1] = 1 iff Delta(g_(t+burn_in) u_A Z^r) >= thr[t-1]."""
+    """events[trial, t-1] = 1 iff Delta(g_(t+burn_in) u_A Z^r) >= thr[t-1];
+    the trials are sharded over ``threads`` processes by ``map_trials``."""
     T = int(thr.size)
     ts = np.arange(1, T + 1, dtype=np.int64) + burn_in
-    events = np.empty((trials, T), dtype=np.int8)
-    for trial in range(trials):
+
+    def events_row(trial):
         deltas, certf = _trial_depths(spec, stream(seed, tag, trial), precision, ts)
         if not certf.all():
             bad = int(np.argmin(certf)) + 1
@@ -875,8 +877,9 @@ def _event_matrix(
                 f"trial {trial} uncertified at t = {bad}; raise the precision",
                 needed_precision=2 * precision,
             )
-        events[trial] = deltas >= thr
-    return events
+        return deltas >= thr
+
+    return np.array(map_trials(events_row, trials, threads), dtype=np.int8).reshape(trials, T)
 
 
 def _phi_of_thresholds(table: TailTable, thresholds: np.ndarray) -> np.ndarray:
@@ -973,8 +976,9 @@ def strong_bc_experiment(
     expected sum uses the exact rank-2 tail when m = n = 1; other block
     shapes need a calibrated phi_table.  When the expected final sum is below
     the divergence floor the result is flagged convergent and counts are
-    reported raw.  Trials run one after another: ``threads`` is accepted
-    and has no effect.
+    reported raw.  The trials run in up to ``threads`` worker processes,
+    capped at the usable CPUs (``streams.map_trials``); the result is the
+    same for every ``threads``.
     """
     thr = np.ceil(np.asarray(thresholds, dtype=float) - 1e-9).astype(np.int64)
     T = int(thr.size)
@@ -990,7 +994,7 @@ def strong_bc_experiment(
     cps = _geometric_checkpoints(T, checkpoints)
     if precision is None:
         precision = 2 * (T + burn_in) + 96
-    events = _event_matrix(spec, thr, trials, seed, burn_in, precision, tag)
+    events = _event_matrix(spec, thr, trials, seed, burn_in, precision, tag, threads)
     counts = np.cumsum(events, axis=1, dtype=np.int64)[:, cps - 1]
     return StrongBCResult(
         spec=spec,

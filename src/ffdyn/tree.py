@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EnumerationCapError
 from .field import Poly, field_spec, prime_power
-from .streams import stream
+from .streams import map_trials, stream
 
 _ORACLE_CAP = 2_000_000
 
@@ -322,6 +322,7 @@ def loglaw_experiment(
     rate: np.ndarray | None = None,
     rate_desc: str | None = None,
     tag: str = "tree-loglaw",
+    threads: int = 1,
 ) -> LogLawReport:
     """Run independent walks and compare peak depth against log_q(t).
 
@@ -330,26 +331,33 @@ def loglaw_experiment(
     With thresholds r_t, reports the fraction of trials where the event
     {d_t >= r_t} still occurs in the last decade t in (T/10, T], plus the
     divergence classification of sum q^(-lY r_t) by partial-sum growth.
+    The walks run in up to ``threads`` worker processes, capped at the
+    usable CPUs (``streams.map_trials``); the report is the same for every
+    ``threads``.
     """
     if trials < 1 or T < 10:
         raise ValueError("need at least one trial and T >= 10")
     if rate is not None and len(rate) != T:
         raise ValueError("rate family must supply one threshold per step")
     log_T = math.log(T) / math.log(ray.q)
-    maxima = np.empty(trials, dtype=np.int64)
-    peak_counts = np.zeros(1, dtype=np.int64)  # histogram of completed peaks
-    decade_hits = 0
     cut = T // 10
-    for trial in range(trials):
+
+    def walk(trial):
+        """(peak level, histogram of completed peaks, last-decade hit)."""
         starts, heights = _excursions(ray, T, stream(seed, tag, trial))
-        maxima[trial] = heights.max()
         counts = np.bincount(heights[starts + 2 * heights <= T])
-        if counts.size > peak_counts.size:
-            peak_counts = np.pad(peak_counts, (0, counts.size - peak_counts.size))
-        peak_counts[: counts.size] += counts
+        hit = False
         if rate is not None:
             levels = _levels(starts, heights, T)
-            decade_hits += bool(np.any(levels[cut:] >= rate[cut:]))
+            hit = bool(np.any(levels[cut:] >= rate[cut:]))
+        return int(heights.max()), counts, hit
+
+    walks = map_trials(walk, trials, threads)
+    maxima = np.array([peak for peak, _, _ in walks], dtype=np.int64)
+    peak_counts = np.zeros(max(c.size for _, c, _ in walks), dtype=np.int64)
+    for _, counts, _ in walks:
+        peak_counts[: counts.size] += counts
+    decade_hits = sum(hit for _, _, hit in walks)
     ratios = maxima / log_T
     q25, q75 = np.quantile(ratios, [0.25, 0.75])
     report = {

@@ -481,6 +481,24 @@ def test_module_error_names_module_and_reproduction(tmp_path, capsys):
     assert "reproduce: python -m ffdyn delta-flow" in err
 
 
+def test_sharded_module_error_matches_serial(tmp_path, capsys, monkeypatch):
+    # trial 4 of 6 is the first uncertified one; at --threads 3 it runs in
+    # the last forked shard, and the error reads as in the serial run
+    monkeypatch.setattr("ffdyn.streams._usable_cpus", lambda: 3)
+    cfg = _write(
+        tmp_path / "c.cfg",
+        "T = 64\ntrials = 6\nseed = 4\nburn_in = 4\nprecision = 138\nrate = log\n",
+    )
+    errors = []
+    for threads in ("1", "3"):
+        out = tmp_path / threads
+        argv = ["strong-bc", "--config", str(cfg), "--out", str(out), "--threads", threads]
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err.splitlines()[0])
+    assert errors[0].startswith("error [ffdyn.errors.CertificationError]: trial 4 uncertified")
+    assert errors[1] == errors[0]
+
+
 def test_missing_config_file(capsys):
     assert main(["delta-flow", "--seed", "1", "--config", "/nonexistent.cfg"]) == 1
     assert "cannot read config file" in capsys.readouterr().err

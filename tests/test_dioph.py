@@ -306,12 +306,16 @@ def test_kg_mc_deterministic_and_prefix_stable():
     assert np.array_equal(longer.counts[:10], a.counts)
 
 
-def test_kg_mc_threads_equivalent():
+def test_kg_mc_threads_equivalent(monkeypatch):
+    # lift the CPU cap so that threads = 3 forks two children on any host
+    monkeypatch.setattr("ffdyn.streams._usable_cpus", lambda: 3)
     psi = power_law(2, tau=1.0)
     a = kg_monte_carlo(F2, psi, 1, 1, 12, 6, 11, precision=40)
-    b = kg_monte_carlo(F2, psi, 1, 1, 12, 6, 11, precision=40, threads=3)
-    assert np.array_equal(a.counts, b.counts)
-    assert a.persistent_fraction == b.persistent_fraction
+    for threads in (2, 3):
+        b = kg_monte_carlo(F2, psi, 1, 1, 12, 6, 11, precision=40, threads=threads)
+        assert np.array_equal(a.counts, b.counts)
+        assert a.persistent_fraction == b.persistent_fraction
+        assert a.rung_fractions == b.rung_fractions
 
 
 def test_kg_mc_precision_guard():

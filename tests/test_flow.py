@@ -614,12 +614,34 @@ def test_strong_bc_convergent_ladder_reports_raw_counts():
     assert summary["final_counts"]["median"] <= 2
 
 
-def test_strong_bc_reproducible_across_threads():
+def test_strong_bc_reproducible_across_threads(monkeypatch):
+    # lift the CPU cap so that threads = 3 forks two children on any host
+    monkeypatch.setattr("ffdyn.streams._usable_cpus", lambda: 3)
     spec = FlowSpec(F2, 1, 1)
     ladder = np.full(128, 2)
     a = strong_bc_experiment(spec, ladder, trials=12, seed=77, threads=1)
-    b = strong_bc_experiment(spec, ladder, trials=12, seed=77, threads=3)
-    assert np.array_equal(a.counts, b.counts)
+    for threads in (2, 3):
+        b = strong_bc_experiment(spec, ladder, trials=12, seed=77, threads=threads)
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.expected, b.expected)
+
+
+def test_strong_bc_uncertified_trial_raises_the_same_error_when_sharded(monkeypatch):
+    # at this precision trial 4 is the first uncertified one, so with two
+    # or three workers the error comes from a forked shard
+    monkeypatch.setattr("ffdyn.streams._usable_cpus", lambda: 3)
+    spec = FlowSpec(F2, 1, 1)
+    ladder = np.full(64, 2)
+    errors = []
+    for threads in (1, 2, 3):
+        with pytest.raises(CertificationError) as err:
+            strong_bc_experiment(
+                spec, ladder, trials=6, seed=4, burn_in=4, precision=138, threads=threads
+            )
+        errors.append((str(err.value), err.value.needed_precision))
+    assert errors[0][0].startswith("trial 4 uncertified at t = ")
+    assert errors[0][1] == 276
+    assert errors[1] == errors[0] and errors[2] == errors[0]
 
 
 @pytest.mark.parametrize("e", [2, 3])

@@ -252,6 +252,18 @@ def test_loglaw_summary_shape():
     assert rated.summary()["rate"] == "zero"
 
 
+def test_loglaw_same_report_across_threads(monkeypatch):
+    # lift the CPU cap so that threads = 3 forks two children on any host
+    monkeypatch.setattr("ffdyn.streams._usable_cpus", lambda: 3)
+    T = 5000
+    rate = power_thresholds(0.5, 2, T)
+    a = loglaw_experiment(RAY2, 7, T, 17, rate=rate, rate_desc="c=0.5")
+    for threads in (2, 3):
+        b = loglaw_experiment(RAY2, 7, T, 17, rate=rate, rate_desc="c=0.5", threads=threads)
+        assert np.array_equal(a.max_levels, b.max_levels)
+        assert b.summary() == a.summary()
+
+
 def test_loglaw_trial_zero_matches_simulate():
     rep = loglaw_experiment(RAY2, 3, 2000, 21)
     trace = simulate_geodesic(RAY2, 2000, 21)
