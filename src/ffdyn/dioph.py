@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import CertificationError, EnumerationCapError
+from .errors import CertificationError, EnumerationCapError, PrecisionError
 from .field import FieldSpec, LaurentSeries, Poly, poly_gcd
 from .flow import (
     DriftVector,
@@ -733,7 +733,9 @@ def correspondence_check(
     With a coefficient matrix A (spec required), every t <= T with
     Delta(g_t Lambda_A) >= ceil(r(mnt)) must yield a vector in the window
     ||v_top|| <= s^(-nt-R), ||v_bot|| <= s^(mt-R) satisfying the non-strict
-    inequality; the witness is re-verified by direct series arithmetic.
+    inequality.  The witnesses of all flagged times are re-verified from A
+    together, one batched product per entry of A against their stacked q,
+    independently of the reduced basis that produced them.
     With a LatticeBasis, the same check runs over the zero-sum drift box
     ||t||_inf <= T chamber by chamber, against the multiplicative
     inequality with the (rank-1, 1) rate transform.  Raises
@@ -769,19 +771,17 @@ def _window_correspondence(A, psi, spec, T) -> CorrespondenceReport:
         # trajectory certifies the witness columns it yields
         steps = list(_trajectory_generic(spec, rows_A, T))
         traj = _require_certified(_generic_result(spec, steps))
-    out: list[CorrespondenceRow] = []
+    rows: dict[int, CorrespondenceRow] = {}
+    flagged = []
     for t in range(1, T + 1):
         a = float(m * n * t)
         d = int(traj.deltas[t])
         if a < rate.a0 - _EPS:
-            out.append(
-                CorrespondenceRow(t, d, None, False, None, True, "below rate domain")
-            )
+            rows[t] = CorrespondenceRow(t, d, None, False, None, True, "below rate domain")
             continue
         R = _ceil_eps(rate.r(a))
-        flagged = d >= R
-        if not flagged:
-            out.append(CorrespondenceRow(t, d, R, False, None, True))
+        if d < R:
+            rows[t] = CorrespondenceRow(t, d, R, False, None, True)
             continue
         if use_cf:
             k = int(np.searchsorted(rungs, t, side="right")) - 1
@@ -791,15 +791,16 @@ def _window_correspondence(A, psi, spec, T) -> CorrespondenceReport:
             col = steps[t][2]
             ps = tuple(Poly(fs, c) for c in col[:m])
             qs = tuple(Poly(fs, c) for c in col[m:])
-        witness = _verify_window_witness(rows_A, psi, spec, t, R, qs, ps)
-        ok = witness.window_ok and witness.ineq_ok
-        out.append(CorrespondenceRow(t, d, R, True, witness, ok))
+        flagged.append((t, R, qs, ps))
+    for (t, R, _, _), w in zip(flagged, _window_witnesses(rows_A, psi, spec, flagged)):
+        d = int(traj.deltas[t])
+        rows[t] = CorrespondenceRow(t, d, R, True, w, w.window_ok and w.ineq_ok)
     return CorrespondenceReport(
         "window",
         fs.s,
         psi.describe(),
         T,
-        out,
+        [rows[t] for t in range(1, T + 1)],
         meta={"m": m, "n": n, "a0": rate.a0},
     )
 
@@ -813,51 +814,92 @@ def _cf_convergents(fs: FieldSpec, quotients) -> list[Poly]:
     return qs[1:]
 
 
-def _verify_window_witness(rows_A, psi, spec, t, R, qs, ps) -> WindowWitness:
-    """Recompute the witness residual by series arithmetic and test both
-    the predicted norm window and the non-strict inequality."""
-    fs = spec.field
-    m, n = spec.m, spec.n
-    if all(q.is_zero for q in qs):
-        return WindowWitness(qs, ps or (), -1, None, False, False)
-    qseries = [LaurentSeries.from_poly(q) for q in qs]
-    known: list[int] = []
-    floors: list[int] = []
-    p_out = []
+def _reversed_rows(polys, width: int) -> np.ndarray:
+    """Coefficients of each polynomial, highest degree first, right-aligned
+    in ``width`` columns: column k holds the coefficient of X^(width-1-k)."""
+    out = np.zeros((len(polys), width), dtype=np.int64)
+    for row, poly in zip(out, polys):
+        row[width - poly.coeffs.size :] = poly.coeffs[::-1]
+    return out
+
+
+def _window_witnesses(rows_A, psi, spec, flagged) -> list[WindowWitness]:
+    """Recompute the residual of every flagged witness (t, R, q, p) from A
+    and test both the predicted norm window and the non-strict inequality.
+
+    Row i of p + Aq is formed for all flagged times at once, by one
+    ``polymul`` per entry a_ij against the stacked q_j.  Windows follow
+    LaurentSeries arithmetic: a_ij q_j is known below prec(a_ij) - deg q_j,
+    and an exact entry or a zero q_j adds no window.  With p None (m = n =
+    1, the ladder's convergents) p is minus the whole part of Aq, whose
+    window must reach index 0.  Times are read in order, so the first one
+    the window cannot decide raises.
+    """
+    if not flagged:
+        return []
+    fs, m, n = spec.field, spec.m, spec.n
+    times = np.array([t for t, _, _, _ in flagged])
+    thresholds = np.array([R for _, R, _, _ in flagged])
+    qdeg = np.array([[q.degree for q in qs] for _, _, qs, _ in flagged])
+    bot = qdeg.max(axis=1)
+    wq = int(bot.max()) + 1
+    q_rows = [_reversed_rows([qs[j] for _, _, qs, _ in flagged], wq) for j in range(n)]
+    ladder = flagged[0][3] is None
+    # p_i sits at indices 1 - wp .. 0; the ladder reads it off all of <= 0
+    wp = 1 if ladder else max(p.coeffs.size for *_, ps in flagged for p in ps)
+    unset = np.iinfo(np.int64).max  # no window
+    none = np.iinfo(np.int64).min  # no visible term, no window
+    top = np.full(len(flagged), none)
+    floor = np.full(len(flagged), none)
     for i, row in enumerate(rows_A):
-        w = LaurentSeries.zero(fs)
-        for a, qser in zip(row, qseries):
-            w = w + a * qser
-        if ps is None:
-            whole, tail = w.polynomial_part()
-            p_i = -whole
+        live = [(a, q) for a, q in zip(row, q_rows) if a.has_leading_term]
+        lo = min([a.v - wq + 1 for a, _ in live] + [1 - wp])
+        hi = max([a.v + a.coeffs.size for a, _ in live] + [1])
+        acc = np.zeros((len(flagged), hi - lo), dtype=np.int64)
+        for a, q in live:
+            span = slice(a.v - wq + 1 - lo, a.v + a.coeffs.size - lo)
+            acc[:, span] = fs.add_arr(acc[:, span], fs.polymul(q, a.coeffs))
+        if ladder:
+            whole = fs.neg_arr(acc[:, : 1 - lo][:, ::-1])
+            acc[:, : 1 - lo] = 0
         else:
-            p_i = ps[i]
-            tail = w + LaurentSeries.from_poly(p_i)
-        p_out.append(p_i)
-        if tail.has_leading_term:
-            known.append(-int(tail.valuation()))
-        elif tail.prec is not None:
-            floors.append(-int(tail.prec))
-    bot = _vector_exponents(qs)
-    need_top = -(n * t + R)
-    top = max(known) if known else None
-    if top is not None and top > need_top:
-        # the visible part already breaks the window; no precision issue
-        return WindowWitness(qs, tuple(p_out), bot, top, False, False)
-    if any(f > need_top for f in floors):
-        raise CertificationError(
-            "witness window undecidable at this precision",
-            needed_precision=n * t + R + bot + 1,
-        )
-    upper = max(known + floors) if (known or floors) else None
-    window_ok = bot <= m * t - R
-    if upper is None:
-        ineq_ok = True
-    else:
-        theta = _llog_ext(psi, n * bot)
-        ineq_ok = m * upper <= theta + _EPS
-    return WindowWitness(qs, tuple(p_out), bot, top, window_ok, ineq_ok)
+            span = slice(1 - wp - lo, 1 - lo)
+            p_rows = _reversed_rows([ps[i] for *_, ps in flagged], wp)
+            acc[:, span] = fs.add_arr(acc[:, span], p_rows)
+        prec = np.full(len(flagged), unset)
+        for a, deg in zip(row, qdeg.T):
+            if a.prec is not None:
+                np.minimum(prec, np.where(deg >= 0, a.prec - deg, unset), out=prec)
+        nz = (acc != 0) & (np.arange(lo, hi) < prec[:, None])
+        seen = nz.any(axis=1)
+        np.maximum(top, np.where(seen, -(lo + nz.argmax(axis=1)), none), out=top)
+        np.maximum(floor, np.where(~seen & (prec < unset), -prec, none), out=floor)
+    upper = np.maximum(top, floor)
+    window_ok = bot <= m * times - thresholds
+    out = []
+    for f, (t, R, qs, ps) in enumerate(flagged):
+        b = int(bot[f])
+        if b < 0:
+            out.append(WindowWitness(qs, ps or (), -1, None, False, False))
+            continue
+        if ladder:
+            # one row, so prec is its window
+            if prec[f] < 1:
+                raise PrecisionError("window does not reach index 0")
+            ps = (Poly(fs, whole[f]),)
+        top_f = int(top[f]) if top[f] != none else None
+        if top[f] > -(n * t + R):
+            # the visible part already breaks the window; no precision issue
+            out.append(WindowWitness(qs, ps, b, top_f, False, False))
+            continue
+        if floor[f] > -(n * t + R):
+            raise CertificationError(
+                "witness window undecidable at this precision",
+                needed_precision=n * t + R + b + 1,
+            )
+        ineq_ok = upper[f] == none or m * int(upper[f]) <= _llog_ext(psi, n * b) + _EPS
+        out.append(WindowWitness(qs, ps, b, top_f, bool(window_ok[f]), bool(ineq_ok)))
+    return out
 
 
 def _mult_correspondence(basis, psi, box, cap) -> CorrespondenceReport:

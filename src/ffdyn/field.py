@@ -14,7 +14,9 @@ root of the stored modulus (the polynomial basis of Lidl and Niederreiter,
 Finite Fields, ch. 2).  Extension fields of order up to ``_TABLE_MAX_ORDER``
 multiply, negate and (for odd p) add by lookup in (s, s) and s-entry tables;
 larger ones multiply through discrete-log tables and add digit by digit.
-Over p = 2 addition is XOR of codes at every order.
+Prime fields up to the same order reduce their integer results by lookup in
+a p^2-entry residue table, larger ones by ``% p``.  Over p = 2 addition is
+XOR of codes at every order.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ import numpy as np
 from .errors import FieldError, PrecisionError
 
 _MAX_ORDER = 65536
-# largest extension order that gets (s, s) product and sum tables: 8 MB each
+# largest extension order that gets (s, s) product and sum tables, 8 MB each,
+# and largest prime that gets a residue table of the same size
 _TABLE_MAX_ORDER = 1024
+# float64 holds every integer below 2^53 exactly
+_FLOAT_EXACT = 2**53
 
 _FIELD_CACHE: dict[tuple[int, int], "FieldSpec"] = {}
 
@@ -117,6 +122,7 @@ class FieldSpec:
         "_add_table",
         "_mul_table",
         "_neg_table",
+        "_residues",
         "_digits",
         "_powers",
     )
@@ -142,8 +148,8 @@ class FieldSpec:
             self._powers = None
             self._log = None
             self._antilog = None
-        self._add_table = self._mul_table = self._neg_table = None
-        if e > 1 and s <= _TABLE_MAX_ORDER:
+        self._add_table = self._mul_table = self._neg_table = self._residues = None
+        if s <= _TABLE_MAX_ORDER:
             self._build_op_tables()
 
     # -- extension bootstrap -------------------------------------------------
@@ -204,8 +210,12 @@ class FieldSpec:
 
     def _build_op_tables(self) -> None:
         """Product and negation tables; a sum table only for odd p, since
-        ``add_arr`` XORs codes over p = 2."""
+        ``add_arr`` XORs codes over p = 2.  A prime field gets the residue
+        table x -> x mod p on [0, p^2) instead."""
         p, d = self.p, self._digits
+        if self.e == 1:
+            self._residues = np.arange(p * p, dtype=np.int64) % p
+            return
         lg = self._log[1:]
         self._mul_table = np.zeros((self.s, self.s), dtype=np.int64)
         self._mul_table[1:, 1:] = self._antilog[(lg[:, None] + lg) % (self.s - 1)]
@@ -221,15 +231,9 @@ class FieldSpec:
         return int(a)
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
         return int(self.add_arr(np.int64(a), np.int64(b)))
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        if self._neg_table is not None:
-            return int(self._neg_table[a])
         return int(self.neg_arr(np.int64(a)))
 
     def sub(self, a: int, b: int) -> int:
@@ -272,16 +276,25 @@ class FieldSpec:
     # output's size, as the pair index does; every index is in range, and
     # "wrap" is the mode in which numpy's take writes in place (it copies
     # under "raise").
+    #
+    # A prime field's integer result x is reduced the same way, at x in the
+    # residue table: "wrap" reads x modulo p^2, a multiple of p, so every x
+    # in (-p^2, 2 p^2) costs one lookup, which beats numpy's integer % p.
 
     def _lookup(self, table: np.ndarray, a, b) -> np.ndarray:
-        idx = np.asarray(a, dtype=np.int64) * self.s + b
-        return table.take(idx, out=idx if idx.ndim else None, mode="wrap")
+        return _take(table, np.asarray(a, dtype=np.int64) * self.s + b)
+
+    def _mod(self, x) -> np.ndarray:
+        """x mod p for a fresh int64 result x of an e = 1 kernel."""
+        if self._residues is None:
+            return x % self.p
+        return _take(self._residues, x)
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.e == 1:
-            return (a + b) % self.p
+            return self._mod(a + b)
         if self._add_table is not None:
             return self._lookup(self._add_table, a, b)
         d = (self._digits[a] + self._digits[b]) % self.p
@@ -291,7 +304,7 @@ class FieldSpec:
         if self.p == 2:
             return np.asarray(a).copy()
         if self.e == 1:
-            return (-a) % self.p
+            return self._mod(-a)
         if self._neg_table is not None:
             return self._neg_table.take(a)
         d = (-self._digits[a]) % self.p
@@ -306,12 +319,12 @@ class FieldSpec:
         if self.p == 2:
             return a ^ (c & b if self.e == 1 else self.mul_arr(c, b))
         if self.e == 1:
-            return (a - c * b) % self.p
+            return self._mod(a - c * b)
         return self.add_arr(a, self.mul_arr(self.neg_arr(c), b))
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
-            return (a * b) % self.p
+            return self._mod(a * b)
         if self._mul_table is not None:
             return self._lookup(self._mul_table, a, b)
         a = np.asarray(a)
@@ -341,7 +354,7 @@ class FieldSpec:
         if c == 1:
             return np.asarray(a).copy()
         if self.e == 1:
-            return (c * a) % self.p
+            return self._mod(c * a)
         if self._mul_table is not None:
             return self._mul_table[c].take(a)
         return self.mul_arr(np.int64(c), a)
@@ -360,6 +373,11 @@ class FieldSpec:
         along its last axis; a b with the same batch axes as a multiplies
         row by row.  The result has length a.shape[-1] + b.shape[-1] - 1 on
         that axis, or 0 when either factor is empty.
+
+        Over a prime field, rows of a no longer than a 1-D b multiply as
+        one float64 matmul against b's Toeplitz matrix.  Each entry is an
+        integer sum of at most na products below p^2, so it is exact while
+        (p - 1)^2 na < 2^53; a longer a keeps the loop below.
         """
         na, nb = a.shape[-1], b.shape[-1]
         if na == 0 or nb == 0:
@@ -368,6 +386,8 @@ class FieldSpec:
             return np.convolve(a, b) % self.p
         if b.ndim > 1:
             return self._polymul_rows(a, b)
+        if self.e == 1 and na <= nb and (self.p - 1) ** 2 * na < _FLOAT_EXACT:
+            return self._polymul_toeplitz(a, b)
         if a.ndim == 1 and na < nb:
             a, b, na, nb = b, a, nb, na
         # one shifted copy of the long operand per nonzero coefficient of the
@@ -382,6 +402,17 @@ class FieldSpec:
                 out[..., i : i + na] = seg
                 fresh = False
         return out
+
+    def _polymul_toeplitz(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``polymul`` over F_p as a @ T, T[d, k] = b[k - d]: row d of T is
+        b shifted right by d.  Rows of length w + 1 holding b then zeros,
+        read back at length w, put each row one place right of the last."""
+        na, nb = a.shape[-1], b.shape[-1]
+        w = na + nb - 1
+        rows = np.zeros((na, w + 1))
+        rows[:, :nb] = b
+        toeplitz = rows.reshape(-1)[: na * w].reshape(na, w)
+        return (a @ toeplitz).astype(np.int64) % self.p
 
     def _polymul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``polymul`` when b carries a's batch axes: one product per row."""
@@ -481,6 +512,11 @@ class FieldSpec:
 
     def __hash__(self) -> int:
         return hash((self.p, self.e))
+
+
+def _take(table: np.ndarray, idx) -> np.ndarray:
+    """table[idx] at wrapped indices, written over an index array."""
+    return table.take(idx, out=idx if np.ndim(idx) else None, mode="wrap")
 
 
 def _trim_poly(coeffs: np.ndarray) -> np.ndarray:

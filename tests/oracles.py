@@ -7,7 +7,7 @@ element, the full-width weak Popov reduction the package's windowed one is
 checked against, the two Monte Carlo backends one step or one sample at a
 time, and the candidate walks one candidate at a time.  Nothing imports from
 ffdyn, so agreement between these and the package is a real cross-check,
-not a tautology.  The five exceptions are ``slow_trial``, which evaluates
+not a tautology.  The six exceptions are ``slow_trial``, which evaluates
 each kg candidate by the package's series arithmetic and admission rule, so
 it checks the kg rank count's admitted classes, not that rule;
 ``hankel_trial``, the batched Hankel walk that the rank count replaced,
@@ -20,7 +20,10 @@ the hit and indeterminate bookkeeping of ``zero_block_detector``;
 ``enumerate_short_vectors`` one vector at a time, so it checks the array
 filter of ``mult_solutions``, not the walk; and ``xi_exact_reference``,
 which walks the congruence classes on the package's field arithmetic and
-buffer layout, so it checks the class counting of ``xi_exact``.
+buffer layout, so it checks the class counting of ``xi_exact``; and
+``verify_window_witness``, which recomputes one flagged time's witness
+residual through the package's series arithmetic, so it checks the batched
+products and window bookkeeping of ``correspondence_check``.
 """
 
 from __future__ import annotations
@@ -1035,3 +1038,56 @@ def xi_exact_reference(g, depth_cap: int = 48, max_classes: int | None = None):
         f"congruence-class sum did not stabilize by depth {depth_cap}",
         needed_precision=depth_cap + 1,
     )
+
+
+def verify_window_witness(rows_A, psi, spec, t, R, qs, ps):
+    """The WindowWitness of one flagged time t with threshold R: the
+    residual p + Aq recomputed by series arithmetic (p = minus the whole
+    part of Aq when ps is None), then the predicted norm window and the
+    non-strict inequality, as ``correspondence_check`` reads them."""
+    from ffdyn.dioph import _EPS, WindowWitness, _llog_ext, _vector_exponents
+    from ffdyn.errors import CertificationError
+    from ffdyn.field import LaurentSeries
+
+    fs = spec.field
+    m, n = spec.m, spec.n
+    if all(q.is_zero for q in qs):
+        return WindowWitness(qs, ps or (), -1, None, False, False)
+    qseries = [LaurentSeries.from_poly(q) for q in qs]
+    known: list[int] = []
+    floors: list[int] = []
+    p_out = []
+    for i, row in enumerate(rows_A):
+        w = LaurentSeries.zero(fs)
+        for a, qser in zip(row, qseries):
+            w = w + a * qser
+        if ps is None:
+            whole, tail = w.polynomial_part()
+            p_i = -whole
+        else:
+            p_i = ps[i]
+            tail = w + LaurentSeries.from_poly(p_i)
+        p_out.append(p_i)
+        if tail.has_leading_term:
+            known.append(-int(tail.valuation()))
+        elif tail.prec is not None:
+            floors.append(-int(tail.prec))
+    bot = _vector_exponents(qs)
+    need_top = -(n * t + R)
+    top = max(known) if known else None
+    if top is not None and top > need_top:
+        # the visible part already breaks the window; no precision issue
+        return WindowWitness(qs, tuple(p_out), bot, top, False, False)
+    if any(f > need_top for f in floors):
+        raise CertificationError(
+            "witness window undecidable at this precision",
+            needed_precision=n * t + R + bot + 1,
+        )
+    upper = max(known + floors) if (known or floors) else None
+    window_ok = bot <= m * t - R
+    if upper is None:
+        ineq_ok = True
+    else:
+        theta = _llog_ext(psi, n * bot)
+        ineq_ok = m * upper <= theta + _EPS
+    return WindowWitness(qs, tuple(p_out), bot, top, window_ok, ineq_ok)

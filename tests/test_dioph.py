@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ffdyn import dioph
 from ffdyn.dioph import (
     _CANDIDATE_BLOCK,
     _required_precision,
     _unit_class_blocks,
-    _verify_window_witness,
     best_integer_approx,
     correspondence_check,
     kg_monte_carlo,
@@ -677,7 +677,7 @@ def test_correspondence_cf_witnesses_sit_on_the_ladder(fs):
             continue
         (q,) = row.witness.q
         assert q.degree == rungs[np.searchsorted(rungs, row.time, side="right") - 1]
-        again = _verify_window_witness(
+        again = oracles.verify_window_witness(
             [[a]], psi, spec, row.time, row.threshold, (q,), None
         )
         assert again.window_ok and again.ineq_ok
@@ -717,7 +717,7 @@ def test_engine_witnesses_are_shortest_vectors(fs, m, n):
             if w.has_leading_term:
                 exps.append(-int(w.valuation()))
         assert max(exps) == min(red.degrees) - red.scale
-        again = _verify_window_witness(
+        again = oracles.verify_window_witness(
             A, psi, spec, row.time, row.threshold, row.witness.q, row.witness.p
         )
         assert again.window_ok and again.ineq_ok
@@ -733,6 +733,90 @@ def test_correspondence_low_precision_generic_raises_like_trajectory():
     assert traj.value.needed_precision is not None
     assert corr.value.needed_precision == traj.value.needed_precision
     assert str(corr.value) == str(traj.value)
+
+
+def _witness_outcome(run):
+    """The witnesses of ``run()`` with their repr, which tells a numpy
+    integer from a Python int, or the type, message and needed precision
+    of the error it raised."""
+    try:
+        got = run()
+    except (CertificationError, PrecisionError) as err:
+        return type(err), str(err), getattr(err, "needed_precision", None)
+    return got, repr(got)
+
+
+def _truncated(A, prec):
+    return [[a.truncate(prec) for a in row] for row in A]
+
+
+@pytest.mark.parametrize(
+    "fs", [field_spec(p, e) for p in (2, 3, 5) for e in (1, 2, 3)], ids=lambda f: f"s{f.s}"
+)
+def test_batched_witnesses_match_series_oracle(fs, monkeypatch):
+    # correspondence_check verifies every flagged witness in one batched
+    # pass; it must give the per-time series recomputation's witnesses in
+    # the same order, and on windows too short for them the same error
+    # (type, message, needed_precision) at the same time
+    batched = dioph._window_witnesses
+    calls = []
+
+    def record(rows_A, psi, spec, flagged):
+        calls.append(flagged)
+        return batched(rows_A, psi, spec, flagged)
+
+    def reference(A, psi, spec, flagged):
+        return [
+            oracles.verify_window_witness(A, psi, spec, t, R, qs, ps)
+            for t, R, qs, ps in flagged
+        ]
+
+    monkeypatch.setattr(dioph, "_window_witnesses", record)
+    kinds = set()
+    profiles = [power_law(fs.s, tau=1.0), power_law(fs.s, c=0.5, tau=1.3)]
+    for (m, n), psi in itertools.product([(1, 1), (1, 2), (2, 1), (2, 2)], profiles):
+        spec = FlowSpec(fs, m, n)
+        rng = stream(39, "test", 100 * fs.s + 10 * m + n + (psi.tau > 1) * 5)
+        A = sample_matrix(fs, rng, m, n, (m + n) * 12 + 48)
+        rep = correspondence_check(A, psi, spec, T=12)
+        flagged = calls[-1]
+        assert [r.witness for r in rep.rows if r.flagged] == reference(A, psi, spec, flagged)
+        if not flagged:
+            continue
+        degrees = [q.degree for _, _, qs, _ in flagged for q in qs]
+        tight = max(n * t + R + max(q.degree for q in qs) + 1 for t, R, qs, _ in flagged)
+        exact = [list(row) for row in A]
+        exact[0][-1] = LaurentSeries(fs, A[0][-1].v, A[0][-1].coeffs, None)
+        windowed_zero = [list(row) for row in A]
+        windowed_zero[-1][0] = LaurentSeries.zero_window(fs, tight)
+        # a zero q, which the engine never yields, is a witness of nothing
+        zero_q = (12, 0, (Poly.zero(fs),) * n, None if m == n == 1 else flagged[0][3])
+        cases = [
+            (A, flagged + [zero_q]),
+            (_truncated(A, tight), flagged),
+            (_truncated(A, tight - 4), flagged),
+            (_truncated(A, min(degrees)), flagged),
+            (exact, flagged),
+            (windowed_zero, flagged),
+        ]
+        for matrix, rows in cases:
+            got = _witness_outcome(lambda: batched(matrix, psi, spec, rows))
+            assert got == _witness_outcome(lambda: reference(matrix, psi, spec, rows))
+            kinds.add(got[0] if isinstance(got[0], type) else "witnesses")
+    assert kinds == {"witnesses", CertificationError, PrecisionError}
+
+
+@pytest.mark.parametrize("fs", [F2, F3, field_spec(2, 2)], ids=lambda f: f"s{f.s}")
+def test_batched_witness_zero_coordinate_adds_no_window(fs):
+    # a windowed entry times a zero coordinate of q is an exact zero, so
+    # p + Aq = -1 + (a * 0 + 1 * 1) is known to vanish and nothing is
+    # undecidable, though the entry itself is known nowhere
+    spec = FlowSpec(fs, 1, 2)
+    A = [[LaurentSeries.zero_window(fs, 0), LaurentSeries.one(fs)]]
+    flagged = [(1, 0, (Poly.zero(fs), Poly.one(fs)), (Poly(fs, [fs.neg(1)]),))]
+    (want,) = [oracles.verify_window_witness(A, power_law(fs.s), spec, *f) for f in flagged]
+    assert (want.bot_exp, want.top_exp, want.window_ok, want.ineq_ok) == (0, None, True, True)
+    assert dioph._window_witnesses(A, power_law(fs.s), spec, flagged) == [want]
 
 
 def test_correspondence_matrix_needs_spec():

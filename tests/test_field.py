@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ffdyn import field as field_module
 from ffdyn.errors import FieldError, PrecisionError
 from ffdyn.field import (
     FieldSpec,
@@ -254,10 +255,15 @@ def _kernel_operands(fs, rng):
 
 
 @pytest.mark.parametrize(
-    "fs", KERNEL_FIELDS + [FieldSpec(2, 11), FieldSpec(3, 7)], ids=lambda f: f"p{f.p}e{f.e}"
+    "fs",
+    KERNEL_FIELDS + [FieldSpec(2, 11), FieldSpec(3, 7), FieldSpec(1021), FieldSpec(1031)],
+    ids=lambda f: f"p{f.p}e{f.e}",
 )
 def test_submul_matches_digit_oracle(fs):
-    # the two fields past the table bound take the log-table path
+    # the two extension fields past the table bound take the log-table
+    # path; F_1021 reduces by its residue table and F_1031, past that
+    # table's bound, by % p
+    assert (fs._residues is None) == (fs.e > 1 or fs.p > 1024)
     p, mod = fs.p, fs.modulus
     rng = np.random.default_rng(fs.s + 7)
     a = rng.integers(0, fs.s, size=(4, 9))
@@ -284,6 +290,11 @@ def test_submul_matches_digit_oracle(fs):
     cs[:2, 0] = 0, 1
     assert fs.submul_arr(a, cs, b).tolist() == want(cs[:, 0].tolist())
     assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+    # the extreme a = 0, c = b = s - 1: over F_p, a - c b = -(p - 1)^2
+    top = np.full(9, fs.s - 1)
+    zero = np.zeros(9, dtype=np.int64)
+    square = oracles.gf_mul(fs.s - 1, fs.s - 1, p, mod)
+    assert fs.submul_arr(zero, fs.s - 1, top).tolist() == [oracles.gf_neg(square, p, mod)] * 9
 
 
 @pytest.mark.parametrize("fs", KERNEL_FIELDS, ids=lambda f: f"p{f.p}e{f.e}")
@@ -305,6 +316,44 @@ def test_polymul_matches_digit_oracle(fs):
             want = oracles.gf_polymul(list(batch[idx]), list(b), fs.p, fs.modulus)
             assert oracles.ptrim(got[idx].tolist()) == want
     assert fs.polymul(batch, np.zeros(0, dtype=np.int64)).shape == (3, 4, 0)
+
+
+@pytest.mark.parametrize(
+    "fs", KERNEL_FIELDS + [FieldSpec(65521)], ids=lambda f: f"p{f.p}e{f.e}"
+)
+def test_polymul_batch_matches_row_products(fs, monkeypatch):
+    # over F_p rows no longer than b multiply as one float64 matmul; every
+    # shape must give each row's own product.  At p = 65521 a full row of
+    # p - 1 against a full b sums (p - 1)^2 na, far past 2^32
+    rng = np.random.default_rng(fs.s + 5)
+    shapes = [(1, 6), (4, 9), (9, 9), (12, 5), (30, 1)]
+    for na, nb in shapes:
+        a = rng.integers(0, fs.s, size=(6, na))
+        b = rng.integers(0, fs.s, size=nb)
+        a[0] = 0
+        a[1] = fs.s - 1
+        b[0] = fs.s - 1
+        got = fs.polymul(a, b)
+        assert got.shape == (6, na + nb - 1)
+        for row, prod in zip(a, got):
+            assert np.array_equal(prod, fs.polymul(row, b))
+        want = oracles.gf_polymul(list(a[1]), list(np.full(nb, fs.s - 1)), fs.p, fs.modulus)
+        assert oracles.ptrim(fs.polymul(a[1:2], np.full(nb, fs.s - 1))[0].tolist()) == want
+    # with the float bound at (p - 1)^2 na the matmul is refused and the
+    # loop gives the same products
+    toeplitz, used = FieldSpec._polymul_toeplitz, []
+
+    def spy(self, a, b):
+        used.append(a.shape)
+        return toeplitz(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "_polymul_toeplitz", spy)
+    a = rng.integers(0, fs.s, size=(3, 4))
+    b = rng.integers(0, fs.s, size=7)
+    fast = fs.polymul(a, b)
+    monkeypatch.setattr(field_module, "_FLOAT_EXACT", (fs.p - 1) ** 2 * 4)
+    assert np.array_equal(fs.polymul(a, b), fast)
+    assert used == ([(3, 4)] if fs.e == 1 else [])
 
 
 @pytest.mark.parametrize("fs", KERNEL_FIELDS, ids=lambda f: f"p{f.p}e{f.e}")
