@@ -8,9 +8,11 @@ Run from anywhere inside a checkout; ffdyn is imported from its ``src/``.
 The record holds:
 
 - ``benchmark``: the metrics that ``benchmark/run.py --workload all``
-  prints at seed 0, once with ``--trace 0`` (end to end) and once with
-  ``--trace 1`` (per layer), as {workload: {metric: {"value", "unit"}}},
-  each workload running for the ``run_seconds`` of ``BENCHMARK.json``;
+  prints at seed 0, as {workload: {metric: {"value", "unit"}}}, each
+  workload running for the ``run_seconds`` of ``BENCHMARK.json``: once
+  with ``--trace 0`` (end to end), and RUNS times with ``--trace 1`` (per
+  layer), where each value is the median of the runs and ``runs`` lists
+  them in order, since a single traced run moves with the host's speed;
 - ``sample_configs``: for each ``scripts/configs/*.cfg``, the
   ``wall_clock_seconds`` of its report in each of three runs of
   ``scripts/run_all.sh`` and their median;
@@ -30,7 +32,7 @@ The record holds:
 
 Without ``--out`` the file is ``BENCH_<n>.json`` in the checkout's root,
 with n one past the highest already there (0 for the first).  With
-``run_seconds`` at 30 a record takes about four minutes plus the suite.
+``run_seconds`` at 30 a record takes about seven minutes plus the suite.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
-RUNS = 3  # runs of the sample configs
+RUNS = 3  # runs of the sample configs and of the traced benchmark
 THREADED_TAGS = ("kg-mc", "strong-bc", "tree-loglaw")
 
 
@@ -72,6 +74,21 @@ def benchmark_metrics(seconds: float, trace: int) -> dict:
     for line in proc.stdout.splitlines():
         workload, metric, value, unit = line.split()
         out.setdefault(workload, {})[metric] = {"value": float(value), "unit": unit}
+    return out
+
+
+def median_metrics(runs: list[dict]) -> dict:
+    """The metrics of several ``benchmark_metrics`` results, each value
+    the median of the runs, with the runs beside it as ``runs``."""
+    out: dict = {}
+    for workload, metrics in runs[0].items():
+        for metric, first in metrics.items():
+            values = [run[workload][metric]["value"] for run in runs]
+            out.setdefault(workload, {})[metric] = {
+                "value": statistics.median(values),
+                "unit": first["unit"],
+                "runs": values,
+            }
     return out
 
 
@@ -192,7 +209,7 @@ def main(argv=None) -> int:
             "seed": SEED,
             "seconds": seconds,
             "end_to_end": benchmark_metrics(seconds, 0),
-            "per_layer": benchmark_metrics(seconds, 1),
+            "per_layer": median_metrics([benchmark_metrics(seconds, 1) for _ in range(RUNS)]),
         },
         "sample_configs": configs,
         "sha256sums": digests,

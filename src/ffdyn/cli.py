@@ -492,23 +492,6 @@ def _run_kg_mc(config: ExperimentConfig):
     return ("rung", "fraction"), rows, report.summary(), "persistent_fraction"
 
 
-def _exact_sample(fs: FieldSpec, rng, m: int, n: int, precision: int):
-    """iid matrix of exact rational representatives: uniform coefficients
-    on the first ``precision`` places of O, zero tail.
-
-    The multiplicative inequality needs decidable coordinate zero tests,
-    which truncation windows cannot provide, so this driver works with the
-    exact finite-tail model rather than certified windows.
-    """
-    return [
-        [
-            LaurentSeries(fs, 0, rng.integers(0, fs.s, size=precision), None)
-            for _ in range(n)
-        ]
-        for _ in range(m)
-    ]
-
-
 def _run_mult_mc(config: ExperimentConfig):
     fs = _field(config)
     spec = FlowSpec(fs, config.m, config.n)
@@ -522,7 +505,9 @@ def _run_mult_mc(config: ExperimentConfig):
     degenerate = 0
     for trial in range(config.trials):
         rng = stream(config.seed, "mult-mc", trial)
-        A = _exact_sample(fs, rng, config.m, config.n, precision)
+        # the multiplicative inequality needs decidable zero tests of the
+        # coordinates, which a truncation window cannot give
+        A = sample_matrix(fs, rng, config.m, config.n, precision, exact=True)
         result = mult_solutions(unipotent_lattice(A, spec), psi, bound, cap=config.cap)
         rows.append((trial, len(result), len(result.degenerate), result.checked))
         counts.append(len(result))

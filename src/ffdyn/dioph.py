@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import CertificationError, EnumerationCapError, PrecisionError
+from .errors import CertificationError, EnumerationCapError, FieldError, PrecisionError
 from .field import FieldSpec, LaurentSeries, Poly, poly_gcd
 from .flow import (
     DriftVector,
@@ -50,8 +50,11 @@ _EPS = 1e-9
 
 _DEFAULT_SEARCH_CAP = 1_000_000
 
-# rows per candidate block of a unit-class search
+# rows per candidate block of a unit-class search, by default
 _CANDIDATE_BLOCK = 1 << 14
+
+# codes per residual row of one candidate block
+_RESIDUAL_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +99,85 @@ def _ceil_eps(x: float) -> int:
     return math.ceil(x - _EPS)
 
 
-def _vector_exponents(vec) -> int:
-    return max(p.degree for p in vec)
+# ---------------------------------------------------------------------------
+# the residual p + Aq of a stack of candidates
+
+
+def _stack(vectors) -> np.ndarray:
+    """Vectors of k polynomials as one array (count, k, width) of
+    coefficient codes in ascending degree, width >= 1."""
+    width = max([1] + [t.coeffs.size for vec in vectors for t in vec])
+    out = np.zeros((len(vectors), len(vectors[0]), width), dtype=np.int64)
+    for row, vec in zip(out, vectors):
+        for coords, t in zip(row, vec):
+            coords[: t.coeffs.size] = t.coeffs
+    return out
+
+
+def _degrees(q: np.ndarray) -> np.ndarray:
+    """Degree of each polynomial of an array (..., width) of coefficient
+    codes in ascending degree; -1 for zero."""
+    last = q.shape[-1] - 1 - (q[..., ::-1] != 0).argmax(axis=-1)
+    return np.where(q.any(axis=-1), last, -1)
+
+
+def _block_rows(rows, deg: int) -> int:
+    """Candidates per block of a unit-class search, so that one row of
+    their residual holds about _RESIDUAL_CELLS codes."""
+    width = deg + 1 + max(a.coeffs.size for row in rows for a in row)
+    return max(1, _RESIDUAL_CELLS // width)
+
+
+def _residuals(fs, rows, q: np.ndarray, p: np.ndarray | None = None, split: bool = False):
+    """Row i of p + Aq for every candidate of a stack q (count, n, width)
+    of coefficient codes over fs in ascending degree; p, when given, is a
+    stack (count, m, width') alike.  Every entry of A must lie over fs.
+
+    Row i is formed for all candidates at once, by one ``polymul`` per
+    entry a_ij against the stacked q_j.  Windows follow LaurentSeries
+    arithmetic: a_ij q_j is known below prec(a_ij) - deg q_j, and an exact
+    entry or a zero q_j adds no window.  With ``split`` the whole part
+    (indices <= 0) is cut off, so the residual is the fractional part.
+    Returns (top, floor, prec, p_whole), the first three float arrays (m,
+    count): top is log_s of the visible leading term (-inf when none),
+    floor is -prec where nothing is visible inside a finite window (-inf
+    otherwise) and prec is the window (inf when exact).  With ``split``,
+    p_whole is the p that cancels the whole part, one array (count,
+    width'') per row in ascending degree, right only where the window
+    reaches index 0 (prec >= 1), which the caller checks; otherwise None.
+    """
+    if any(a.field != fs for row in rows for a in row):
+        raise FieldError("mixed fields in series arithmetic")
+    count, width = q.shape[0], q.shape[2]
+    qdeg = _degrees(q)
+    wp = 1 if p is None else p.shape[2]
+    top = np.full((len(rows), count), -np.inf)
+    floor = np.full((len(rows), count), -np.inf)
+    prec = np.full((len(rows), count), np.inf)
+    p_whole = [] if split else None
+    for i, row in enumerate(rows):
+        live = [(a, q[:, j, ::-1]) for j, a in enumerate(row) if a.has_leading_term]
+        # q_j reversed holds X^(width-1-k) in column k, at index k + 1 - width
+        lo = min([a.v + 1 - width for a, _ in live] + [1 - wp])
+        hi = max([a.v + a.coeffs.size for a, _ in live] + [1])
+        acc = np.zeros((count, hi - lo), dtype=np.int64)
+        for a, qj in live:
+            span = slice(a.v + 1 - width - lo, a.v + a.coeffs.size - lo)
+            acc[:, span] = fs.add_arr(acc[:, span], fs.polymul(qj, a.coeffs))
+        if p is not None:
+            span = slice(1 - wp - lo, 1 - lo)
+            acc[:, span] = fs.add_arr(acc[:, span], p[:, i, ::-1])
+        if split:
+            p_whole.append(fs.neg_arr(acc[:, : 1 - lo][:, ::-1]))
+            acc[:, : 1 - lo] = 0
+        for a, deg in zip(row, qdeg.T):
+            if a.prec is not None:
+                np.minimum(prec[i], np.where(deg >= 0, a.prec - deg, np.inf), out=prec[i])
+        nz = (acc != 0) & (np.arange(lo, hi) < prec[i][:, None])
+        seen = nz.any(axis=1)
+        top[i] = np.where(seen, -(lo + nz.argmax(axis=1)), -np.inf)
+        floor[i] = np.where(~seen & (prec[i] < np.inf), -prec[i], -np.inf)
+    return top, floor, prec, p_whole
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +195,19 @@ def best_integer_approx(A, q) -> tuple[tuple[Poly, ...], float]:
     """
     rows = _matrix_rows(A)
     qs = _poly_vector(q, len(rows[0]))
-    ps, fracs = _residual_rows(rows, qs)
-    return ps, max((frac.abs_value() for frac in fracs), default=0.0)
+    fs = rows[0][0].field
+    if any(t.field != fs for t in qs):
+        raise FieldError("mixed fields in series arithmetic")
+    top, _, prec, p_whole = _residuals(fs, rows, _stack([qs]), split=True)
+    if (prec < 1).any():
+        raise PrecisionError("window does not reach index 0")
+    tops = top[:, 0].tolist()
+    for t, w in zip(tops, prec[:, 0].tolist()):
+        if t == -math.inf and w < math.inf:
+            raise PrecisionError(
+                f"series vanishes through index {int(w) - 1}; valuation indeterminate"
+            )
+    return tuple(Poly(fs, c[0]) for c in p_whole), max(float(fs.s) ** t for t in tops)
 
 
 # ---------------------------------------------------------------------------
@@ -132,38 +223,6 @@ def best_integer_approx(A, q) -> tuple[tuple[Poly, ...], float]:
 def _admission_depth(psi: PsiFunction, m: int, n: int, q_deg: int) -> int:
     theta = _llog_ext(psi, n * q_deg)
     return max(int(math.floor(-(theta - _EPS) / m)) + 1, 1)
-
-
-def _strict_admission(
-    psi: PsiFunction, m: int, n: int, q_deg: int, fracs
-) -> tuple[bool, int | None, bool]:
-    """Decide the strict inequality; returns (admitted, err_exp, exact).
-
-    err_exp is log_s of the error norm, or None when the error is zero or
-    confined below every stored index (then exact=False unless provably 0).
-    """
-    theta = _llog_ext(psi, n * q_deg)
-    known: list[int] = []
-    floors: list[int] = []
-    for frac in fracs:
-        if frac.has_leading_term:
-            known.append(-int(frac.valuation()))
-        elif frac.prec is not None:
-            floors.append(-int(frac.prec))
-    e_known = max(known) if known else None
-    if e_known is not None and m * e_known >= theta - _EPS:
-        return False, e_known, True
-    undecided = [f for f in floors if m * f >= theta - _EPS]
-    if undecided:
-        raise CertificationError(
-            "window cannot decide the admission inequality",
-            needed_precision=_admission_depth(psi, m, n, q_deg) + q_deg + 1,
-        )
-    if e_known is None:
-        return True, None, not floors
-    if floors and e_known < max(floors):
-        return True, None, False
-    return True, e_known, True
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +278,7 @@ def _lead_codes(rows: np.ndarray) -> np.ndarray:
     return first[at, first.shape[1] - 1 - (first[:, ::-1] != 0).argmax(axis=1)]
 
 
-def _unit_class_blocks(s: int, n: int, deg: int, cap: int):
+def _unit_class_blocks(s: int, n: int, deg: int, cap: int, size: int = _CANDIDATE_BLOCK):
     """All q in Z^n \\ 0 with max deg <= deg, one per unit class.
 
     The class representative has a monic first nonzero coordinate; scalar
@@ -227,7 +286,7 @@ def _unit_class_blocks(s: int, n: int, deg: int, cap: int):
     increasing max-degree order, then in lexicographic order of their
     coefficient lists, so first hits are minimal witnesses.  They are
     yielded as int arrays (rows, n, deg + 1) of coefficient codes in
-    ascending degree, _CANDIDATE_BLOCK rows each but the last.  Raises
+    ascending degree, ``size`` rows each but the last.  Raises
     EnumerationCapError, before any block is built, above ``cap`` classes.
     """
     _check_class_cap(s, n, deg, cap)
@@ -244,19 +303,14 @@ def _unit_class_blocks(s: int, n: int, deg: int, cap: int):
             block[:, :, : d + 1] = coords[keep]
             pending.append(block)
             held += block.shape[0]
-            while held >= _CANDIDATE_BLOCK:
+            if held >= size:
                 rows = np.concatenate(pending)
-                yield rows[:_CANDIDATE_BLOCK]
-                pending, held = [rows[_CANDIDATE_BLOCK:]], held - _CANDIDATE_BLOCK
+                cut = held - held % size
+                for at in range(0, cut, size):
+                    yield rows[at : at + size]
+                pending, held = [rows[cut:]], held - cut
     if held:
         yield np.concatenate(pending)
-
-
-def _unit_class_polys(fs: FieldSpec, n: int, deg: int, cap: int):
-    """The rows of ``_unit_class_blocks`` as tuples of n polynomials."""
-    for block in _unit_class_blocks(fs.s, n, deg, cap):
-        for q in block.tolist():
-            yield tuple(Poly(fs, c) for c in q)
 
 
 def _primitive_key(qs: tuple[Poly, ...]) -> tuple:
@@ -327,37 +381,40 @@ def kg_solutions(A, psi: PsiFunction, q_max, cap: int = _DEFAULT_SEARCH_CAP):
     deg = _spower_exponent(q_max, fs.s, "q_max")
     if deg < 0:
         raise ValueError("q_max must be >= 1")
+    theta = np.array([_llog_ext(psi, n * d) for d in range(deg + 1)])
     best: dict[tuple, ApproxSolution] = {}
     raw = 0
-    for qs in _unit_class_polys(fs, n, deg, cap):
-        ps, fracs = _residual_rows(rows, qs)
-        q_deg = _vector_exponents(qs)
-        admitted, err_exp, exact = _strict_admission(psi, m, n, q_deg, fracs)
-        if not admitted:
-            continue
-        raw += 1
-        sol = ApproxSolution(qs, ps, q_deg, err_exp, exact)
-        key = _primitive_key(qs)
-        old = best.get(key)
-        if old is None or _solution_order(sol) < _solution_order(old):
-            best[key] = sol
+    for q in _unit_class_blocks(fs.s, n, deg, cap, _block_rows(rows, deg)):
+        top, floor, prec, p_whole = _residuals(fs, rows, q, split=True)
+        q_deg = _degrees(q).max(axis=1)
+        known, floors = top.max(axis=0), floor.max(axis=0)
+        limit = theta[q_deg] - _EPS
+        admitted = m * known < limit
+        short = (prec < 1).any(axis=0)
+        failed = short | admitted & (m * floors >= limit)
+        if failed.any():
+            k = int(failed.argmax())
+            if short[k]:
+                raise PrecisionError("window does not reach index 0")
+            d = int(q_deg[k])
+            raise CertificationError(
+                "window cannot decide the admission inequality",
+                needed_precision=_admission_depth(psi, m, n, d) + d + 1,
+            )
+        for k in np.flatnonzero(admitted).tolist():
+            raw += 1
+            qs = tuple(Poly(fs, c) for c in q[k])
+            ps = tuple(Poly(fs, c[k]) for c in p_whole)
+            # a window floor above the visible term leaves the error unknown
+            exact = not floors[k] > known[k]
+            err_exp = int(known[k]) if exact and known[k] > -np.inf else None
+            sol = ApproxSolution(qs, ps, int(q_deg[k]), err_exp, exact)
+            key = _primitive_key(qs)
+            old = best.get(key)
+            if old is None or _solution_order(sol) < _solution_order(old):
+                best[key] = sol
     sols = sorted(best.values(), key=_solution_order)
     return KGSolutionSet(m, n, fs.s, deg, psi.describe(), sols, raw)
-
-
-def _residual_rows(rows, qs) -> tuple[tuple[Poly, ...], list[LaurentSeries]]:
-    fs = rows[0][0].field
-    qseries = [LaurentSeries.from_poly(t) for t in qs]
-    ps = []
-    fracs = []
-    for row in rows:
-        w = LaurentSeries.zero(fs)
-        for a, t in zip(row, qseries):
-            w = w + a * t
-        whole, frac = w.polynomial_part()
-        ps.append(-whole)
-        fracs.append(frac)
-    return tuple(ps), fracs
 
 
 def _solution_order(sol: ApproxSolution):
@@ -814,66 +871,26 @@ def _cf_convergents(fs: FieldSpec, quotients) -> list[Poly]:
     return qs[1:]
 
 
-def _reversed_rows(polys, width: int) -> np.ndarray:
-    """Coefficients of each polynomial, highest degree first, right-aligned
-    in ``width`` columns: column k holds the coefficient of X^(width-1-k)."""
-    out = np.zeros((len(polys), width), dtype=np.int64)
-    for row, poly in zip(out, polys):
-        row[width - poly.coeffs.size :] = poly.coeffs[::-1]
-    return out
-
-
 def _window_witnesses(rows_A, psi, spec, flagged) -> list[WindowWitness]:
     """Recompute the residual of every flagged witness (t, R, q, p) from A
     and test both the predicted norm window and the non-strict inequality.
 
-    Row i of p + Aq is formed for all flagged times at once, by one
-    ``polymul`` per entry a_ij against the stacked q_j.  Windows follow
-    LaurentSeries arithmetic: a_ij q_j is known below prec(a_ij) - deg q_j,
-    and an exact entry or a zero q_j adds no window.  With p None (m = n =
-    1, the ladder's convergents) p is minus the whole part of Aq, whose
-    window must reach index 0.  Times are read in order, so the first one
-    the window cannot decide raises.
+    ``_residuals`` forms p + Aq for all flagged times at once.  With p None
+    (m = n = 1, the ladder's convergents) p is minus the whole part of Aq,
+    whose window must reach index 0.  Times are read in order, so the first
+    one the window cannot decide raises.
     """
     if not flagged:
         return []
     fs, m, n = spec.field, spec.m, spec.n
     times = np.array([t for t, _, _, _ in flagged])
     thresholds = np.array([R for _, R, _, _ in flagged])
-    qdeg = np.array([[q.degree for q in qs] for _, _, qs, _ in flagged])
-    bot = qdeg.max(axis=1)
-    wq = int(bot.max()) + 1
-    q_rows = [_reversed_rows([qs[j] for _, _, qs, _ in flagged], wq) for j in range(n)]
+    q = _stack([qs for _, _, qs, _ in flagged])
+    bot = _degrees(q).max(axis=1)
     ladder = flagged[0][3] is None
-    # p_i sits at indices 1 - wp .. 0; the ladder reads it off all of <= 0
-    wp = 1 if ladder else max(p.coeffs.size for *_, ps in flagged for p in ps)
-    unset = np.iinfo(np.int64).max  # no window
-    none = np.iinfo(np.int64).min  # no visible term, no window
-    top = np.full(len(flagged), none)
-    floor = np.full(len(flagged), none)
-    for i, row in enumerate(rows_A):
-        live = [(a, q) for a, q in zip(row, q_rows) if a.has_leading_term]
-        lo = min([a.v - wq + 1 for a, _ in live] + [1 - wp])
-        hi = max([a.v + a.coeffs.size for a, _ in live] + [1])
-        acc = np.zeros((len(flagged), hi - lo), dtype=np.int64)
-        for a, q in live:
-            span = slice(a.v - wq + 1 - lo, a.v + a.coeffs.size - lo)
-            acc[:, span] = fs.add_arr(acc[:, span], fs.polymul(q, a.coeffs))
-        if ladder:
-            whole = fs.neg_arr(acc[:, : 1 - lo][:, ::-1])
-            acc[:, : 1 - lo] = 0
-        else:
-            span = slice(1 - wp - lo, 1 - lo)
-            p_rows = _reversed_rows([ps[i] for *_, ps in flagged], wp)
-            acc[:, span] = fs.add_arr(acc[:, span], p_rows)
-        prec = np.full(len(flagged), unset)
-        for a, deg in zip(row, qdeg.T):
-            if a.prec is not None:
-                np.minimum(prec, np.where(deg >= 0, a.prec - deg, unset), out=prec)
-        nz = (acc != 0) & (np.arange(lo, hi) < prec[:, None])
-        seen = nz.any(axis=1)
-        np.maximum(top, np.where(seen, -(lo + nz.argmax(axis=1)), none), out=top)
-        np.maximum(floor, np.where(~seen & (prec < unset), -prec, none), out=floor)
+    p = None if ladder else _stack([ps for *_, ps in flagged])
+    top, floor, prec, p_whole = _residuals(fs, rows_A, q, p, split=ladder)
+    top, floor = top.max(axis=0), floor.max(axis=0)
     upper = np.maximum(top, floor)
     window_ok = bot <= m * times - thresholds
     out = []
@@ -883,11 +900,11 @@ def _window_witnesses(rows_A, psi, spec, flagged) -> list[WindowWitness]:
             out.append(WindowWitness(qs, ps or (), -1, None, False, False))
             continue
         if ladder:
-            # one row, so prec is its window
-            if prec[f] < 1:
+            # one row, so prec[0] is its window
+            if prec[0, f] < 1:
                 raise PrecisionError("window does not reach index 0")
-            ps = (Poly(fs, whole[f]),)
-        top_f = int(top[f]) if top[f] != none else None
+            ps = (Poly(fs, p_whole[0][f]),)
+        top_f = int(top[f]) if top[f] > -np.inf else None
         if top[f] > -(n * t + R):
             # the visible part already breaks the window; no precision issue
             out.append(WindowWitness(qs, ps, b, top_f, False, False))
@@ -897,7 +914,7 @@ def _window_witnesses(rows_A, psi, spec, flagged) -> list[WindowWitness]:
                 "witness window undecidable at this precision",
                 needed_precision=n * t + R + b + 1,
             )
-        ineq_ok = upper[f] == none or m * int(upper[f]) <= _llog_ext(psi, n * b) + _EPS
+        ineq_ok = upper[f] == -np.inf or m * int(upper[f]) <= _llog_ext(psi, n * b) + _EPS
         out.append(WindowWitness(qs, ps, b, top_f, bool(window_ok[f]), bool(ineq_ok)))
     return out
 
@@ -981,39 +998,27 @@ def _mult_correspondence(basis, psi, box, cap) -> CorrespondenceReport:
 
 
 def _verify_mult_witness(basis, red, psi, tvec, R) -> MultWitness:
-    fs = basis.field
-    r = basis.rank
+    # coordinates of the shortest reduced column: B times its column of U
     j = int(np.argmin(red.degrees))
-    ucol = red.transform_columns()[j]
-    coords = []
-    for i in range(r):
-        w = LaurentSeries.zero(fs)
-        for k in range(r):
-            w = w + basis.entries[i][k] * ucol[k]
-        coords.append(w)
+    top, _, prec, _ = _residuals(basis.field, basis.entries, red.transform[None, :, j])
     exps: list[int | None] = []
-    degenerate = False
-    for e in coords:
-        if e.has_leading_term:
-            exps.append(-int(e.valuation()))
-        elif e.prec is None:
+    for e, w in zip(top[:, 0].tolist(), prec[:, 0].tolist()):
+        if e > -math.inf:
+            exps.append(int(e))
+        elif w == math.inf:
             exps.append(None)
-            degenerate = True
         else:
             raise CertificationError(
                 "witness coordinate vanishes through the window",
-                needed_precision=e.prec + 1,
+                needed_precision=int(w) + 1,
             )
-    window_ok = all(
-        e is None or e <= -ti - R for e, ti in zip(exps, tvec)
-    )
-    if degenerate:
+    window_ok = all(e is None or e <= -ti - R for e, ti in zip(exps, tvec))
+    if None in exps:
         # a zero coordinate makes the product vanish; the inequality holds
         # for every positive profile
         return MultWitness(tuple(exps), True, window_ok, True)
-    prod = sum(exps)
     norm = max(exps)
-    ineq_ok = prod <= norm + _llog_ext(psi, norm) + _EPS
+    ineq_ok = sum(exps) <= norm + _llog_ext(psi, norm) + _EPS
     return MultWitness(tuple(exps), False, window_ok, ineq_ok)
 
 
@@ -1050,47 +1055,30 @@ def zero_block_detector(
     window are counted as indeterminate, never as hits.
     """
     if isinstance(target, LatticeBasis):
-        return _zero_block_generic(target, spec, degree_bound, cap)
-    rows = _matrix_rows(target)
-    if len(rows) != spec.m or len(rows[0]) != spec.n:
-        raise ValueError(f"A must be {spec.m} x {spec.n}")
-    fs = spec.field
+        if spec.rank != target.rank:
+            raise ValueError("spec rank does not match the basis")
+        # the block is the first m coordinates of B u
+        fs, rows, split = target.field, target.entries[: spec.m], False
+    else:
+        # the block is the fractional part of Aq
+        fs, rows, split = spec.field, _matrix_rows(target), True
+        if len(rows) != spec.m or len(rows[0]) != spec.n:
+            raise ValueError(f"A must be {spec.m} x {spec.n}")
+    n = len(rows[0])
     searched = 0
     indeterminate = 0
-    for qs in _unit_class_polys(fs, spec.n, degree_bound, cap):
-        _, fracs = _residual_rows(rows, qs)
-        searched += 1
-        if all(f.is_exact_zero for f in fracs):
-            return ZeroBlockReport(True, qs, searched, indeterminate, degree_bound)
-        if all(not f.has_leading_term for f in fracs):
-            indeterminate += 1
-    return ZeroBlockReport(False, None, searched, indeterminate, degree_bound)
-
-
-def _zero_block_generic(basis, spec, degree_bound, cap) -> ZeroBlockReport:
-    fs = basis.field
-    r = basis.rank
-    if spec.rank != r:
-        raise ValueError("spec rank does not match the basis")
-    searched = 0
-    indeterminate = 0
-    for us in _unit_class_polys(fs, r, degree_bound, cap):
-        useries = [LaurentSeries.from_poly(u) for u in us]
-        searched += 1
-        vanished = True
-        provable = True
-        for i in range(spec.m):
-            w = LaurentSeries.zero(fs)
-            for k in range(r):
-                w = w + basis.entries[i][k] * useries[k]
-            if w.has_leading_term:
-                vanished = False
-                break
-            if not w.is_exact_zero:
-                provable = False
-        if not vanished:
-            continue
-        if provable:
-            return ZeroBlockReport(True, us, searched, indeterminate, degree_bound)
-        indeterminate += 1
+    for q in _unit_class_blocks(fs.s, n, degree_bound, cap, _block_rows(rows, degree_bound)):
+        top, floor, prec, _ = _residuals(fs, rows, q, split=split)
+        vanished = (top == -np.inf).all(axis=0)
+        hit = vanished & (floor == -np.inf).all(axis=0)
+        stop = hit | (prec < 1).any(axis=0) if split else hit
+        if stop.any():
+            k = int(stop.argmax())
+            if not hit[k]:
+                raise PrecisionError("window does not reach index 0")
+            witness = tuple(Poly(fs, c) for c in q[k])
+            indeterminate += int(vanished[:k].sum())
+            return ZeroBlockReport(True, witness, searched + k + 1, indeterminate, degree_bound)
+        searched += q.shape[0]
+        indeterminate += int(vanished.sum())
     return ZeroBlockReport(False, None, searched, indeterminate, degree_bound)

@@ -790,15 +790,21 @@ def exact_rank2_tail(s: int, n_max: int = 16) -> TailTable:
 
 
 def sample_matrix(
-    fs: FieldSpec, rng: np.random.Generator, m: int, n: int, precision: int
+    fs: FieldSpec, rng: np.random.Generator, m: int, n: int, precision: int, exact: bool = False
 ) -> list[list[LaurentSeries]]:
-    """iid uniform matrix over O, coefficients known on indices 0..precision-1."""
+    """iid uniform matrix over O, coefficients known on indices 0..precision-1.
+
+    With ``exact`` the entries are the exact rational representatives of
+    the same draws: the window is left unset, so every later coefficient
+    is zero.
+    """
+    window = None if exact else precision
     out = []
     for _ in range(m):
         row = []
         for _ in range(n):
             coeffs = rng.integers(0, fs.s, size=precision)
-            row.append(LaurentSeries(fs, 0, coeffs, precision))
+            row.append(LaurentSeries(fs, 0, coeffs, window))
         out.append(row)
     return out
 

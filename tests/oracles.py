@@ -7,23 +7,33 @@ element, the full-width weak Popov reduction the package's windowed one is
 checked against, the two Monte Carlo backends one step or one sample at a
 time, and the candidate walks one candidate at a time.  Nothing imports from
 ffdyn, so agreement between these and the package is a real cross-check,
-not a tautology.  The six exceptions are ``slow_trial``, which evaluates
-each kg candidate by the package's series arithmetic and admission rule, so
-it checks the kg rank count's admitted classes, not that rule;
-``hankel_trial``, the batched Hankel walk that the rank count replaced,
-which reads the package's unit-class blocks, field kernels and admission
-rule, so it checks the rank count on inputs too large for ``slow_trial``;
-``zero_block_reference``, which walks the unit classes one at a time
-through the package's series arithmetic, so it checks the block walk and
-the hit and indeterminate bookkeeping of ``zero_block_detector``;
-``mult_solutions_reference``, which reads the package's series walk
-``enumerate_short_vectors`` one vector at a time, so it checks the array
-filter of ``mult_solutions``, not the walk; and ``xi_exact_reference``,
-which walks the congruence classes on the package's field arithmetic and
-buffer layout, so it checks the class counting of ``xi_exact``; and
-``verify_window_witness``, which recomputes one flagged time's witness
-residual through the package's series arithmetic, so it checks the batched
-products and window bookkeeping of ``correspondence_check``.
+not a tautology.  The exceptions read package code, so each checks
+only what it does not share with the package:
+
+* ``residual_rows``, ``strict_admission``, ``kg_solutions_reference``
+  and ``best_integer_approx_reference`` form each candidate's residual by
+  the package's series arithmetic and reuse its psi extension, class cap,
+  content removal and solution order, so they check the block residual
+  and admission of ``kg_solutions`` and ``best_integer_approx``;
+* ``slow_trial`` evaluates each kg candidate the same way, so it checks
+  the kg rank count's admitted classes, not the admission rule;
+* ``hankel_trial``, the batched Hankel walk that the rank count
+  replaced, reads the package's unit-class blocks, field kernels and
+  admission rule, so it checks the rank count on inputs too large for
+  ``slow_trial``;
+* ``zero_block_reference`` walks the unit classes one at a time through
+  the package's series arithmetic, so it checks the block walk and the
+  hit and indeterminate bookkeeping of ``zero_block_detector``;
+* ``mult_solutions_reference`` reads the package's series walk
+  ``enumerate_short_vectors`` one vector at a time, so it checks the
+  array filter of ``mult_solutions``, not the walk;
+* ``xi_exact_reference`` walks the congruence classes on the package's
+  field arithmetic and buffer layout, so it checks the class counting of
+  ``xi_exact``;
+* ``verify_window_witness`` and ``verify_mult_witness`` recompute one
+  flagged witness's residual through the package's series arithmetic, so
+  they check the batched residuals and window bookkeeping of
+  ``correspondence_check``.
 """
 
 from __future__ import annotations
@@ -783,10 +793,120 @@ def enumerate_literal(fs, P, delta_cap, qdeg):
     return sols
 
 
+def vector_exponents(vec) -> int:
+    return max(p.degree for p in vec)
+
+
+def residual_rows(rows, qs):
+    """(p, fractional parts) of the rows of Aq for one candidate q, by
+    series arithmetic: p is minus the whole part of each row."""
+    from ffdyn.field import LaurentSeries
+
+    fs = rows[0][0].field
+    qseries = [LaurentSeries.from_poly(t) for t in qs]
+    ps = []
+    fracs = []
+    for row in rows:
+        w = LaurentSeries.zero(fs)
+        for a, t in zip(row, qseries):
+            w = w + a * t
+        whole, frac = w.polynomial_part()
+        ps.append(-whole)
+        fracs.append(frac)
+    return tuple(ps), fracs
+
+
+def strict_admission(psi, m, n, q_deg, fracs):
+    """Decide ||p + Aq||^m < psi(||q||^n) from the fractional parts;
+    returns (admitted, err_exp, exact).
+
+    A row with a visible leading term pins its exponent; one that vanishes
+    through a finite window only bounds it from above.  err_exp is log_s
+    of the error norm, or None when the error is zero or confined below
+    every stored index (then exact=False unless provably 0).
+    """
+    from ffdyn.dioph import _EPS, _admission_depth, _llog_ext
+    from ffdyn.errors import CertificationError
+
+    theta = _llog_ext(psi, n * q_deg)
+    known: list[int] = []
+    floors: list[int] = []
+    for frac in fracs:
+        if frac.has_leading_term:
+            known.append(-int(frac.valuation()))
+        elif frac.prec is not None:
+            floors.append(-int(frac.prec))
+    e_known = max(known) if known else None
+    if e_known is not None and m * e_known >= theta - _EPS:
+        return False, e_known, True
+    undecided = [f for f in floors if m * f >= theta - _EPS]
+    if undecided:
+        raise CertificationError(
+            "window cannot decide the admission inequality",
+            needed_precision=_admission_depth(psi, m, n, q_deg) + q_deg + 1,
+        )
+    if e_known is None:
+        return True, None, not floors
+    if floors and e_known < max(floors):
+        return True, None, False
+    return True, e_known, True
+
+
+def best_integer_approx_reference(A, qs):
+    """``best_integer_approx`` by ``residual_rows``: p and the largest
+    norm of a fractional part."""
+    from ffdyn.dioph import _matrix_rows
+
+    ps, fracs = residual_rows(_matrix_rows(A), qs)
+    return ps, max((frac.abs_value() for frac in fracs), default=0.0)
+
+
+def kg_solutions_reference(A, psi, q_max, cap: int = 1_000_000):
+    """``kg_solutions`` one unit class at a time: each candidate's residual
+    by ``residual_rows``, admitted by ``strict_admission``, in the walk
+    order of ``unit_normalized_vectors``."""
+    from ffdyn.dioph import (
+        ApproxSolution,
+        KGSolutionSet,
+        _check_class_cap,
+        _matrix_rows,
+        _primitive_key,
+        _solution_order,
+        _spower_exponent,
+    )
+    from ffdyn.field import Poly
+
+    rows = _matrix_rows(A)
+    m, n = len(rows), len(rows[0])
+    fs = rows[0][0].field
+    if psi.s != fs.s:
+        raise ValueError("psi and A use different values of s")
+    deg = _spower_exponent(q_max, fs.s, "q_max")
+    if deg < 0:
+        raise ValueError("q_max must be >= 1")
+    _check_class_cap(fs.s, n, deg, cap)
+    best = {}
+    raw = 0
+    for coords in unit_normalized_vectors(fs.s, n, deg):
+        qs = tuple(Poly(fs, list(c)) for c in coords)
+        ps, fracs = residual_rows(rows, qs)
+        q_deg = vector_exponents(qs)
+        admitted, err_exp, exact = strict_admission(psi, m, n, q_deg, fracs)
+        if not admitted:
+            continue
+        raw += 1
+        sol = ApproxSolution(qs, ps, q_deg, err_exp, exact)
+        key = _primitive_key(qs)
+        old = best.get(key)
+        if old is None or _solution_order(sol) < _solution_order(old):
+            best[key] = sol
+    sols = sorted(best.values(), key=_solution_order)
+    return KGSolutionSet(m, n, fs.s, deg, psi.describe(), sols, raw)
+
+
 def slow_trial(rows, psi, m, n, horizon, rungs):
     """(admitted unit classes, rung passes) of one kg trial on the matrix
     rows, one candidate at a time through series products."""
-    from ffdyn.dioph import _residual_rows, _strict_admission, _vector_exponents
     from ffdyn.field import Poly
 
     fs = rows[0][0].field
@@ -794,9 +914,9 @@ def slow_trial(rows, psi, m, n, horizon, rungs):
     top = -1
     for coords in unit_normalized_vectors(fs.s, n, horizon):
         qs = tuple(Poly(fs, list(c)) for c in coords)
-        _, fracs = _residual_rows(rows, qs)
-        q_deg = _vector_exponents(qs)
-        admitted, _, _ = _strict_admission(psi, m, n, q_deg, fracs)
+        _, fracs = residual_rows(rows, qs)
+        q_deg = vector_exponents(qs)
+        admitted, _, _ = strict_admission(psi, m, n, q_deg, fracs)
         if admitted:
             count += 1
             top = max(top, q_deg)
@@ -1045,7 +1165,7 @@ def verify_window_witness(rows_A, psi, spec, t, R, qs, ps):
     residual p + Aq recomputed by series arithmetic (p = minus the whole
     part of Aq when ps is None), then the predicted norm window and the
     non-strict inequality, as ``correspondence_check`` reads them."""
-    from ffdyn.dioph import _EPS, WindowWitness, _llog_ext, _vector_exponents
+    from ffdyn.dioph import _EPS, WindowWitness, _llog_ext
     from ffdyn.errors import CertificationError
     from ffdyn.field import LaurentSeries
 
@@ -1072,7 +1192,7 @@ def verify_window_witness(rows_A, psi, spec, t, R, qs, ps):
             known.append(-int(tail.valuation()))
         elif tail.prec is not None:
             floors.append(-int(tail.prec))
-    bot = _vector_exponents(qs)
+    bot = vector_exponents(qs)
     need_top = -(n * t + R)
     top = max(known) if known else None
     if top is not None and top > need_top:
@@ -1091,3 +1211,39 @@ def verify_window_witness(rows_A, psi, spec, t, R, qs, ps):
         theta = _llog_ext(psi, n * bot)
         ineq_ok = m * upper <= theta + _EPS
     return WindowWitness(qs, tuple(p_out), bot, top, window_ok, ineq_ok)
+
+
+def verify_mult_witness(basis, red, psi, tvec, R):
+    """The MultWitness of one flagged drift tvec with threshold R: the
+    coordinates B u of the reduced basis's shortest column, u its column
+    of U, recomputed by series products, then the predicted window and the
+    multiplicative inequality, as ``correspondence_check`` reads them."""
+    from ffdyn.dioph import _EPS, MultWitness, _llog_ext
+    from ffdyn.errors import CertificationError
+    from ffdyn.field import LaurentSeries
+
+    fs = basis.field
+    r = basis.rank
+    j = int(np.argmin(red.degrees))
+    ucol = red.transform_columns()[j]
+    exps = []
+    for i in range(r):
+        w = LaurentSeries.zero(fs)
+        for k in range(r):
+            w = w + basis.entries[i][k] * ucol[k]
+        if w.has_leading_term:
+            exps.append(-int(w.valuation()))
+        elif w.prec is None:
+            exps.append(None)
+        else:
+            raise CertificationError(
+                "witness coordinate vanishes through the window",
+                needed_precision=w.prec + 1,
+            )
+    window_ok = all(e is None or e <= -ti - R for e, ti in zip(exps, tvec))
+    if None in exps:
+        # a zero coordinate makes the product vanish
+        return MultWitness(tuple(exps), True, window_ok, True)
+    norm = max(exps)
+    ineq_ok = sum(exps) <= norm + _llog_ext(psi, norm) + _EPS
+    return MultWitness(tuple(exps), False, window_ok, ineq_ok)

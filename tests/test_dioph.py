@@ -23,7 +23,7 @@ from ffdyn.dioph import (
     persistence_ladder,
     zero_block_detector,
 )
-from ffdyn.errors import CertificationError, EnumerationCapError, PrecisionError
+from ffdyn.errors import CertificationError, EnumerationCapError, FieldError, PrecisionError
 from ffdyn.field import LaurentSeries, Poly, field_spec
 from ffdyn.flow import (
     FlowSpec,
@@ -47,6 +47,35 @@ def series(fs, pairs, prec=None):
 
 def power_law(s, c=0.0, tau=1.0, u0=0.0):
     return PsiPowerLaw(s, c=c, tau=tau, u0=u0)
+
+
+_FIELDS = [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]
+
+
+def _outcome(run):
+    """The result of ``run()`` with its repr, which tells a numpy integer
+    from a Python int, or the type, message and needed precision of the
+    error it raised."""
+    try:
+        got = run()
+    except (CertificationError, PrecisionError) as err:
+        return type(err), str(err), getattr(err, "needed_precision", None)
+    return got, repr(got)
+
+
+def _residual_matrices(fs, rng, m, n, need):
+    """Matrices whose residuals p + Aq take every path: windows from two
+    past ``need`` down to 1 (shorter than a candidate's degree), exact
+    entries, a windowed zero entry and an entry with an integer part."""
+    mats = [sample_matrix(fs, rng, m, n, prec) for prec in (need + 2, need, max(need - 2, 1), 2, 1)]
+    mats.append(sample_matrix(fs, rng, m, n, need, exact=True))
+    windowed_zero = sample_matrix(fs, rng, m, n, need)
+    windowed_zero[0][-1] = LaurentSeries.zero_window(fs, 2)
+    mats.append(windowed_zero)
+    whole = sample_matrix(fs, rng, m, n, need)
+    whole[-1][0] = series(fs, {-1: 1, 0: fs.s - 1, 2: 1}, prec=need)
+    mats.append(whole)
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +129,24 @@ def test_best_approx_matrix_shape():
     assert len(p) == 1 and err == 0.5
     with pytest.raises(ValueError):
         best_integer_approx(rows, Poly.one(F2))
+
+
+@pytest.mark.parametrize("p,e", _FIELDS)
+def test_best_approx_matches_series_reference(p, e):
+    # the one-candidate residual gives the p and error of the series
+    # products, or their error (type, message, needed precision); q = 0,
+    # the zero-width stack, is one input against every matrix
+    fs = field_spec(p, e)
+    rng = stream(43, "test", fs.s)
+    kinds = set()
+    for m, n in itertools.product((1, 2), repeat=2):
+        for A in _residual_matrices(fs, rng, m, n, 8):
+            for width in (0, 1, 3, 6):
+                qs = tuple(Poly(fs, rng.integers(0, fs.s, size=width)) for _ in range(n))
+                want = _outcome(lambda: oracles.best_integer_approx_reference(A, qs))
+                assert _outcome(lambda: best_integer_approx(A, qs)) == want, (m, n, qs)
+                kinds.add(" ".join(want[1].split()[:2]) if isinstance(want[0], type) else "result")
+    assert kinds == {"result", "window does", "series vanishes"}
 
 
 def test_best_approx_precision_errors():
@@ -237,6 +284,32 @@ def test_kg_admission_is_strict_in_integers(coeffs):
             assert sol.err_exp < -2 * sol.q_exp
 
 
+@pytest.mark.parametrize("p,e", _FIELDS)
+def test_kg_solutions_match_series_reference(p, e, monkeypatch):
+    # the block residual admits the solutions of the one-candidate series
+    # walk (raw count; q, p, exponents and exactness of each) or raises
+    # its error (type, message, needed precision) at the same candidate;
+    # 64 residual codes per block row put that candidate past the first
+    # block
+    fs = field_spec(p, e)
+    rng = stream(44, "test", fs.s)
+    psis = (power_law(fs.s, tau=1.0), power_law(fs.s, c=0.5, tau=1.3), PsiLogPower(fs.s, 2.0))
+    kinds = set()
+    for m, n in [(1, 1), (1, 2), (2, 1)]:
+        classes = [(fs.s ** (n * (d + 1)) - 1) // (fs.s - 1) for d in range(5)]
+        horizon = max((d for d, c in enumerate(classes) if c <= 200), default=0)
+        need = _required_precision(psis[0], m, n, horizon)
+        for i, A in enumerate(_residual_matrices(fs, rng, m, n, need)):
+            psi = psis[i % len(psis)]
+            want = _outcome(lambda: oracles.kg_solutions_reference(A, psi, fs.s**horizon))
+            assert _outcome(lambda: kg_solutions(A, psi, fs.s**horizon)) == want, (m, n, i)
+            with monkeypatch.context() as patch:
+                patch.setattr(dioph, "_RESIDUAL_CELLS", 64)
+                assert _outcome(lambda: kg_solutions(A, psi, fs.s**horizon)) == want, (m, n, i)
+            kinds.add(want[0] if isinstance(want[0], type) else "solutions")
+    assert kinds == {"solutions", CertificationError, PrecisionError}
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo dichotomy
 
@@ -331,24 +404,25 @@ def test_kg_mc_refuses_walks_above_the_search_cap():
         kg_monte_carlo(F2, power_law(2, tau=1.0), 1, 1, 1, 20, 1)
 
 
-_FIELDS = [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]
-
-
 @pytest.mark.parametrize("p,e", _FIELDS)
 def test_unit_class_blocks_match_reference_walk(p, e):
+    # the walk order is the same for every block size; 7 rows cut inside
+    # each degree's classes and 1 row yields every class alone
     fs = field_spec(p, e)
     cases = [(n, deg) for n in (1, 2, 3) for deg in range(4) if fs.s ** (n * (deg + 1)) <= 5000]
     if fs.s == 2:
         cases.append((2, 7))  # 2^16 - 1 classes: the walk spans several blocks
     for n, deg in cases:
-        blocks = list(_unit_class_blocks(fs.s, n, deg, 10**6))
-        assert all(b.shape[0] == _CANDIDATE_BLOCK for b in blocks[:-1])
-        got = [row for b in blocks for row in b.tolist()]
         want = [
             [list(c) + [0] * (deg + 1 - len(c)) for c in coords]
             for coords in oracles.unit_normalized_vectors(fs.s, n, deg)
         ]
-        assert got == want, (fs, n, deg)
+        for size in (_CANDIDATE_BLOCK, 7, 1):
+            blocks = list(_unit_class_blocks(fs.s, n, deg, 10**6, size))
+            assert all(b.shape[0] == size for b in blocks[:-1])
+            assert 0 < blocks[-1].shape[0] <= size
+            got = [row for b in blocks for row in b.tolist()]
+            assert got == want, (fs, n, deg, size)
 
 
 @pytest.mark.parametrize("p,e", _FIELDS)
@@ -409,7 +483,8 @@ def test_kg_rank_count_matches_hankel_trial(p, e):
 
 def _zero_block_cases(fs, rng):
     """(target, spec, degree bound, expect a hit, expect indeterminate > 0)
-    on the matrix path and the basis path."""
+    on the matrix path and the basis path; a hit of PrecisionError expects
+    that error, from a candidate whose window does not reach index 0."""
     c = int(rng.integers(1, fs.s))
     classes = lambda r, d: (fs.s ** (r * (d + 1)) - 1) // (fs.s - 1)
     d1 = max(d for d in range(6) if classes(1, d) <= 2000)
@@ -417,8 +492,10 @@ def _zero_block_cases(fs, rng):
     s11, s12, s21 = FlowSpec(fs, 1, 1), FlowSpec(fs, 1, 2), FlowSpec(fs, 2, 1)
     exact = series(fs, {1: c})  # c X^-1, cleared exactly by q = X
     windowed = sample_matrix(fs, rng, 1, 1, d1 + 1)
+    short = LaurentSeries.zero_window(fs, 1)  # times q of degree d: known below 1 - d
     cases = [
         ([[exact]], s11, d1, True, False),
+        ([[short]], s11, d1, PrecisionError, None),
         (windowed, s11, d1, False, True),
         (sample_matrix(fs, rng, 1, 1, 4 * d1 + 8), s11, d1, False, False),
         (unipotent_lattice(series(fs, {0: c}), s11), s11, d2, True, False),
@@ -428,21 +505,36 @@ def _zero_block_cases(fs, rng):
     if classes(2, 1) <= 2000:
         cases += [
             (sample_matrix(fs, rng, 1, 2, 3), s12, 1, None, None),
+            # (0, 1) is indeterminate, then (0, X) raises before (X, 0) hits
+            ([[exact, short]], s12, 1, PrecisionError, None),
+            # the hit (0, X) comes before (X, 0) would raise
+            ([[short, exact]], s12, 1, True, True),
             (sample_matrix(fs, rng, 2, 1, 3), s21, 1, None, None),
             (unipotent_lattice([[exact], [series(fs, {2: c})]], s21), s21, 0, None, None),
         ]
+    # drawn last, so the draws of the cases above stay as they were
+    cases.append((sample_matrix(fs, rng, 1, 1, 1), s11, d1, PrecisionError, None))
     return cases
 
 
 @pytest.mark.parametrize("p,e", _FIELDS)
-def test_zero_block_detector_matches_reference(p, e):
+def test_zero_block_detector_matches_reference(p, e, monkeypatch):
     fs = field_spec(p, e)
-    for target, spec, bound, hit, undecided in _zero_block_cases(fs, stream(p * 10 + e, "test", 0)):
+    def search(target, spec, bound):
         rep = zero_block_detector(target, spec, degree_bound=bound)
-        want = oracles.zero_block_reference(target, spec.m, bound)
-        assert (rep.found, rep.witness, rep.searched, rep.indeterminate) == want, (fs, spec, bound)
-        if hit is not None:
-            assert rep.found == hit and (rep.indeterminate > 0) == undecided
+        return rep.found, rep.witness, rep.searched, rep.indeterminate
+
+    for target, spec, bound, hit, undecided in _zero_block_cases(fs, stream(p * 10 + e, "test", 0)):
+        want = _outcome(lambda: oracles.zero_block_reference(target, spec.m, bound))
+        assert _outcome(lambda: search(target, spec, bound)) == want, (fs, spec, bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(dioph, "_RESIDUAL_CELLS", 16)
+            assert _outcome(lambda: search(target, spec, bound)) == want, (fs, spec, bound)
+        if hit is PrecisionError:
+            assert want[:2] == (PrecisionError, "window does not reach index 0")
+        elif hit is not None:
+            found, _, _, indeterminate = want[0]
+            assert found == hit and (indeterminate > 0) == undecided
 
 
 # ---------------------------------------------------------------------------
@@ -735,17 +827,6 @@ def test_correspondence_low_precision_generic_raises_like_trajectory():
     assert str(corr.value) == str(traj.value)
 
 
-def _witness_outcome(run):
-    """The witnesses of ``run()`` with their repr, which tells a numpy
-    integer from a Python int, or the type, message and needed precision
-    of the error it raised."""
-    try:
-        got = run()
-    except (CertificationError, PrecisionError) as err:
-        return type(err), str(err), getattr(err, "needed_precision", None)
-    return got, repr(got)
-
-
 def _truncated(A, prec):
     return [[a.truncate(prec) for a in row] for row in A]
 
@@ -800,8 +881,8 @@ def test_batched_witnesses_match_series_oracle(fs, monkeypatch):
             (windowed_zero, flagged),
         ]
         for matrix, rows in cases:
-            got = _witness_outcome(lambda: batched(matrix, psi, spec, rows))
-            assert got == _witness_outcome(lambda: reference(matrix, psi, spec, rows))
+            got = _outcome(lambda: batched(matrix, psi, spec, rows))
+            assert got == _outcome(lambda: reference(matrix, psi, spec, rows))
             kinds.add(got[0] if isinstance(got[0], type) else "witnesses")
     assert kinds == {"witnesses", CertificationError, PrecisionError}
 
@@ -887,6 +968,38 @@ def test_mult_correspondence_rank_guard():
         correspondence_check(LatticeBasis.identity(F2, 1), psi, T=2)
 
 
+@pytest.mark.parametrize("p,e", _FIELDS)
+def test_mult_correspondence_matches_series_witness(p, e, monkeypatch):
+    # the witness coordinates B u, read from the unsplit residual of the
+    # shortest column's u, are those of the series products, and so is
+    # the error of a coordinate that vanishes through the window
+    fs = field_spec(p, e)
+    rng = stream(45, "test", fs.s)
+    bases = []
+    for r, window in itertools.product((2, 3), (None, 2, 4)):
+        entries = [
+            [LaurentSeries(fs, int(rng.integers(-1, 2)), rng.integers(0, fs.s, size=4)) for _ in range(r)]
+            for _ in range(r)
+        ]
+        bases.append([[a.truncate(window or 8) for a in row] for row in entries])
+    zero, one = LaurentSeries.zero(fs), LaurentSeries.one(fs)
+    bases.append([[LaurentSeries.zero_window(fs, 4), LaurentSeries.x_power(fs, 1)], [one, zero]])
+    bases.append(unipotent_lattice(sample_matrix(fs, rng, 1, 1, 6), FlowSpec(fs, 1, 1)).entries)
+    kinds = set()
+    for entries, psi in itertools.product(bases, (power_law(fs.s), power_law(fs.s, c=0.5, tau=1.3))):
+        basis = LatticeBasis(fs, entries)
+        T = 2 if basis.rank == 2 else 1
+        got = _outcome(lambda: correspondence_check(basis, psi, T=T))
+        with monkeypatch.context() as patch:
+            patch.setattr(dioph, "_verify_mult_witness", oracles.verify_mult_witness)
+            assert got == _outcome(lambda: correspondence_check(basis, psi, T=T))
+        if isinstance(got[0], type):
+            kinds.add(str(got[1]).split(" at ")[0])
+        elif got[0].flagged_count:
+            kinds.add("flagged")
+    assert {"flagged", "witness coordinate vanishes through the window"} <= kinds
+
+
 # ---------------------------------------------------------------------------
 # zero-block detection
 
@@ -931,6 +1044,24 @@ def test_zero_block_unipotent_basis_path():
     for k in range(2):
         w = w + basis.entries[0][k] * us[k]
     assert w.is_exact_zero
+
+
+def test_residual_searches_refuse_mixed_fields():
+    # an entry, a candidate or the spec over another field is refused as
+    # series arithmetic refuses it, after the class cap is checked
+    a2, a3 = series(F2, {1: 1}), series(F3, {1: 1})
+    psi = power_law(2)
+    calls = [
+        lambda: zero_block_detector(a2, FlowSpec(F3, 1, 1), degree_bound=2),
+        lambda: kg_solutions([[a2, a3]], psi, 4),
+        lambda: best_integer_approx([[a2, a3]], (Poly.one(F2), Poly.one(F2))),
+        lambda: best_integer_approx(a2, Poly.one(F3)),
+    ]
+    for call in calls:
+        with pytest.raises(FieldError, match="mixed fields in series arithmetic"):
+            call()
+    with pytest.raises(EnumerationCapError):
+        zero_block_detector(a2, FlowSpec(F3, 1, 1), degree_bound=30, cap=10)
 
 
 def test_zero_block_cap():
