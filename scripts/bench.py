@@ -8,11 +8,12 @@ Run from anywhere inside a checkout; ffdyn is imported from its ``src/``.
 The record holds:
 
 - ``benchmark``: the metrics that ``benchmark/run.py --workload all``
-  prints at seed 0, as {workload: {metric: {"value", "unit"}}}, each
-  workload running for the ``run_seconds`` of ``BENCHMARK.json``: once
-  with ``--trace 0`` (end to end), and RUNS times with ``--trace 1`` (per
-  layer), where each value is the median of the runs and ``runs`` lists
-  them in order, since a single traced run moves with the host's speed;
+  prints at seed 0, as {workload: {metric: {"value", "unit", "runs"}}},
+  each workload running for the ``run_seconds`` of ``BENCHMARK.json``:
+  RUNS times with ``--trace 0`` (end to end) and RUNS times with
+  ``--trace 1`` (per layer), where each value is the median of the runs
+  and ``runs`` lists them in order, since a single run moves with the
+  host's speed;
 - ``sample_configs``: for each ``scripts/configs/*.cfg``, the
   ``wall_clock_seconds`` of its report in each of three runs of
   ``scripts/run_all.sh`` and their median;
@@ -32,7 +33,7 @@ The record holds:
 
 Without ``--out`` the file is ``BENCH_<n>.json`` in the checkout's root,
 with n one past the highest already there (0 for the first).  With
-``run_seconds`` at 30 a record takes about seven minutes plus the suite.
+``run_seconds`` at 30 a record takes about eleven minutes plus the suite.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
-RUNS = 3  # runs of the sample configs and of the traced benchmark
+RUNS = 3  # runs of the sample configs and of the benchmark at each --trace
 THREADED_TAGS = ("kg-mc", "strong-bc", "tree-loglaw")
 
 
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
         "benchmark": {
             "seed": SEED,
             "seconds": seconds,
-            "end_to_end": benchmark_metrics(seconds, 0),
+            "end_to_end": median_metrics([benchmark_metrics(seconds, 0) for _ in range(RUNS)]),
             "per_layer": median_metrics([benchmark_metrics(seconds, 1) for _ in range(RUNS)]),
         },
         "sample_configs": configs,

@@ -281,14 +281,14 @@ class FieldSpec:
     # residue table: "wrap" reads x modulo p^2, a multiple of p, so every x
     # in (-p^2, 2 p^2) costs one lookup, which beats numpy's integer % p.
 
-    def _lookup(self, table: np.ndarray, a, b) -> np.ndarray:
-        return _take(table, np.asarray(a, dtype=np.int64) * self.s + b)
+    def _lookup(self, table: np.ndarray, a, b, out=None) -> np.ndarray:
+        return _take(table, np.asarray(a, dtype=np.int64) * self.s + b, out)
 
-    def _mod(self, x) -> np.ndarray:
-        """x mod p for a fresh int64 result x of an e = 1 kernel."""
+    def _mod(self, x, out=None) -> np.ndarray:
+        """x mod p for a fresh int64 result x of an e = 1 kernel, over x or in out."""
         if self._residues is None:
-            return x % self.p
-        return _take(self._residues, x)
+            return np.remainder(x, self.p, out=out)
+        return _take(self._residues, x, out)
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.p == 2:
@@ -313,14 +313,22 @@ class FieldSpec:
     def sub_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.add_arr(a, self.neg_arr(b))
 
-    def submul_arr(self, a: np.ndarray, c, b: np.ndarray) -> np.ndarray:
+    def submul_arr(self, a: np.ndarray, c, b: np.ndarray, out=None) -> np.ndarray:
         """a - c b, for a code c or a code array c broadcast against b: the
-        one update of every elimination step."""
+        one update of every elimination step.  Written into ``out`` if given,
+        which may be a itself (a view disjoint from b), as the reduction does."""
         if self.p == 2:
-            return a ^ (c & b if self.e == 1 else self.mul_arr(c, b))
+            if isinstance(c, np.ndarray) or c > 1:
+                b = c & b if self.e == 1 else self.mul_arr(c, b)
+            elif not c:
+                b = 0
+            return np.bitwise_xor(a, b, out=out)
         if self.e == 1:
-            return self._mod(a - c * b)
-        return self.add_arr(a, self.mul_arr(self.neg_arr(c), b))
+            return self._mod(a - c * b, out)
+        b = self.mul_arr(self.neg_arr(c), b)
+        if self._add_table is not None:
+            return self._lookup(self._add_table, a, b, out)
+        return np.matmul((self._digits[a] + self._digits[b]) % self.p, self._powers, out=out)
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
@@ -514,9 +522,9 @@ class FieldSpec:
         return hash((self.p, self.e))
 
 
-def _take(table: np.ndarray, idx) -> np.ndarray:
-    """table[idx] at wrapped indices, written over an index array."""
-    return table.take(idx, out=idx if np.ndim(idx) else None, mode="wrap")
+def _take(table: np.ndarray, idx, out=None) -> np.ndarray:
+    """table[idx] at wrapped indices, written into ``out`` or over an index array."""
+    return table.take(idx, out=idx if out is None and np.ndim(idx) else out, mode="wrap")
 
 
 def _trim_poly(coeffs: np.ndarray) -> np.ndarray:

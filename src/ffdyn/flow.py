@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BracketError, CertificationError, FieldError, LatticeError
 from .field import FieldSpec, LaurentSeries, Poly, field_spec
-from .lattice import DeltaValue, LatticeBasis, _column_pivots, _reduce_packed
+from .lattice import DeltaValue, LatticeBasis, _augmented, _column_pivots, _reduce_packed
 from .streams import map_trials, stream
 
 DEFAULT_BURN_IN = 8
@@ -634,10 +634,11 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     """The incremental reduction engine along the flow, t = 0..T.
 
     Keeps W = X^M g_t u_A U in weak Popov form, U the cumulative unimodular
-    transform, and yields (depth, needed, column) at each t.  A step of the
-    flow shifts the rows of W by slice assignment, after which every
-    column's (degree, pivot) is read in one ``_column_pivots`` pass and
-    ``_reduce_packed`` restores the form.  needed is None
+    transform, both in one augmented array (``_augmented``), and yields
+    (depth, needed, column) at each t.  A step of the flow shifts the rows
+    of W by slice assignment, after which every column's (degree, pivot) is
+    read in one ``_column_pivots`` pass and ``_reduce_packed`` restores the
+    form.  needed is None
     when every column of U is certified at t, else the input precision that
     would certify them all; column is the U column of the shortest reduced
     vector trimmed to its degree, (p_1..p_m, q_1..q_n) in the basis u_A.
@@ -649,15 +650,11 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     N = basis.window
     m, n, r = spec.m, spec.n, spec.rank
     M = max(basis.scaling_exponent(), m * T)
-    L = M + n * T + 1
-    _, W0 = basis.packed(scale=M)
-    W = np.zeros((r, r, L), dtype=np.int64)
-    W[:, :, : W0.shape[2]] = W0
     # transform degrees stay well below twice (initial column degrees plus
     # flow stretch); the reducer raises before overflowing the buffer
-    U = np.zeros((r, r, 2 * (r * M + 2 * m * n * T) + 16), dtype=np.int64)
-    U[:, :, 0] = np.eye(r, dtype=np.int64)
-    udegrees = np.zeros(r, dtype=np.int64)
+    L, ulen = M + n * T + 1, 2 * (r * M + 2 * m * n * T) + 16
+    WU, W, U = _augmented(basis.packed(scale=M)[1], L, ulen)
+    udegrees = [0] * r
     for t in range(T + 1):
         if t:
             # g_1 multiplies the first m rows by X^n and divides the rest by X^m
@@ -665,17 +662,17 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
             W[:m, :, :n] = 0
             W[m:, :, :-m] = W[m:, :, m:]
             W[m:, :, -m:] = 0
-        degrees, pivots = _column_pivots(W)
-        _reduce_packed(fs, W, U, degrees, pivots, udegrees)
+        degrees, pivots = (a.tolist() for a in _column_pivots(W))
+        _reduce_packed(fs, WU, degrees, pivots, udegrees)
         needed = None
         if N is not None:
             # truncation error of the input sits at packed degree
             # <= M + n t - N + deg U_j; it must stay below every pivot degree
-            worst = int((udegrees - degrees).max())
+            worst = max(u - d for u, d in zip(udegrees, degrees))
             if worst >= N - M - n * t:
                 needed = M + n * t + worst + 1
-        j = int(np.argmin(degrees))
-        yield M - int(degrees[j]), needed, U[:, j, : udegrees[j] + 1].copy()
+        j = degrees.index(min(degrees))
+        yield M - degrees[j], needed, U[:, j, : udegrees[j] + 1].copy()
 
 
 def _generic_result(spec: FlowSpec, steps) -> TrajectoryResult:

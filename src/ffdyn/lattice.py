@@ -155,16 +155,11 @@ class ReducedBasis:
         self.pivots = tuple(int(p) for p in pivots)
         self.udegrees = tuple(int(u) for u in udegrees)
 
-    def transform_degrees(self) -> tuple[int, ...]:
-        """Max entry degree of each transformation column."""
-        return self.udegrees
-
     def certification(self) -> tuple[bool, int | None]:
         if self.window is None:
             return True, None
         slack = self.scale - self.window
-        udegs = self.transform_degrees()
-        worst = max(u - d for u, d in zip(udegs, self.degrees))
+        worst = max(u - d for u, d in zip(self.udegrees, self.degrees))
         if worst < -slack:
             return True, None
         return False, self.scale + worst + 1
@@ -182,10 +177,9 @@ class ReducedBasis:
                 "reduced basis not certified at this window",
                 needed_precision=needed,
             )
-        udegs = self.transform_degrees()
         rows: list[list[LaurentSeries]] = [[None] * self.rank for _ in range(self.rank)]
         for j in range(self.rank):
-            prec = None if self.window is None else self.window - udegs[j]
+            prec = None if self.window is None else self.window - self.udegrees[j]
             for i in range(self.rank):
                 coeffs = self.matrix[i, j, ::-1]  # degree L-1..0 -> index M-L+1..M
                 L = coeffs.size
@@ -226,98 +220,98 @@ def _column_pivots(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(zero, -1, deg), np.where(zero, -1, lead.argmax(axis=0))
 
 
-def _reduce_packed(
-    fs: FieldSpec,
-    W: np.ndarray,
-    U: np.ndarray,
-    degrees: np.ndarray,
-    pivots: np.ndarray,
-    udegrees: np.ndarray,
-    max_steps: int | None = None,
-) -> int:
-    """Drive (W, U) to weak Popov form in place; returns steps taken.
+def _augmented(W0: np.ndarray, L: int, ulen: int):
+    """(WU, W, U): one int64 array WU [2r, r, ulen] holding the packed basis
+    W0 [r, r, <= L] in rows :r and the identity transform in rows r:, with
+    W = WU[:r, :, :L] and U = WU[r:] its views.  Every simple transform
+    applies one c X^e to both parts, so it is one update of WU; W's rows
+    stay zero past L, and ulen (>= L) is the room for U's degrees."""
+    r = W0.shape[0]
+    WU = np.zeros((2 * r, r, ulen), dtype=np.int64)
+    WU[:r, :, : W0.shape[2]] = W0
+    WU[r:, :, 0] = np.eye(r, dtype=np.int64)
+    return WU, WU[:r, :, :L], WU[r:]
+
+
+def _reduce_packed(fs: FieldSpec, WU, degrees, pivots, udegrees, max_steps=None) -> int:
+    """Drive the augmented array WU (as ``_augmented`` builds it) to weak
+    Popov form in its W rows, in place; returns steps taken.
 
     ``degrees``/``pivots`` (of the columns of W, as ``_column_pivots`` gives
-    them) and ``udegrees`` (of the columns of U) must hold current
+    them) and ``udegrees`` (of the columns of U) are lists of current
     per-column values on entry; each step is one ``_simple_transform``,
     which keeps them current.  Collisions are resolved deterministically:
-    among columns sharing the lowest colliding pivot row, the one with
-    larger (degree, index) is reduced against the smaller.
+    at the lowest pivot row that two columns share, the first two columns
+    there by index collide, and the one of larger (degree, index) is
+    reduced against the other.
     """
-    r = W.shape[0]
+    r = len(degrees)
     if max_steps is None:
-        max_steps = int(degrees.clip(min=0).sum()) + r * r + 16
+        max_steps = sum(max(d, 0) for d in degrees) + r * r + 16
     steps = 0
     while True:
-        order = {}
-        clash = None
-        for j in range(r):
-            p = int(pivots[j])
+        first, clash = {}, None
+        for j, p in enumerate(pivots):
             if p < 0:
                 raise LatticeError("columns are linearly dependent")
-            if p in order:
-                a, b = order[p], j
-                ka = (int(degrees[a]), a)
-                kb = (int(degrees[b]), b)
-                keep, red = (a, b) if ka <= kb else (b, a)
-                if clash is None or p < clash[0]:
-                    clash = (p, keep, red)
-                if ka > kb:
-                    order[p] = b
-            else:
-                order[p] = j
+            if p not in first:
+                first[p] = j
+            elif clash is None or p < clash[0]:
+                clash = (p, first[p], j)
         if clash is None:
             return steps
-        _, keep, red = clash
-        _simple_transform(fs, W, U, degrees, pivots, udegrees, keep, red)
+        _, a, j = clash
+        keep, red = (a, j) if degrees[a] <= degrees[j] else (j, a)
+        _simple_transform(fs, WU, degrees, pivots, udegrees, keep, red)
         steps += 1
         if steps > max_steps:
             raise LatticeError("reduction did not terminate (singular input?)")
 
 
-def _simple_transform(fs, W, U, degrees, pivots, udegrees, keep: int, red: int) -> None:
-    """Column red -= c X^e column keep, cancelling the pivot of red.
+def _simple_transform(fs, WU, degrees, pivots, udegrees, keep: int, red: int) -> None:
+    """Column red -= c X^e column keep of WU, cancelling the pivot of red.
 
-    Column keep of W has degree dk and column keep of U degree
-    udegrees[keep], so only the windows they reach are updated, each by one
-    ``submul_arr``.  The new degree of red is at most its old one, dr, so
-    its (degree, pivot) is read from the slice W[:, red, dr] while that is
-    nonzero, and from a ``_pivot_of`` scan below dr once it is zero."""
-    row = int(pivots[keep])
-    dk, dr = int(degrees[keep]), int(degrees[red])
+    One in-place ``submul_arr`` over all rows of WU, on the window that the
+    larger of dk = deg W_keep and udegrees[keep] reaches.  The new degree
+    of red is at most its old one, dr, so its (degree, pivot) is read from
+    the slice W[:, red, dr] while that is nonzero, and from a ``_pivot_of``
+    scan below dr once it is zero."""
+    r = len(degrees)
+    row = pivots[keep]
+    dk, dr = degrees[keep], degrees[red]
+    uk, ur = udegrees[keep], udegrees[red]
     e = dr - dk
-    c = fs.mul(int(W[row, red, dr]), fs.inv(int(W[row, keep, dk])))
-    W[:, red, e : dr + 1] = fs.submul_arr(W[:, red, e : dr + 1], c, W[:, keep, : dk + 1])
-    uk, ur = int(udegrees[keep]), int(udegrees[red])
     top = uk + e
-    if top >= U.shape[2]:
+    if top >= WU.shape[2]:
         raise LatticeError("transform buffer overflow")  # guarded by caller sizing
-    U[:, red, e : top + 1] = fs.submul_arr(U[:, red, e : top + 1], c, U[:, keep, : uk + 1])
+    c = fs.mul(int(WU[row, red, dr]), fs.inv(int(WU[row, keep, dk])))
+    span = max(dk, uk) + 1
+    window = WU[:, red, e : e + span]
+    fs.submul_arr(window, c, WU[:, keep, :span], out=window)
     if top > ur:
         udegrees[red] = top
-    elif top == ur and not U[:, red, top].any():
+    elif top == ur and not WU[r:, red, top].any():
         # the leading terms cancelled; nothing above top is nonzero
-        udegrees[red] = max(_pivot_of(U[:, red, :top])[0], 0)
-    lead = W[:, red, dr].nonzero()[0]
+        udegrees[red] = max(_pivot_of(WU[r:, red, :top])[0], 0)
+    lead = WU[:r, red, dr].nonzero()[0]
     if lead.size:
-        pivots[red] = lead[0]
+        pivots[red] = int(lead[0])
     else:
-        degrees[red], pivots[red] = _pivot_of(W[:, red, :dr])
+        degrees[red], pivots[red] = _pivot_of(WU[:r, red, :dr])
 
 
 def weak_popov(basis: LatticeBasis) -> ReducedBasis:
-    """Column reduction to weak Popov form with tracked transformation."""
+    """Column reduction to weak Popov form with tracked transformation,
+    on one augmented array (``_augmented``) of the basis over U."""
     fs = basis.field
-    M, W = basis.packed()
+    M, W0 = basis.packed()
     r = basis.rank
-    W = W.copy()
-    degrees, pivots = _column_pivots(W)
+    degrees, pivots = (a.tolist() for a in _column_pivots(W0))
     # U entry degrees stay below 2 * (sum of column degrees) throughout
-    budget = 2 * int(degrees.clip(min=0).sum()) + 8
-    U = np.zeros((r, r, budget + 1), dtype=np.int64)
-    U[:, :, 0] = np.eye(r, dtype=np.int64)
-    udegrees = np.zeros(r, dtype=np.int64)
-    _reduce_packed(fs, W, U, degrees, pivots, udegrees)
+    budget = 2 * sum(max(d, 0) for d in degrees) + 8
+    WU, W, U = _augmented(W0, W0.shape[2], budget + 1)
+    udegrees = [0] * r
+    _reduce_packed(fs, WU, degrees, pivots, udegrees)
     return ReducedBasis(fs, r, M, basis.window, W, U, degrees, pivots, udegrees)
 
 

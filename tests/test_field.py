@@ -295,6 +295,22 @@ def test_submul_matches_digit_oracle(fs):
     zero = np.zeros(9, dtype=np.int64)
     square = oracles.gf_mul(fs.s - 1, fs.s - 1, p, mod)
     assert fs.submul_arr(zero, fs.s - 1, top).tolist() == [oracles.gf_neg(square, p, mod)] * 9
+    # in place through out=, on strided views shaped like the reduction
+    # step's WU[:, red, e : e + span] against WU[:, keep, :span]
+    WU = rng.integers(0, fs.s, size=(6, 3, 12))
+    WU[:, 0, 4:] = 0
+    for c in (1, fs.s - 1, int(rng.integers(1, fs.s))):
+        expect = WU.copy()
+        window, kept = WU[:, 2, 3:10], WU[:, 0, :7]
+        expect[:, 2, 3:10] = [
+            [
+                oracles.gf_add(x, oracles.gf_neg(oracles.gf_mul(c, y, p, mod), p, mod), p, mod)
+                for x, y in zip(row, col)
+            ]
+            for row, col in zip(window.tolist(), kept.tolist())
+        ]
+        fs.submul_arr(window, c, kept, out=window)
+        assert np.array_equal(WU, expect)
 
 
 @pytest.mark.parametrize("fs", KERNEL_FIELDS, ids=lambda f: f"p{f.p}e{f.e}")

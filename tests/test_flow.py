@@ -475,41 +475,50 @@ def test_trajectory_generic_multirow_matches_static_reduction():
     assert np.abs(np.diff(traj.deltas)).max() <= 2
 
 
-@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+@pytest.mark.parametrize(
+    "p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)] + [(1031, 1), (2, 11)]
+)
 def test_trajectory_engine_matches_full_width_reference(p, e, monkeypatch):
     # every t of the engine, before and after its reduction, against the
-    # np.roll shift, per-column pivot scans and full-width transforms
+    # np.roll shift, per-column pivot scans and full-width transforms; the
+    # last two fields are past the lookup-table bound
     fs = field_spec(p, e)
     real = flow._reduce_packed
     seen = []
 
-    def recording(fs_, W, U, degrees, pivots, udegrees):
-        shifted = (W.copy(), degrees.copy(), pivots.copy())
-        steps = real(fs_, W, U, degrees, pivots, udegrees)
-        seen.append((*shifted, W.copy(), U.copy(), degrees.copy(), pivots.copy(), steps))
-        assert list(udegrees) == oracles.column_degrees(U)
+    def recording(fs_, WU, degrees, pivots, udegrees):
+        shifted = (WU.copy(), list(degrees), list(pivots))
+        steps = real(fs_, WU, degrees, pivots, udegrees)
+        seen.append((*shifted, WU.copy(), list(degrees), list(pivots), steps))
+        assert udegrees == oracles.column_degrees(WU[len(udegrees) :])
         return steps
 
     monkeypatch.setattr(flow, "_reduce_packed", recording)
     T = 10
     total = 0
     for m, n in ((1, 2), (2, 1), (2, 2)):
+        r = m + n
         spec = FlowSpec(fs, m, n)
         A = sample_matrix(fs, stream(17, "test", 100 * fs.s + 10 * m + n), m, n, (m + n) * T)
         seen.clear()
         depths = [d for d, _, _ in flow._trajectory_generic(spec, A, T)]
         basis = unipotent_lattice(A, spec)
         M = max(basis.scaling_exponent(), m * T)
-        W = np.zeros_like(seen[0][0])
+        L = M + n * T + 1
+        # the engine's W is rows :r of its augmented array up to L, zero past it
+        for got in seen:
+            assert not got[0][:r, :, L:].any() and not got[3][:r, :, L:].any()
+        W = np.zeros((r, r, L), dtype=np.int64)
         W[:, :, : M + 1] = basis.packed(scale=M)[1]
-        assert np.array_equal(W, seen[0][0])
-        U = np.zeros_like(seen[0][4])
-        U[:, :, 0] = np.eye(m + n, dtype=np.int64)
+        assert np.array_equal(W, seen[0][0][:r, :, :L])
+        U = np.zeros_like(seen[0][0][r:])
+        U[:, :, 0] = np.eye(r, dtype=np.int64)
         want = oracles.flow_reduction_reference(fs, W, U, m, n, T)
         assert len(seen) == len(want) == T + 1
         for t, (got, ref) in enumerate(zip(seen, want)):
-            assert got[1].tolist() == ref[0].tolist() and got[2].tolist() == ref[1].tolist()
-            for a, b in zip(got[3:], ref[2:]):
+            assert got[1] == ref[0].tolist() and got[2] == ref[1].tolist()
+            WU = got[3]
+            for a, b in zip((WU[:r, :, :L], WU[r:], *got[4:]), ref[2:]):
                 assert np.array_equal(a, b), (m, n, t)
             assert depths[t] == M - int(ref[4].min())
         total += sum(ref[-1] for ref in want)

@@ -64,8 +64,8 @@ def test_windowed_reduction_matches_full_width_reference(p, e, monkeypatch):
 
     def checked(*args):
         real(*args)
-        U, udegrees = args[2], args[5]
-        assert list(udegrees) == oracles.column_degrees(U)
+        WU, udegrees = args[1], args[4]
+        assert udegrees == oracles.column_degrees(WU[len(udegrees) :])
 
     monkeypatch.setattr(lattice, "_simple_transform", checked)
     total = 0
@@ -79,22 +79,22 @@ def test_windowed_reduction_matches_full_width_reference(p, e, monkeypatch):
         pivots = np.empty(r, dtype=np.int64)
         for j in range(r):
             degrees[j], pivots[j] = oracles.packed_pivot(W[:, j, :])
-        U = np.zeros((r, r, 2 * int(degrees.sum()) + 9), dtype=np.int64)
-        U[:, :, 0] = np.eye(r, dtype=np.int64)
+        WU, Wv, U = lattice._augmented(W, 8, 2 * int(degrees.sum()) + 9)
+        assert np.array_equal(Wv, W) and not WU[:r, :, 8:].any()
         ref = [a.copy() for a in (W, U, degrees, pivots)]
+        state = (degrees.tolist(), pivots.tolist(), [0] * r)
         try:
             steps = oracles.reduce_packed_full_width(fs, *ref)
         except ValueError:
             with pytest.raises(LatticeError):
-                lattice._reduce_packed(
-                    fs, W, U, degrees, pivots, np.zeros(r, dtype=np.int64)
-                )
+                lattice._reduce_packed(fs, WU, *state)
             continue
-        udegrees = np.zeros(r, dtype=np.int64)
-        assert lattice._reduce_packed(fs, W, U, degrees, pivots, udegrees) == steps
-        for got, want in zip((W, U, degrees, pivots), ref):
+        assert lattice._reduce_packed(fs, WU, *state) == steps
+        for got, want in zip((Wv, U, *state[:2]), ref):
             assert np.array_equal(got, want)
-        assert list(udegrees) == oracles.column_degrees(U)
+        # W's rows stay zero past its length
+        assert not WU[:r, :, 8:].any()
+        assert state[2] == oracles.column_degrees(U)
         total += steps
     assert total > 0
 
@@ -116,16 +116,18 @@ def test_column_pivots_match_the_pivot_scan():
 
 
 def test_transform_buffer_overflow_raises():
-    # columns (1, 0) and (X, 1) collide in row 0 with shift e = 1, which a
-    # transform buffer one coefficient wide cannot hold
+    # columns (1, 0) and (X, 1) collide in row 0 with shift e = 1; the kept
+    # column's transform (1, X) has degree 1, so the reduced one would need
+    # degree 2, which a buffer two coefficients wide cannot hold
     W = np.zeros((2, 2, 2), dtype=np.int64)
     W[0, 0, 0] = 1
     W[0, 1, 1] = W[1, 1, 0] = 1
-    U = np.eye(2, dtype=np.int64)[:, :, None]
+    WU, _, U = lattice._augmented(W, 2, 2)
+    U[1, 0, 1] = 1
+    before = WU.copy()
     with pytest.raises(LatticeError, match="transform buffer overflow"):
-        lattice._reduce_packed(
-            F2, W, U, np.array([0, 1]), np.array([0, 0]), np.zeros(2, dtype=np.int64)
-        )
+        lattice._reduce_packed(F2, WU, [0, 1], [0, 0], [1, 0])
+    assert np.array_equal(WU, before)
 
 
 def test_singular_detected_during_reduction():
