@@ -33,7 +33,7 @@ The record holds:
 
 Without ``--out`` the file is ``BENCH_<n>.json`` in the checkout's root,
 with n one past the highest already there (0 for the first).  With
-``run_seconds`` at 30 a record takes about eleven minutes plus the suite.
+``run_seconds`` at 30 a record takes about seven minutes plus the suite.
 """
 
 from __future__ import annotations
