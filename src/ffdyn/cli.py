@@ -966,8 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             metavar="N",
-            help="accepted for compatibility and has no effect: every "
-            "experiment runs its trials in one thread",
+            help="worker processes for the trials of kg-mc, strong-bc and "
+            "tree-loglaw, capped at the usable CPUs; the other experiments "
+            "run in one process, and artifacts are the same for every N",
         )
         p.add_argument(
             "--format", choices=("csv", "json"), help="artifact format (default: csv)"

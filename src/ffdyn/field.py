@@ -487,12 +487,18 @@ class FieldSpec:
 
     def pivot_columns(self, a: np.ndarray) -> np.ndarray:
         """Per row of the 2-D code array a, its pivot column, or -1 when the
-        row depends on the rows above it.  The rank of the first k rows on
-        the first c columns is the number of pivots below c among them.
+        row depends on the rows above it (``_echelon``).  The rank of the
+        first k rows on the first c columns is the number of pivots below c
+        among them."""
+        return self._echelon(a)[1]
+
+    def _echelon(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(echelon form, pivots) of the 2-D code array a, rows in place.
 
         Elimination in row order: the first row left with a nonzero entry
-        is the next pivot row, and its leftmost nonzero column is cleared
-        from the rows below, which zeroes the row from then on.  Each step
+        is the next pivot row, kept as it is, and its leftmost nonzero
+        column is cleared from the rows below.  A row that depends on the
+        rows above it is zero by its turn, and its pivot is -1.  Each step
         adds a multiple of that column to later columns only, so it keeps
         the rank of every set of rows on every leading set of columns.
         """
@@ -507,10 +513,11 @@ class FieldSpec:
             row += step
             col = int(r[row].astype(bool).argmax())
             pivots[row] = col
-            lead = self.scale_arr(self.inv(int(r[row, col])), r[row:, col])
-            r[row:] = self.submul_arr(r[row:], lead[:, None], r[row])
+            below = r[row + 1 :]
+            lead = self.scale_arr(self.inv(int(r[row, col])), below[:, col])
+            r[row + 1 :] = self.submul_arr(below, lead[:, None], r[row])
             row += 1
-        return pivots
+        return r, pivots
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, e={self.e})"

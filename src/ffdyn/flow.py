@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import BracketError, CertificationError, FieldError, LatticeError
 from .field import FieldSpec, LaurentSeries, Poly, field_spec
-from .lattice import DeltaValue, LatticeBasis, _augmented, _column_pivots, _reduce_packed
+from .lattice import LatticeBasis, _augmented, _column_pivots, _needed
+from .lattice import _reduce_packed, _transform_room
 from .streams import map_trials, stream
 
 DEFAULT_BURN_IN = 8
@@ -511,7 +512,11 @@ def _sawtooth_eval(
     ts: np.ndarray,
     P: int,
     exact: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(depth, certified, need) at the times ts from the rungs D of a ladder
+    on the coefficients a_1..a_P.  need is the input window (a_i known for
+    i < need) that certifies t: D_k + D_(k+1) + 1 between rungs k and k + 1,
+    2t past the last visible rung."""
     k = np.searchsorted(D, ts, side="right") - 1
     left = ts - D[k]
     has_next = k + 1 < D.size
@@ -522,7 +527,8 @@ def _sawtooth_eval(
     else:
         tail_ok = 2 * ts <= P + 1
         cert = rung_cert[k] & np.where(has_next, rung_cert[k_next], tail_ok)
-    return delta.astype(np.int64), cert
+    need = np.where(has_next, D[k] + D[k_next] + 1, 2 * ts)
+    return delta.astype(np.int64), cert, need
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +544,6 @@ class TrajectoryResult:
     deltas: np.ndarray
     certified: np.ndarray
     meta: dict = dc_field(default_factory=dict)
-
-    def delta_values(self) -> list[DeltaValue]:
-        return [
-            DeltaValue(int(d), bool(c))
-            for d, c in zip(self.deltas, self.certified)
-        ]
 
     def rows(self):
         for t, d, c in zip(self.times, self.deltas, self.certified):
@@ -603,18 +603,8 @@ def _trajectory_cf(spec: FlowSpec, a: LaurentSeries, T: int) -> TrajectoryResult
             )
     D, cert, quotients = _cf_ladder(fs, a.window(1, P + 1), T)
     ts = np.arange(0, T + 1, dtype=np.int64)
-    deltas, certified = _sawtooth_eval(D, cert, ts, P, exact)
-    needed = None
-    if not certified.all():
-        k = np.searchsorted(D, ts, side="right") - 1
-        need = 0
-        for i in np.nonzero(~certified)[0]:
-            ki = int(k[i])
-            if ki + 1 < D.size:
-                need = max(need, int(D[ki] + D[ki + 1]) + 1)
-            else:
-                need = max(need, 2 * int(ts[i]))
-        needed = need
+    deltas, certified, need = _sawtooth_eval(D, cert, ts, P, exact)
+    needed = None if certified.all() else int(need[~certified].max())
     return TrajectoryResult(
         spec,
         ts,
@@ -638,10 +628,12 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     (depth, needed, column) at each t.  A step of the flow shifts the rows
     of W by slice assignment, after which every column's (degree, pivot) is
     read in one ``_column_pivots`` pass and ``_reduce_packed`` restores the
-    form.  needed is None
-    when every column of U is certified at t, else the input precision that
-    would certify them all; column is the U column of the shortest reduced
+    form.  needed is ``lattice._needed`` at scale M + n t: None when every
+    column of U is certified at t, else the input precision that would
+    certify them all; column is the U column of the shortest reduced
     vector trimmed to its degree, (p_1..p_m, q_1..q_n) in the basis u_A.
+    U's room is ``_transform_room`` with every column of X^M g_t u_A at
+    degree <= M + n T and det X^(r M): r n T + 1 coefficients.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
@@ -650,10 +642,9 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     N = basis.window
     m, n, r = spec.m, spec.n, spec.rank
     M = max(basis.scaling_exponent(), m * T)
-    # transform degrees stay well below twice (initial column degrees plus
-    # flow stretch); the reducer raises before overflowing the buffer
-    L, ulen = M + n * T + 1, 2 * (r * M + 2 * m * n * T) + 16
-    WU, W, U = _augmented(basis.packed(scale=M)[1], L, ulen)
+    L = M + n * T + 1
+    room = _transform_room([L - 1] * r, r * M)
+    WU, W, U = _augmented(basis.packed(scale=M)[1], L, max(L, room))
     udegrees = [0] * r
     for t in range(T + 1):
         if t:
@@ -664,14 +655,8 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
             W[m:, :, -m:] = 0
         degrees, pivots = (a.tolist() for a in _column_pivots(W))
         _reduce_packed(fs, WU, degrees, pivots, udegrees)
-        needed = None
-        if N is not None:
-            # truncation error of the input sits at packed degree
-            # <= M + n t - N + deg U_j; it must stay below every pivot degree
-            worst = max(u - d for u, d in zip(udegrees, degrees))
-            if worst >= N - M - n * t:
-                needed = M + n * t + worst + 1
         j = degrees.index(min(degrees))
+        needed = _needed(M + n * t, N, degrees, udegrees)
         yield M - degrees[j], needed, U[:, j, : udegrees[j] + 1].copy()
 
 
@@ -821,16 +806,9 @@ def tail_distribution(
     fs = spec.field
     if precision is None:
         precision = 2 * spec.rank * burn_in + 64
-    t_arr = np.array([burn_in], dtype=np.int64)
-    deltas = np.empty(trials, dtype=np.int64)
-    for trial in range(trials):
-        d, c = _trial_depths(spec, stream(seed, tag, trial), precision, t_arr)
-        if not c[0]:
-            raise CertificationError(
-                f"trial {trial} uncertified at burn-in; raise the precision",
-                needed_precision=2 * precision,
-            )
-        deltas[trial] = d[0]
+    at_burn_in = np.zeros(1, dtype=np.int64)
+    rows = [_trial_row(spec, seed, tag, k, precision, burn_in, at_burn_in) for k in range(trials)]
+    deltas = np.concatenate(rows)
     if thresholds is None:
         thresholds = list(range(0, int(deltas.max(initial=0)) + 2))
     hits = [int((deltas >= nthr).sum()) for nthr in thresholds]
@@ -840,17 +818,37 @@ def tail_distribution(
 
 def _trial_depths(
     spec: FlowSpec, rng, precision: int, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(deltas, certified) at the increasing times ts for one sampled A:
-    the ladder sawtooth for m = n = 1, the generic trajectory otherwise."""
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """(deltas, certified, needed) at the increasing times ts for one
+    sampled A: the ladder sawtooth for m = n = 1, the generic trajectory
+    otherwise.  needed is the ``precision`` that would certify every t in
+    ts, or None when they all are.  The ladder draws a_1..a_precision, so
+    its need is its window need less one."""
     fs = spec.field
     if spec.m == 1 and spec.n == 1:
         coeffs = rng.integers(0, fs.s, size=precision)
         D, cert, _ = _cf_ladder(fs, coeffs, int(ts[-1]))
-        return _sawtooth_eval(D, cert, ts, precision, False)
-    entries = sample_matrix(fs, rng, spec.m, spec.n, precision)
-    traj = delta_trajectory(entries, spec, int(ts[-1]), strict=False)
-    return traj.deltas[ts], traj.certified[ts]
+        deltas, certified, need = _sawtooth_eval(D, cert, ts, precision, False)
+        needed = int(need[~certified].max(initial=0)) - 1
+    else:
+        entries = sample_matrix(fs, rng, spec.m, spec.n, precision)
+        traj = delta_trajectory(entries, spec, int(ts[-1]), strict=False)
+        deltas, certified = traj.deltas[ts], traj.certified[ts]
+        needed = traj.meta["needed_precision"]
+    return deltas, certified, None if certified.all() else needed
+
+
+def _trial_row(spec, seed, tag, trial: int, precision: int, burn_in: int, ts) -> np.ndarray:
+    """Depths of trial ``trial`` at the times burn_in + ts.  An uncertified
+    one raises CertificationError with the need that ``_trial_depths`` reads."""
+    deltas, certified, needed = _trial_depths(spec, stream(seed, tag, trial), precision, burn_in + ts)
+    if not certified.all():
+        t = int(ts[np.argmin(certified)])
+        at = f"t = {t}" if t else "burn-in"
+        raise CertificationError(
+            f"trial {trial} uncertified at {at}; raise the precision", needed_precision=needed
+        )
+    return deltas
 
 
 # ---------------------------------------------------------------------------
@@ -863,40 +861,39 @@ def _event_matrix(
     trials: int,
     seed: int,
     burn_in: int,
-    precision: int,
+    precision: int | None,
     tag: str,
     threads: int = 1,
 ) -> np.ndarray:
-    """events[trial, t-1] = 1 iff Delta(g_(t+burn_in) u_A Z^r) >= thr[t-1];
-    the trials are sharded over ``threads`` processes by ``map_trials``."""
+    """events[trial, t-1] = 1 iff Delta(g_(t+burn_in) u_A Z^r) >= thr[t-1],
+    at 2 (T + burn_in) + 96 coefficients when ``precision`` is None; the
+    trials are sharded over ``threads`` processes by ``map_trials``."""
     T = int(thr.size)
-    ts = np.arange(1, T + 1, dtype=np.int64) + burn_in
+    if precision is None:
+        precision = 2 * (T + burn_in) + 96
+    ts = np.arange(1, T + 1, dtype=np.int64)
 
     def events_row(trial):
-        deltas, certf = _trial_depths(spec, stream(seed, tag, trial), precision, ts)
-        if not certf.all():
-            bad = int(np.argmin(certf)) + 1
-            raise CertificationError(
-                f"trial {trial} uncertified at t = {bad}; raise the precision",
-                needed_precision=2 * precision,
-            )
-        return deltas >= thr
+        return _trial_row(spec, seed, tag, trial, precision, burn_in, ts) >= thr
 
     return np.array(map_trials(events_row, trials, threads), dtype=np.int8).reshape(trials, T)
 
 
-def _phi_of_thresholds(table: TailTable, thresholds: np.ndarray) -> np.ndarray:
-    known = {t: float(v) for t, v in zip(table.thresholds, table.values)}
-    out = np.empty(thresholds.size, dtype=float)
-    for i, t in enumerate(thresholds):
-        t = int(t)
-        if t <= 0:
-            out[i] = 1.0
-        elif t in known:
-            out[i] = known[t]
-        else:
-            raise ValueError(f"threshold {t} missing from the tail table")
-    return out
+def _ladder_phis(spec: FlowSpec, thresholds, phi_table) -> tuple[np.ndarray, np.ndarray]:
+    """(r_t, Phi(r_t)) for t = 1..T, the thresholds ceiled to integers.
+    Without a phi_table the exact rank-2 tail serves m = n = 1."""
+    thr = np.ceil(np.asarray(thresholds, dtype=float) - 1e-9).astype(np.int64)
+    if thr.size < 1:
+        raise ValueError("need at least one threshold")
+    if phi_table is None:
+        if not spec.m == spec.n == 1:
+            raise ValueError("pass a phi_table for block shapes other than 1+1")
+        phi_table = exact_rank2_tail(spec.field.s, max(int(thr.max(initial=1)), 1))
+    known = {t: float(v) for t, v in zip(phi_table.thresholds, phi_table.values)}
+    try:
+        return thr, np.array([1.0 if t <= 0 else known[t] for t in thr.tolist()])
+    except KeyError as err:
+        raise ValueError(f"threshold {err.args[0]} missing from the tail table") from None
 
 
 def _geometric_checkpoints(T: int, count: int) -> np.ndarray:
@@ -983,20 +980,10 @@ def strong_bc_experiment(
     capped at the usable CPUs (``streams.map_trials``); the result is the
     same for every ``threads``.
     """
-    thr = np.ceil(np.asarray(thresholds, dtype=float) - 1e-9).astype(np.int64)
+    thr, phis = _ladder_phis(spec, thresholds, phi_table)
     T = int(thr.size)
-    if T < 1:
-        raise ValueError("need at least one threshold")
-    if phi_table is None:
-        if spec.m == 1 and spec.n == 1:
-            phi_table = exact_rank2_tail(spec.field.s, max(int(thr.max(initial=1)), 1))
-        else:
-            raise ValueError("pass a phi_table for block shapes other than 1+1")
-    phis = _phi_of_thresholds(phi_table, thr)
     expected_full = np.cumsum(phis)
     cps = _geometric_checkpoints(T, checkpoints)
-    if precision is None:
-        precision = 2 * (T + burn_in) + 96
     events = _event_matrix(spec, thr, trials, seed, burn_in, precision, tag, threads)
     counts = np.cumsum(events, axis=1, dtype=np.int64)[:, cps - 1]
     return StrongBCResult(
@@ -1085,21 +1072,11 @@ def quasi_independence_report(
     tag: str = "quasi",
 ) -> DiagnosticsReport:
     """Monte-Carlo pair-correlation diagnostics for the depth events."""
-    thr = np.ceil(np.asarray(thresholds, dtype=float) - 1e-9).astype(np.int64)
+    thr, phis = _ladder_phis(spec, thresholds, phi_table)
     T = int(thr.size)
-    if T < 1:
-        raise ValueError("need at least one threshold")
     lo, hi = window if window is not None else (1, T)
     if not (1 <= lo <= hi <= T):
         raise ValueError("window must satisfy 1 <= M <= N <= T")
-    if phi_table is None:
-        if spec.m == 1 and spec.n == 1:
-            phi_table = exact_rank2_tail(spec.field.s, max(int(thr.max(initial=1)), 1))
-        else:
-            raise ValueError("pass a phi_table for block shapes other than 1+1")
-    phis = _phi_of_thresholds(phi_table, thr)
-    if precision is None:
-        precision = 2 * (T + burn_in) + 96
     events = _event_matrix(spec, thr, trials, seed, burn_in, precision, tag)
     cum = np.cumsum(events, axis=1, dtype=np.int64)
     base = cum[:, lo - 2] if lo >= 2 else np.zeros(trials, dtype=np.int64)

@@ -81,24 +81,19 @@ class LatticeBasis:
         """(M, coefficient array [r, r, L]) of the polynomial matrix X^M * B."""
         M = self.scaling_exponent() if scale is None else scale
         r = self.rank
-        degs = []
-        for row in self.entries:
-            for e in row:
-                if e.coeffs.size:
-                    degs.append(M - e.v)
-        L = max(max(degs, default=0) + 1, 1)
+        L = max([M - e.v + 1 for row in self.entries for e in row if e.coeffs.size] + [1])
         out = np.zeros((r, r, L), dtype=np.int64)
-        for i in range(r):
-            for j in range(r):
-                e = self.entries[i][j]
-                for k in range(e.coeffs.size):
-                    d = M - (e.v + k)
-                    if d < 0:
-                        raise LatticeError(
-                            f"entry ({i},{j}) has coefficients below the scaling window"
-                        )
-                    if e.coeffs[k]:
-                        out[i, j, d] = e.coeffs[k]
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                if not e.coeffs.size:
+                    continue
+                # the coefficient at index v + k lands at degree M - v - k
+                lo = M - e.v - e.coeffs.size + 1
+                if lo < 0:
+                    raise LatticeError(
+                        f"entry ({i},{j}) has coefficients below the scaling window"
+                    )
+                out[i, j, lo : M - e.v + 1] = e.coeffs[::-1]
         return M, out
 
     def __repr__(self) -> str:
@@ -156,13 +151,8 @@ class ReducedBasis:
         self.udegrees = tuple(int(u) for u in udegrees)
 
     def certification(self) -> tuple[bool, int | None]:
-        if self.window is None:
-            return True, None
-        slack = self.scale - self.window
-        worst = max(u - d for u, d in zip(self.udegrees, self.degrees))
-        if worst < -slack:
-            return True, None
-        return False, self.scale + worst + 1
+        needed = _needed(self.scale, self.window, self.degrees, self.udegrees)
+        return needed is None, needed
 
     def basis_series(self) -> LatticeBasis:
         """Reduced columns as series (X^-M times the polynomial columns).
@@ -198,6 +188,27 @@ class ReducedBasis:
 # packed-array reduction core (shared with the flow module)
 
 
+def _needed(scale: int, window, degrees, udegrees) -> int | None:
+    """None when every reduced column is certified, else the input window
+    that would certify them all.  Truncating the input at ``window`` errs
+    at packed degree <= scale - window + deg U_j in column j, which must
+    stay below its degree d_j."""
+    if window is None:
+        return None
+    worst = max(u - d for u, d in zip(udegrees, degrees))
+    return None if worst < window - scale else scale + worst + 1
+
+
+def _transform_room(degrees, det_degree: int) -> int:
+    """Coefficients that hold every transform U with W = B U, for B of
+    column degrees ``degrees`` and det of degree >= ``det_degree``, and W
+    no higher than B's highest column.  By Cramer, U = adj(B) W / det B,
+    an adjugate entry has degree <= sum(d) - min(d), so deg U <= sum(d) -
+    min(d) + max(d) - deg det B.  Every step of the reduction keeps W's
+    columns no higher, so the bound holds throughout."""
+    return sum(degrees) - min(degrees) + max(degrees) - det_degree + 1
+
+
 def _pivot_of(col: np.ndarray) -> tuple[int, int]:
     """(degree, pivot row) with the lowest row index among maximal degrees:
     the column's degree is its last nonzero coefficient slice, and the
@@ -225,7 +236,8 @@ def _augmented(W0: np.ndarray, L: int, ulen: int):
     W0 [r, r, <= L] in rows :r and the identity transform in rows r:, with
     W = WU[:r, :, :L] and U = WU[r:] its views.  Every simple transform
     applies one c X^e to both parts, so it is one update of WU; W's rows
-    stay zero past L, and ulen (>= L) is the room for U's degrees."""
+    stay zero past L.  Both reducers take ulen = max(L, ``_transform_room``),
+    which holds every U they reach."""
     r = W0.shape[0]
     WU = np.zeros((2 * r, r, ulen), dtype=np.int64)
     WU[:r, :, : W0.shape[2]] = W0
@@ -302,14 +314,14 @@ def _simple_transform(fs, WU, degrees, pivots, udegrees, keep: int, red: int) ->
 
 def weak_popov(basis: LatticeBasis) -> ReducedBasis:
     """Column reduction to weak Popov form with tracked transformation,
-    on one augmented array (``_augmented``) of the basis over U."""
+    on one augmented array (``_augmented``) of the basis over U.  The
+    scaled basis is a polynomial matrix, so deg det >= 0 sizes U's room."""
     fs = basis.field
     M, W0 = basis.packed()
     r = basis.rank
     degrees, pivots = (a.tolist() for a in _column_pivots(W0))
-    # U entry degrees stay below 2 * (sum of column degrees) throughout
-    budget = 2 * sum(max(d, 0) for d in degrees) + 8
-    WU, W, U = _augmented(W0, W0.shape[2], budget + 1)
+    L = W0.shape[2]
+    WU, W, U = _augmented(W0, L, max(L, _transform_room(degrees, 0)))
     udegrees = [0] * r
     _reduce_packed(fs, WU, degrees, pivots, udegrees)
     return ReducedBasis(fs, r, M, basis.window, W, U, degrees, pivots, udegrees)
@@ -367,37 +379,14 @@ def _poly_det_degree(fs: FieldSpec, P: np.ndarray) -> int:
 
 
 def _nullspace(fs: FieldSpec, A: np.ndarray) -> np.ndarray:
-    """Basis of the right nullspace of A over F_s, rows = basis vectors."""
+    """Basis of the right nullspace of A over F_s, rows = basis vectors.
+
+    A row of the echelon form of [A^T | I] is v^T [A^T | I] for some v; if
+    its pivot lies in the I part, its A^T part is zero, so A v = 0 and the
+    row read on I is v.  The n - rank(A) such rows have distinct pivots."""
     m, n = A.shape
-    R = A.astype(np.int64).copy()
-    pivot_cols = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for i in range(row, m):
-            if R[i, col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != row:
-            R[[row, sel]] = R[[sel, row]]
-        inv = fs.inv(int(R[row, col]))
-        R[row] = fs.scale_arr(inv, R[row])
-        for i in range(m):
-            if i != row and R[i, col]:
-                R[i] = fs.submul_arr(R[i], int(R[i, col]), R[row])
-        pivot_cols.append(col)
-        row += 1
-        if row == m:
-            break
-    free = [c for c in range(n) if c not in pivot_cols]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivot_cols):
-            basis[k, pc] = fs.neg(int(R[i, fc]))
-    return basis
+    E, pivots = fs._echelon(np.hstack([A.T, np.eye(n, dtype=np.int64)]))
+    return E[pivots >= m, m:]
 
 
 def enumerate_short_vectors(

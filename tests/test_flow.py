@@ -462,6 +462,19 @@ def test_trajectory_insufficient_precision_reports_need():
     assert traj.certified.all()
 
 
+def test_ladder_need_past_the_last_rung_is_twice_the_time():
+    # A = X^-1 known to window N has the rungs D = 0, 1 and none past them,
+    # so t is certified exactly when 2t <= N, and T = 10 needs N = 20
+    spec = FlowSpec(F2, 1, 1)
+    for N in (6, 9, 19):
+        with pytest.raises(CertificationError) as err:
+            delta_trajectory(LaurentSeries(F2, 1, [1], N), spec, 10)
+        assert err.value.needed_precision == 20
+        traj = delta_trajectory(LaurentSeries(F2, 1, [1], N), spec, 10, strict=False)
+        assert traj.certified.tolist() == [2 * t <= N for t in range(11)]
+    assert delta_trajectory(LaurentSeries(F2, 1, [1], 20), spec, 10).certified.all()
+
+
 def test_trajectory_generic_multirow_matches_static_reduction():
     spec = FlowSpec(F2, 2, 1)
     A = [[series(F2, {1: 1, 2: 1})], [LaurentSeries.x_power(F2, -3)]]
@@ -552,7 +565,7 @@ def test_trial_depths_read_the_trajectory_of_the_drawn_matrix():
     for fs in (F2, field_spec(3)):
         for m, n in ((1, 1), (1, 2), (2, 1)):
             spec = FlowSpec(fs, m, n)
-            deltas, certified = _trial_depths(spec, stream(9, "test", m), 48, ts)
+            deltas, certified, needed = _trial_depths(spec, stream(9, "test", m), 48, ts)
             rng = stream(9, "test", m)
             if m == n == 1:
                 A = LaurentSeries(fs, 1, rng.integers(0, fs.s, size=48), 49)
@@ -561,7 +574,7 @@ def test_trial_depths_read_the_trajectory_of_the_drawn_matrix():
             traj = delta_trajectory(A, spec, 11, strict=False)
             assert deltas.tolist() == traj.deltas[ts].tolist(), (fs, m, n)
             assert certified.tolist() == traj.certified[ts].tolist(), (fs, m, n)
-            assert certified.all()
+            assert certified.all() and needed is None
 
 
 def test_tail_distribution_kappa_fit():
@@ -649,7 +662,9 @@ def test_strong_bc_uncertified_trial_raises_the_same_error_when_sharded(monkeypa
             )
         errors.append((str(err.value), err.value.needed_precision))
     assert errors[0][0].startswith("trial 4 uncertified at t = ")
-    assert errors[0][1] == 276
+    # the need read off the ladder: its window need less one, since a trial
+    # draws a_1..a_precision
+    assert errors[0][1] == 139
     assert errors[1] == errors[0] and errors[2] == errors[0]
 
 

@@ -130,6 +130,117 @@ def test_transform_buffer_overflow_raises():
     assert np.array_equal(WU, before)
 
 
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+def test_transform_room_bounds_both_reducers(p, e, monkeypatch):
+    # every simple transform's new U degree (top) fits the Cramer room, in
+    # weak_popov from the basis's own degrees and in the flow engine from
+    # det(X^M g_t u_A) = X^(rM), where the room is r n T + 1; at about
+    # (m + n) T / 2 known coefficients that room is longer than W at
+    # (1, 2) and (2, 2), so there it sets WU's length
+    from ffdyn.flow import FlowSpec, _trajectory_generic, flow_apply, sample_matrix
+    from ffdyn.flow import unipotent_lattice
+
+    fs = field_spec(p, e)
+    rng = np.random.default_rng(10 * p + e)
+    seen = []
+    real = lattice._simple_transform
+
+    def spy(fs_, WU, degrees, pivots, udegrees, keep, red):
+        seen.append((udegrees[keep] + degrees[red] - degrees[keep], WU.shape[2]))
+        real(fs_, WU, degrees, pivots, udegrees, keep, red)
+
+    monkeypatch.setattr(lattice, "_simple_transform", spy)
+    T = 12
+    for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        spec = FlowSpec(fs, m, n)
+        r = m + n
+        A = sample_matrix(fs, rng, m, n, r * T // 2 + 8)
+        basis = unipotent_lattice(A, spec)
+        # up to T / 2: at t = T weak_popov's step cap refuses some (2, 2) bases
+        for t in (T // 4, T // 2):
+            flowed = flow_apply(basis, t, spec)
+            M, W0 = flowed.packed()
+            d = lattice._column_pivots(W0)[0].tolist()
+            room = sum(d) - min(d) + max(d) + 1
+            assert lattice._transform_room(d, 0) == room
+            seen.clear()
+            weak_popov(flowed)
+            assert seen and max(top for top, _ in seen) < room, (fs, m, n, t)
+            assert {ulen for _, ulen in seen} == {max(W0.shape[2], room)}
+        seen.clear()
+        list(_trajectory_generic(spec, A, T))
+        L = max(basis.scaling_exponent(), m * T) + n * T + 1
+        assert (r * n * T + 1 > L) == (n == 2)
+        assert seen and max(top for top, _ in seen) < r * n * T + 1, (fs, m, n)
+        assert {ulen for _, ulen in seen} == {max(L, r * n * T + 1)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_needed_is_the_least_window_that_certifies(p):
+    # a reduction of a truncated basis reports the least window at which
+    # its own columns certify; a certified depth is also the depth of the
+    # longer input the truncation was cut from, when that one is certified
+    from ffdyn.flow import FlowSpec, flow_apply, sample_matrix, unipotent_lattice
+    from ffdyn.lattice import ReducedBasis
+
+    fs = field_spec(p)
+    rng = np.random.default_rng(40 + p)
+    outcomes = set()
+    for trial in range(24):
+        m, n = (1, 2) if trial % 2 else (2, 1)
+        spec = FlowSpec(fs, m, n)
+        A = sample_matrix(fs, rng, m, n, 48)
+        N, t = int(rng.integers(6, 20)), int(rng.integers(1, 6))
+        cut = [[a.truncate(N) for a in row] for row in A]
+        red = weak_popov(flow_apply(unipotent_lattice(cut, spec), t, spec))
+        certified, needed = red.certification()
+        outcomes.add(certified)
+        if certified:
+            full = delta(flow_apply(unipotent_lattice(A, spec), t, spec))
+            if full.certified:
+                assert full.value == delta(red).value, (p, trial)
+            continue
+        assert needed > red.window
+
+        def at(window):
+            args = (red.scale, window, red.matrix, red.transform, red.degrees)
+            return ReducedBasis(fs, red.rank, *args, red.pivots, red.udegrees).certification()
+
+        assert at(needed) == (True, None)
+        assert at(needed - 1) == (False, needed)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+def test_nullspace_matches_the_rank_oracle(p, e):
+    fs = field_spec(p, e)
+    rng = np.random.default_rng(20 * p + e)
+    cases = [np.zeros((3, 4), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)]
+    for m, n in ((3, 5), (5, 3), (4, 4), (1, 6), (6, 1)):
+        A = rng.integers(0, fs.s, size=(m, n))
+        A[rng.random(A.shape) < 0.4] = 0
+        cases.append(A.copy())
+        # a repeated row and a multiple of another add no rank
+        A[-1] = A[0]
+        A[m // 2] = fs.scale_arr(int(rng.integers(1, fs.s)), A[-1])
+        cases.append(A)
+        # full rank: a unit diagonal under random entries above it
+        F = np.triu(rng.integers(0, fs.s, size=(m, n)), 1)
+        F[np.arange(min(m, n)), np.arange(min(m, n))] = rng.integers(1, fs.s, size=min(m, n))
+        cases.append(F)
+    for A in cases:
+        null = lattice._nullspace(fs, A)
+        rank = oracles.gf_rank(A.tolist(), p, fs.modulus)
+        assert null.shape == (A.shape[1] - rank, A.shape[1]), (fs, A)
+        assert oracles.gf_rank(null.tolist(), p, fs.modulus) == null.shape[0]
+        for v in null.tolist():
+            for row in A.tolist():
+                acc = 0
+                for a, x in zip(row, v):
+                    acc = oracles.gf_add(acc, oracles.gf_mul(a, x, p, fs.modulus), p, fs.modulus)
+                assert acc == 0, (fs, A, v)
+
+
 def test_singular_detected_during_reduction():
     b = basis_from_text(F2, [["X + 1", "X + 1"], ["X", "X"]])
     with pytest.raises(LatticeError):
