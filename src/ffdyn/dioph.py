@@ -653,7 +653,7 @@ def mult_solutions(
     psi=None stands for the identically-zero profile, which no
     nondegenerate vector can meet.  One vector per unit class is kept,
     scaled so the top coefficient of its first nonzero coordinate is 1;
-    the classes come in the order of their first members in the sorted
+    the classes come in build order, that of their monic members in the
     walk of ``enumerate_short_vectors``.
     """
     if basis.rank < 2:
@@ -662,11 +662,7 @@ def mult_solutions(
     if psi is not None and psi.s != fs.s:
         raise ValueError("psi and the basis use different values of s")
     bound_exp = _spower_exponent(norm_bound, fs.s, "norm_bound")
-    M, W = _short_vector_array(basis, float(norm_bound), cap)
-    # P is nonsingular, so the walk holds each unit class s - 1 times; its
-    # first member in sorted order is the one whose first nonzero code is 1
-    flat = W.reshape(W.shape[0], -1)
-    W = W[flat[np.arange(flat.shape[0]), (flat != 0).argmax(axis=1)] == 1]
+    M, W = _short_vector_array(basis, float(norm_bound), cap, monic=True)
     W = fs.mul_arr(W, fs.inv_arr(_lead_codes(W))[:, None, None])
     degen = ~W.any(axis=2).all(axis=1)
     if basis.window is not None and degen.any():

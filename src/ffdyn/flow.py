@@ -558,7 +558,7 @@ def delta_trajectory(
     For m = n = 1 the trajectory is read off the Euclid degree ladder of A
     (best-approximation sawtooth); otherwise the scaled basis is reduced
     incrementally along t.  With strict=True a certification failure raises,
-    reporting an estimate of the sufficient input precision.
+    reporting a lower bound on the sufficient input precision.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
@@ -821,9 +821,9 @@ def _trial_depths(
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
     """(deltas, certified, needed) at the increasing times ts for one
     sampled A: the ladder sawtooth for m = n = 1, the generic trajectory
-    otherwise.  needed is the ``precision`` that would certify every t in
-    ts, or None when they all are.  The ladder draws a_1..a_precision, so
-    its need is its window need less one."""
+    otherwise.  needed (None when all are certified) is a lower bound on the
+    ``precision`` certifying every t in ts: more can move a rung.  The ladder
+    draws a_1..a_precision, so its need is its window need less one."""
     fs = spec.field
     if spec.m == 1 and spec.n == 1:
         coeffs = rng.integers(0, fs.s, size=precision)
@@ -846,7 +846,8 @@ def _trial_row(spec, seed, tag, trial: int, precision: int, burn_in: int, ts) ->
         t = int(ts[np.argmin(certified)])
         at = f"t = {t}" if t else "burn-in"
         raise CertificationError(
-            f"trial {trial} uncertified at {at}; raise the precision", needed_precision=needed
+            f"trial {trial} uncertified at {at}; raise the precision to at least {needed}",
+            needed_precision=needed,
         )
     return deltas
 

@@ -255,11 +255,13 @@ def _reduce_packed(fs: FieldSpec, WU, degrees, pivots, udegrees, max_steps=None)
     which keeps them current.  Collisions are resolved deterministically:
     at the lowest pivot row that two columns share, the first two columns
     there by index collide, and the one of larger (degree, index) is
-    reduced against the other.
+    reduced against the other.  Each step lowers sum_j (r d_j - pivot_j) by
+    at least 1 (a pivot at an unchanged degree moves down), so deg det >= 0
+    caps the steps at r sum_j d_j + r(r - 1)/2 (Mulders and Storjohann 2003).
     """
     r = len(degrees)
     if max_steps is None:
-        max_steps = sum(max(d, 0) for d in degrees) + r * r + 16
+        max_steps = r * sum(max(d, 0) for d in degrees) + r * (r - 1) // 2
     steps = 0
     while True:
         first, clash = {}, None
@@ -401,9 +403,10 @@ def enumerate_short_vectors(
     return _series_rows(basis.field, M, basis.window, W)
 
 
-def _short_vector_array(basis: LatticeBasis, norm_bound: float, cap: int):
+def _short_vector_array(basis: LatticeBasis, norm_bound: float, cap: int, monic=False):
     """(M, W) with W[k, i, d] the X^d coefficient of coordinate i of X^M v_k
-    for the short vectors v_k, rows in lexicographic order.
+    for the short vectors v_k, rows in lexicographic order; with ``monic``
+    only the rows whose first nonzero code is 1, one per unit class.
 
     The search box for integer coefficient vectors q is provable: from
     w = B q and Cramer, deg q_j is at most (sum of the r-1 largest column
@@ -437,10 +440,11 @@ def _short_vector_array(basis: LatticeBasis, norm_bound: float, cap: int):
             )
     if qdeg < 0:
         return none
-    W = _enumerate_kernel(fs, P, delta_cap, qdeg, cap)
+    W = _enumerate_kernel(fs, P, delta_cap, qdeg, cap, monic)
     if basis.window is not None:
         # rows with a coefficient at an index >= window have no series at
-        # that window: converting the first one raises its PrecisionError
+        # that window: converting the first one (monic, as a unit multiple
+        # keeps the support) raises its PrecisionError
         deep = W[:, :, : M - basis.window + 1].any(axis=(1, 2))
         if deep.any():
             _series_rows(fs, M, basis.window, W[deep][:1])
@@ -461,9 +465,9 @@ def _apply_q(fs, P: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _enumerate_kernel(fs, P, delta_cap, qdeg, cap) -> np.ndarray:
-    """Sorted w = P q, as an array (count, r, L + qdeg), over the q in the
-    box with deg w <= delta_cap.
+def _enumerate_kernel(fs, P, delta_cap, qdeg, cap, monic=False) -> np.ndarray:
+    """w = P q (the monic ones with ``monic``) in lexicographic order, as
+    (rows, r, L + qdeg), over the q in the box with deg w <= delta_cap.
 
     Those q form the F_s kernel of the coefficient constraints above
     delta_cap.  P is nonsingular, so every nonzero kernel combination is a
@@ -490,18 +494,27 @@ def _enumerate_kernel(fs, P, delta_cap, qdeg, cap) -> np.ndarray:
     images = np.stack(
         [_apply_q(fs, P, q) for q in null.reshape(dim, r, width)]
     ).reshape(dim, -1)
-    return _combinations(fs, images).reshape(count, r, -1)
+    return _combinations(fs, images, monic).reshape(-1, r, L + qdeg)
 
 
-def _combinations(fs, images: np.ndarray) -> np.ndarray:
-    """The nonzero F_s-combinations of the rows of ``images``, sorted.
-
-    The combinations of images 0..i are those of images 0..i-1, each added
-    to every multiple of image i, so row 0 stays the zero vector.
+def _combinations(fs, images: np.ndarray, monic: bool = False) -> np.ndarray:
+    """The nonzero F_s-combinations of the independent rows of ``images``,
+    in lexicographic order; with ``monic`` only those whose first nonzero
+    code is 1.  Over the reduced echelon form E with unit pivots c_0 < c_1
+    < ..., sum a_i E_i reads a_i at c_i and depends on a_0..a_i only up to
+    c_(i+1), so the combinations sort as their digits, E_0's outermost.
     """
-    W = np.zeros((1, images.shape[1]), dtype=np.int64)
+    E, pivots = fs._echelon(images)
+    if (pivots < 0).any():
+        raise LatticeError("kernel images are linearly dependent")
+    E, pivots = E[np.argsort(pivots)], np.sort(pivots)
+    for i, c in enumerate(pivots.tolist()):  # rows below i are zero at c
+        E[i] = fs.scale_arr(fs.inv(int(E[i, c])), E[i])
+        E[:i] = fs.submul_arr(E[:i], E[:i, c : c + 1], E[i])
+    W = np.zeros((1, E.shape[1]), dtype=np.int64)
     codes = np.arange(fs.s, dtype=np.int64)[:, None, None]
-    for image in images:
+    for image in E[: 0 if monic else None : -1]:
         W = fs.add_arr(fs.mul_arr(codes, image), W).reshape(-1, W.shape[1])
-    W = W[1:]
-    return W[np.lexsort(W.T[::-1])]
+    if monic:  # E_i + those of E[i+1:], the first s^(dim-1-i) of E[1:]'s
+        return np.concatenate([fs.add_arr(v, W[: fs.s**k]) for k, v in enumerate(E[::-1])])
+    return W[1:]

@@ -26,7 +26,7 @@ only what it does not share with the package:
   hit and indeterminate bookkeeping of ``zero_block_detector``;
 * ``mult_solutions_reference`` reads the package's series walk
   ``enumerate_short_vectors`` one vector at a time, so it checks the
-  array filter of ``mult_solutions``, not the walk;
+  monic build and the array classification of ``mult_solutions``;
 * ``xi_exact_reference`` walks the congruence classes on the package's
   field arithmetic and buffer layout, so it checks the class counting of
   ``xi_exact``;
@@ -561,7 +561,7 @@ def reduce_packed_full_width(fs, W, U, degrees, pivots, max_steps=None) -> int:
     """Weak Popov form in place, with the package's collision order."""
     r = W.shape[0]
     if max_steps is None:
-        max_steps = int(degrees.clip(min=0).sum()) + r * r + 16
+        max_steps = r * int(degrees.clip(min=0).sum()) + r * (r - 1) // 2
     steps = 0
     while True:
         order = {}

@@ -627,7 +627,7 @@ def _mult_outcome(search, basis, psi, bound, cap):
 
 
 def test_mult_solutions_match_reference_loop():
-    # the array filter against the canonicalise-and-dedupe loop over the
+    # the monic build against the canonicalise-and-dedupe loop over the
     # series walk: solutions, degenerate vectors, their order, the class
     # count and every error; each case lowers the bound from s^2 until the
     # walk fits the cap, comparing the cap errors on the way
@@ -678,6 +678,39 @@ def test_mult_solutions_match_reference_loop():
     got = _mult_outcome(mult_solutions, basis, power_law(2), 2.0, cap)
     assert got[0] is PrecisionError
     assert got == _mult_outcome(oracles.mult_solutions_reference, basis, power_law(2), 2.0, cap)
+
+
+def test_mult_solutions_deep_row_raises_the_walks_precision_error(monkeypatch):
+    # short vectors past the window of a truncated basis: the monic build
+    # converts the same first deep row as the full series walk, so it
+    # raises the same PrecisionError
+    from ffdyn import lattice
+
+    real = lattice._series_rows
+    converted = []
+
+    def spy(fs, M, window, W):
+        converted.append(W.copy())
+        return real(fs, M, window, W)
+
+    monkeypatch.setattr(lattice, "_series_rows", spy)
+    for fs in [field_spec(p, e) for p, e in _FIELDS]:
+        rng = np.random.default_rng(fs.s)
+        a = LaurentSeries(fs, 0, rng.integers(1, fs.s, size=5), prec=5)
+        b = LaurentSeries(fs, 1, rng.integers(1, fs.s, size=2), prec=3)
+        zero, one = LaurentSeries.zero(fs), LaurentSeries.one(fs)
+        basis = LatticeBasis(fs, [[a, b], [zero, one]])
+        errors = []
+        for search in (
+            lambda: lattice.enumerate_short_vectors(basis, 1.0),
+            lambda: mult_solutions(basis, power_law(fs.s), 1.0),
+        ):
+            converted.clear()
+            with pytest.raises(PrecisionError) as err:
+                search()
+            errors.append((str(err.value), converted[0]))
+        assert errors[0][0] == errors[1][0] == "coefficients listed up to index 4 but window ends at 3"
+        assert np.array_equal(errors[0][1], errors[1][1]) and errors[0][1].shape[0] == 1, fs
 
 
 # ---------------------------------------------------------------------------

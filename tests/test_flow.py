@@ -663,8 +663,13 @@ def test_strong_bc_uncertified_trial_raises_the_same_error_when_sharded(monkeypa
         errors.append((str(err.value), err.value.needed_precision))
     assert errors[0][0].startswith("trial 4 uncertified at t = ")
     # the need read off the ladder: its window need less one, since a trial
-    # draws a_1..a_precision
+    # draws a_1..a_precision; a lower bound, as at 139 the next rung moves
+    # and the ladder asks for 140
+    assert errors[0][0].endswith("raise the precision to at least 139")
     assert errors[0][1] == 139
+    with pytest.raises(CertificationError) as err:
+        strong_bc_experiment(spec, ladder, trials=6, seed=4, burn_in=4, precision=139)
+    assert err.value.needed_precision == 140
     assert errors[1] == errors[0] and errors[2] == errors[0]
 
 

@@ -156,8 +156,7 @@ def test_transform_room_bounds_both_reducers(p, e, monkeypatch):
         r = m + n
         A = sample_matrix(fs, rng, m, n, r * T // 2 + 8)
         basis = unipotent_lattice(A, spec)
-        # up to T / 2: at t = T weak_popov's step cap refuses some (2, 2) bases
-        for t in (T // 4, T // 2):
+        for t in (T // 4, T // 2, T):
             flowed = flow_apply(basis, t, spec)
             M, W0 = flowed.packed()
             d = lattice._column_pivots(W0)[0].tolist()
@@ -173,6 +172,27 @@ def test_transform_room_bounds_both_reducers(p, e, monkeypatch):
         assert (r * n * T + 1 > L) == (n == 2)
         assert seen and max(top for top, _ in seen) < r * n * T + 1, (fs, m, n)
         assert {ulen for _, ulen in seen} == {max(L, r * n * T + 1)}
+
+
+@pytest.mark.parametrize("p,e,steps", [(3, 3, 226), (5, 2, 231), (5, 3, 239)])
+def test_step_cap_admits_nonsingular_bases(p, e, steps, monkeypatch):
+    # these nonsingular flowed bases take more steps than sum(d) + r^2 + 16
+    # (224 here), within the default cap r sum(d) + r(r - 1)/2 that bounds
+    # every nonsingular polynomial basis
+    from ffdyn.flow import FlowSpec, flow_apply, sample_matrix, unipotent_lattice
+
+    fs = field_spec(p, e)
+    spec = FlowSpec(fs, 2, 2)
+    A = sample_matrix(fs, np.random.default_rng(10 * p + e), 2, 2, 32)
+    flowed = flow_apply(unipotent_lattice(A, spec), 12, spec)
+    d = lattice._column_pivots(flowed.packed()[1])[0].tolist()
+    assert sum(d) + 4 * 4 + 16 == 224
+    seen = []
+    real = lattice._reduce_packed
+    monkeypatch.setattr(lattice, "_reduce_packed", lambda *a: seen.append(real(*a)))
+    reduced = weak_popov(flowed)
+    assert seen == [steps] and steps <= 4 * sum(d) + 6
+    assert sorted(reduced.pivots) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -563,15 +583,50 @@ def test_combinations_by_doubling_match_the_grid():
 
     for fs in [field_spec(p, e) for p in (2, 3, 5) for e in (1, 2, 3)]:
         rng = np.random.default_rng(10 * fs.s + 1)
-        # as many images as keep s^dim to a few thousand rows; a repeated
-        # image gives repeated rows, which must come out equally often
+        # as many images as keep s^dim to a few thousand rows, with zero
+        # columns, so that pivots skip columns and rows share them
         for dim in range(1, max(int(np.log(5000) / np.log(fs.s)), 1) + 1):
-            images = rng.integers(0, fs.s, size=(dim, 7))
-            if dim > 1:
-                images[-1] = images[0]
+            while True:
+                images = rng.integers(0, fs.s, size=(dim, dim + 6))
+                images[:, rng.random(dim + 6) < 0.3] = 0
+                if (fs._echelon(images)[1] >= 0).all():
+                    break
             got = _combinations(fs, images)
-            assert got.shape == (fs.s**dim - 1, 7), fs
+            assert got.shape == (fs.s**dim - 1, dim + 6), fs
             assert np.array_equal(got, oracles.combination_grid(fs, images)), (fs, dim)
+            # every caller passes a kernel basis's images under a nonsingular
+            # P, so a dependent image is an error, not repeated rows
+            if dim > 1:
+                images[-1] = fs.scale_arr(int(rng.integers(1, fs.s)), images[0])
+                with pytest.raises(LatticeError, match="linearly dependent"):
+                    _combinations(fs, images)
+
+
+def test_monic_combinations_are_the_filtered_walk():
+    # the monic build is the full walk's rows whose first nonzero code is 1,
+    # in walk order; under any support mask the first row that meets it is
+    # monic, so the deep-row check sees the same first row in both
+    from ffdyn.lattice import _combinations
+
+    for fs in [field_spec(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3) if p**e < 400]:
+        rng = np.random.default_rng(10 * fs.s + 2)
+        for dim in range(1, max(int(np.log(5000) / np.log(fs.s)), 1) + 1):
+            n = dim + 6
+            images = rng.integers(0, fs.s, size=(dim, n))
+            images[:, rng.random(n) < 0.3] = 0
+            if (fs._echelon(images)[1] < 0).any():
+                continue
+            full = _combinations(fs, images)
+            first = full[np.arange(len(full)), (full != 0).argmax(axis=1)]
+            monic = _combinations(fs, images, monic=True)
+            assert monic.shape == ((fs.s**dim - 1) // (fs.s - 1), n), fs
+            assert np.array_equal(monic, full[first == 1]), (fs, dim)
+            mask = rng.random(n) < 0.3
+            meets = full[:, mask].any(axis=1)
+            if meets.any():
+                assert np.array_equal(
+                    full[meets][0], monic[monic[:, mask].any(axis=1)][0]
+                ), (fs, dim)
 
 
 def test_enumerate_respects_depth():
