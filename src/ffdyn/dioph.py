@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CertificationError, EnumerationCapError, FieldError, PrecisionError
-from .field import FieldSpec, LaurentSeries, Poly, poly_gcd
+from .field import FieldSpec, LaurentSeries, Poly, first_visible, poly_gcd, series_dot
 from .flow import (
     DriftVector,
     FlowSpec,
@@ -128,16 +128,16 @@ def _block_rows(rows, deg: int) -> int:
     return max(1, _RESIDUAL_CELLS // width)
 
 
-def _residuals(fs, rows, q: np.ndarray, p: np.ndarray | None = None, split: bool = False):
-    """Row i of p + Aq for every candidate of a stack q (count, n, width)
-    of coefficient codes over fs in ascending degree; p, when given, is a
-    stack (count, m, width') alike.  Every entry of A must lie over fs.
+def _residuals(fs, rows, q: np.ndarray, split: bool = False):
+    """Row i of Aq for every candidate of a stack q (count, n, width) of
+    coefficient codes over fs in ascending degree.  Every entry of A must
+    lie over fs.
 
-    Row i is formed for all candidates at once, by one ``polymul`` per
-    entry a_ij against the stacked q_j.  Windows follow LaurentSeries
-    arithmetic: a_ij q_j is known below prec(a_ij) - deg q_j, and an exact
-    entry or a zero q_j adds no window.  With ``split`` the whole part
-    (indices <= 0) is cut off, so the residual is the fractional part.
+    Row i is one ``series_dot`` of A_i against the stack q taken as exact
+    series, so its windows are those of LaurentSeries arithmetic; p + Aq
+    is the rows (e_i | A_i) against the stack (p | q).  With ``split`` the
+    whole part (indices <= 0) is cut off, so the residual is the
+    fractional part.
     Returns (top, floor, prec, p_whole), the first three float arrays (m,
     count): top is log_s of the visible leading term (-inf when none),
     floor is -prec where nothing is visible inside a finite window (-inf
@@ -148,35 +148,18 @@ def _residuals(fs, rows, q: np.ndarray, p: np.ndarray | None = None, split: bool
     """
     if any(a.field != fs for row in rows for a in row):
         raise FieldError("mixed fields in series arithmetic")
-    count, width = q.shape[0], q.shape[2]
-    qdeg = _degrees(q)
-    wp = 1 if p is None else p.shape[2]
-    top = np.full((len(rows), count), -np.inf)
-    floor = np.full((len(rows), count), -np.inf)
-    prec = np.full((len(rows), count), np.inf)
+    top, floor, prec = (np.empty((len(rows), q.shape[0])) for _ in range(3))
     p_whole = [] if split else None
     for i, row in enumerate(rows):
-        live = [(a, q[:, j, ::-1]) for j, a in enumerate(row) if a.has_leading_term]
-        # q_j reversed holds X^(width-1-k) in column k, at index k + 1 - width
-        lo = min([a.v + 1 - width for a, _ in live] + [1 - wp])
-        hi = max([a.v + a.coeffs.size for a, _ in live] + [1])
-        acc = np.zeros((count, hi - lo), dtype=np.int64)
-        for a, qj in live:
-            span = slice(a.v + 1 - width - lo, a.v + a.coeffs.size - lo)
-            acc[:, span] = fs.add_arr(acc[:, span], fs.polymul(qj, a.coeffs))
-        if p is not None:
-            span = slice(1 - wp - lo, 1 - lo)
-            acc[:, span] = fs.add_arr(acc[:, span], p[:, i, ::-1])
+        # reversed, column k of the stack holds X^(width-1-k), at index k + 1 - width
+        lo, acc, prec[i] = series_dot(fs, row, q[:, :, ::-1], 1 - q.shape[2])
         if split:
             p_whole.append(fs.neg_arr(acc[:, : 1 - lo][:, ::-1]))
             acc[:, : 1 - lo] = 0
-        for a, deg in zip(row, qdeg.T):
-            if a.prec is not None:
-                np.minimum(prec[i], np.where(deg >= 0, a.prec - deg, np.inf), out=prec[i])
-        nz = (acc != 0) & (np.arange(lo, hi) < prec[i][:, None])
-        seen = nz.any(axis=1)
-        top[i] = np.where(seen, -(lo + nz.argmax(axis=1)), -np.inf)
-        floor[i] = np.where(~seen & (prec[i] < np.inf), -prec[i], -np.inf)
+        first = first_visible(lo, acc, prec[i])
+        del acc  # not alive beside the next row's products
+        top[i] = 0.0 - first  # +0.0, not -0.0, for a leading index 0
+        floor[i] = np.where(np.isinf(first) & (prec[i] < np.inf), -prec[i], -np.inf)
     return top, floor, prec, p_whole
 
 
@@ -275,7 +258,7 @@ def _lead_codes(rows: np.ndarray) -> np.ndarray:
     of an array (count, n, width) in ascending degree."""
     at = np.arange(rows.shape[0])
     first = rows[at, rows.any(axis=2).argmax(axis=1)]
-    return first[at, first.shape[1] - 1 - (first[:, ::-1] != 0).argmax(axis=1)]
+    return first[at, _degrees(first)]
 
 
 def _unit_class_blocks(s: int, n: int, deg: int, cap: int, size: int = _CANDIDATE_BLOCK):
@@ -672,7 +655,7 @@ def mult_solutions(
             needed_precision=basis.window + 1,
         )
     live = W[~degen]
-    exps = live.shape[2] - 1 - (live[:, :, ::-1] != 0).argmax(axis=2) - M
+    exps = _degrees(live) - M
     prod, norm = exps.sum(axis=1), exps.max(axis=1)
     admitted = np.zeros(live.shape[0], dtype=bool)
     if psi is not None:
@@ -871,9 +854,10 @@ def _window_witnesses(rows_A, psi, spec, flagged) -> list[WindowWitness]:
     """Recompute the residual of every flagged witness (t, R, q, p) from A
     and test both the predicted norm window and the non-strict inequality.
 
-    ``_residuals`` forms p + Aq for all flagged times at once.  With p None
-    (m = n = 1, the ladder's convergents) p is minus the whole part of Aq,
-    whose window must reach index 0.  Times are read in order, so the first
+    ``_residuals`` forms p + Aq for all flagged times at once, as the rows
+    (e_i | A_i) against the stack (p | q).  With p None (m = n = 1, the
+    ladder's convergents) p is minus the whole part of Aq, whose window
+    must reach index 0.  Times are read in order, so the first
     one the window cannot decide raises.
     """
     if not flagged:
@@ -881,11 +865,13 @@ def _window_witnesses(rows_A, psi, spec, flagged) -> list[WindowWitness]:
     fs, m, n = spec.field, spec.m, spec.n
     times = np.array([t for t, _, _, _ in flagged])
     thresholds = np.array([R for _, R, _, _ in flagged])
-    q = _stack([qs for _, _, qs, _ in flagged])
-    bot = _degrees(q).max(axis=1)
-    ladder = flagged[0][3] is None
-    p = None if ladder else _stack([ps for *_, ps in flagged])
-    top, floor, prec, p_whole = _residuals(fs, rows_A, q, p, split=ladder)
+    ladder, rows = flagged[0][3] is None, rows_A
+    stack = _stack([tuple(ps or ()) + tuple(qs) for _, _, qs, ps in flagged])
+    bot = _degrees(stack[:, 0 if ladder else m :]).max(axis=1)
+    if not ladder:
+        one, zero = LaurentSeries.one(fs), LaurentSeries.zero(fs)
+        rows = [[one if k == i else zero for k in range(m)] + list(r) for i, r in enumerate(rows_A)]
+    top, floor, prec, p_whole = _residuals(fs, rows, stack, split=ladder)
     top, floor = top.max(axis=0), floor.max(axis=0)
     upper = np.maximum(top, floor)
     window_ok = bot <= m * times - thresholds

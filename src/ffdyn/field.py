@@ -994,6 +994,49 @@ def _shift_prec(p: int | None, by: int | None) -> int | None:
     return p + by
 
 
+def series_dot(fs: FieldSpec, row, x: np.ndarray, start: int, x_prec: int | None = None):
+    """Sum of row[j] * x_j for every element of a batch, windowed as in
+    LaurentSeries arithmetic.
+
+    ``x`` (count, len(row), w) holds each x_j as the codes at indices
+    start..start+w-1, known below ``x_prec`` (None: exact).  a * x_j is
+    known below min(prec(a) + v(x_j), x_prec + v(a)), a series with no
+    nonzero coefficient taking its window as v; an exact factor drops its
+    term and an exact-zero factor the product.  A sum is known below the
+    least window of its terms.  Returns (lo, acc, prec): acc (count, width)
+    holds the codes at indices lo.., covering start..start+w-1, and prec
+    (count,) the windows as floats, inf where exact.
+    """
+    count, _, w = x.shape
+    prec = np.full(count, np.inf)
+    live = []
+    for a, xj in zip(row, x.transpose(1, 0, 2)):
+        if a.is_exact_zero:
+            continue
+        if a.prec is not None:
+            unseen = np.inf if x_prec is None else x_prec
+            vx = np.where(xj.any(axis=1), start + (xj != 0).argmax(axis=1), unseen)
+            np.minimum(prec, a.prec + vx, out=prec)
+        if x_prec is not None:
+            np.minimum(prec, x_prec + (a.v if a.coeffs.size else a.prec), out=prec)
+        if a.coeffs.size:
+            live.append((a, xj))
+    lo = start + min([0] + [a.v for a, _ in live])
+    hi = start + w - 1 + max([1] + [a.v + a.coeffs.size for a, _ in live])
+    acc = np.zeros((count, hi - lo), dtype=np.int64)
+    for a, xj in live:
+        span = slice(start + a.v - lo, start + a.v - lo + w + a.coeffs.size - 1)
+        acc[:, span] = fs.add_arr(acc[:, span], fs.polymul(xj, a.coeffs))
+    return lo, acc, prec
+
+
+def first_visible(lo: int, acc: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    """Least index below ``prec`` with a nonzero code, per row of an acc
+    from ``series_dot``; inf where there is none."""
+    nz = (acc != 0) & (np.arange(lo, lo + acc.shape[1]) < prec[:, None])
+    return np.where(nz.any(axis=1), lo + nz.argmax(axis=1), np.inf)
+
+
 # -- text form ------------------------------------------------------------------
 
 def _format_terms(pairs: list[tuple[int, int]]) -> str:

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificationError, FieldError, PrecisionError
-from .field import FieldSpec, LaurentSeries
+from .field import FieldSpec, LaurentSeries, first_visible, series_dot
 from .streams import stream
 
 Matrix = tuple[tuple[LaurentSeries, LaurentSeries], tuple[LaurentSeries, LaurentSeries]]
@@ -146,7 +146,11 @@ def _norm_exponent_bound(entry: LaurentSeries) -> int | None:
 
 
 def _compare_bottom(c: LaurentSeries, d: LaurentSeries) -> bool:
-    """True when |c| <= |d| is certified, False when |c| > |d| is.
+    """True when |c| <= |d| is certified, False when |d| <= |c| is.
+
+    False is strict (|c| > |d|) except when d vanishes through its window
+    and c's leading index is d.prec; either way |c| <= |d| holds once the
+    columns are swapped, which is all the pivot needs.
 
     Raises PrecisionError when the windows cannot decide, FieldError
     when the bottom row is identically zero.
@@ -183,6 +187,9 @@ def iwasawa(g: Sequence[Sequence[LaurentSeries]], prec: int | None = None) -> Iw
 
     The bottom row (c, d) decides the pivot: when |c| <= |d| an O-multiple
     of the second column clears c; otherwise the columns are swapped first.
+    kappa starts as the inverse of those operations: the swap sets it to
+    [[0, 1], [-1, 0]], and clearing c by t = c/d then sets it to
+    [[1, 0], [t, 1]] kappa.
     Units on the diagonal of b, and the part of its corner entry divisible
     by the leading diagonal monomial, are folded into kappa whenever the
     needed inverses are representable, so b is normalized towards
@@ -205,23 +212,15 @@ def iwasawa(g: Sequence[Sequence[LaurentSeries]], prec: int | None = None) -> Iw
     if all(_in_o(e) for row in g for e in row):
         return IwasawaFactors(b=identity2(fs), kappa=g, diag_valuations=(0, 0))
 
-    # Right-multiplications accumulated into kappa_inv; g * kappa_inv = b_raw.
-    work = [list(g[0]), list(g[1])]
-    ops: list[Matrix] = []
-    c, d = work[1][0], work[1][1]
+    # column operations take (a, b; c, d) to b; kappa is their inverse
+    (a, b), (c, d) = g
+    one, zero = LaurentSeries.one(fs), LaurentSeries.zero(fs)
+    kappa = identity2(fs)
     if not _compare_bottom(c, d):
         # column swap with determinant 1: (col1, col2) -> (col2, -col1)
         neg_one = LaurentSeries(fs, 0, [fs.neg(1)])
-        swap = (
-            (LaurentSeries.zero(fs), neg_one),
-            (LaurentSeries.one(fs), LaurentSeries.zero(fs)),
-        )
-        work = [
-            [work[0][1], work[0][0] * neg_one],
-            [work[1][1], work[1][0] * neg_one],
-        ]
-        ops.append(swap)
-        c, d = work[1][0], work[1][1]
+        a, b, c, d = b, a * neg_one, d, c * neg_one
+        kappa = ((zero, one), (neg_one, zero))
     if not c.is_exact_zero:
         try:
             t = c / d
@@ -231,37 +230,10 @@ def iwasawa(g: Sequence[Sequence[LaurentSeries]], prec: int | None = None) -> Iw
                 "pass an explicit working precision"
             ) from exc
         neg_t = -t
-        shear = (
-            (LaurentSeries.one(fs), LaurentSeries.zero(fs)),
-            (neg_t, LaurentSeries.one(fs)),
-        )
-        work = [
-            [work[0][0] + neg_t * work[0][1], work[0][1]],
-            [work[1][0] + neg_t * work[1][1], work[1][1]],
-        ]
-        ops.append(shear)
+        a, c = a + neg_t * b, c + neg_t * d
+        kappa = matmul2(((one, zero), (t, one)), kappa)
 
-    # g * op_1 * ... * op_k = b_raw, so kappa = op_k^-1 * ... * op_1^-1:
-    # invert in original order, accumulating on the left.
-    kappa = identity2(fs)
-    for op in ops:
-        # inverses: swap -> [[0,1],[-1,0]], shear [[1,0],[-t,1]] -> [[1,0],[t,1]]
-        if op[0][0].is_exact_zero:
-            neg_one = LaurentSeries(fs, 0, [fs.neg(1)])
-            inv_op = (
-                (LaurentSeries.zero(fs), LaurentSeries.one(fs)),
-                (neg_one, LaurentSeries.zero(fs)),
-            )
-        else:
-            inv_op = (
-                (LaurentSeries.one(fs), LaurentSeries.zero(fs)),
-                (-op[1][0], LaurentSeries.one(fs)),
-            )
-        kappa = matmul2(inv_op, kappa)
-
-    b11, b12 = work[0][0], work[0][1]
-    b22 = work[1][1]
-    residual = work[1][0]
+    b11, b12, b22, residual = a, b, d, c
     if residual.has_leading_term:
         raise RuntimeError("column operations failed to clear the bottom row")
 
@@ -295,10 +267,7 @@ def iwasawa(g: Sequence[Sequence[LaurentSeries]], prec: int | None = None) -> Iw
     head = LaurentSeries(fs, beta.v, beta.coeffs[:head_len], beta.prec)
     tail = beta - head
     tau = tail.shift(v1)  # tail / d1, a shift since d1 is a monomial
-    m_row1 = (u1, LaurentSeries.zero(fs))
-    m_row2 = (LaurentSeries.zero(fs), u2)
-    n_mat = ((LaurentSeries.one(fs), tau), (LaurentSeries.zero(fs), LaurentSeries.one(fs)))
-    kappa = matmul2(n_mat, matmul2((m_row1, m_row2), kappa))
+    kappa = matmul2(((one, tau), (zero, one)), matmul2(((u1, zero), (zero, u2)), kappa))
     b = ((d1, head), (residual, d2))
     for row in kappa:
         for entry in row:
@@ -554,76 +523,46 @@ def _draw_samples(
 
 def _sample_first_columns(
     fs: FieldSpec, rng: np.random.Generator, samples: int, precision: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """First columns (a, c + t a) of ``samples`` consecutive ``sample_k``
-    draws, as (samples, precision) coefficient arrays over indices
+    draws, as one (samples, 2, precision) coefficient array over indices
     0..precision-1 (the window of every entry of k).
 
     c = 0 when a has a unit constant term and c = -1/b otherwise, so the
     unit-entry inverse d is never needed.
     """
-    a, b, t = _draw_samples(fs, rng, samples, precision).transpose(1, 0, 2)
+    draws = _draw_samples(fs, rng, samples, precision)
+    a, b, t = draws.transpose(1, 0, 2)
     w = fs.polymul(t, a)[:, :precision]
     low = a[:, 0] == 0
     if low.any():
         w[low] = fs.sub_arr(w[low], fs.polyinv(b[low], precision))
-    return a, w
+    draws[:, 2] = w  # over t, so the columns are draws[:, ::2]
+    return draws[:, ::2]
 
 
-def _first_column_exponents(
-    g: Matrix, cols: tuple[np.ndarray, np.ndarray], precision: int
-) -> np.ndarray:
+def _first_column_exponents(g: Matrix, cols: np.ndarray, precision: int) -> np.ndarray:
     """Valuation of (g k) e_1 per sample, certified against unknown windows.
 
-    ``cols`` are the sampled first columns of k, known below ``precision``.
-    The windows follow LaurentSeries arithmetic: g_ij * x_j is known below
-    min(prec(g_ij) + v(x_j), precision + v(g_ij)), an exact g_ij dropping
-    the first term and a g_ij with no known nonzero coefficient counting
-    its window as v(g_ij); each row sum is known below the smaller of its
-    two.  A row
-    with no nonzero coefficient in its window is a ceiling on the norm
-    exponent; a sample with no visible valuation, or one above a ceiling,
-    raises PrecisionError.
+    ``cols`` (samples, 2, precision) are the sampled first columns of k,
+    known below ``precision``.  Each row of g k e_1 is one ``series_dot``
+    of the row of g against them, so its window is that of LaurentSeries
+    arithmetic.  A row with no nonzero coefficient in its window is a
+    ceiling on the norm exponent; a sample with no visible valuation, or
+    one above a ceiling, raises PrecisionError.
     """
     fs = g[0][0].field
-    n = cols[0].shape[0]
-    xval = [_row_valuations(x, precision) for x in cols]
-    unset = np.iinfo(np.int64).max
-    best = np.full(n, unset)
+    best = np.full(cols.shape[0], np.inf)
     ceilings = []
     for row in g:
-        terms = [(e, x, v) for e, x, v in zip(row, cols, xval) if not e.is_exact_zero]
-        if not terms:
-            continue
-        prec = np.full(n, unset)
-        for e, _, v in terms:
-            ve = e.v if e.has_leading_term else e.prec
-            np.minimum(prec, precision + ve, out=prec)
-            if not e.is_exact:
-                np.minimum(prec, e.prec + v, out=prec)
-        live = [(e, x) for e, x, _ in terms if e.has_leading_term]
-        found = np.zeros(n, dtype=bool)
-        if live:
-            lo = min(e.v for e, _ in live)
-            hi = max(e.v + e.coeffs.size for e, _ in live) + precision - 1
-            acc = np.zeros((n, hi - lo), dtype=np.int64)
-            for e, x in live:
-                span = slice(e.v - lo, e.v - lo + e.coeffs.size + precision - 1)
-                acc[:, span] = fs.add_arr(acc[:, span], fs.polymul(x, e.coeffs))
-            nz = (acc != 0) & (np.arange(lo, hi) < prec[:, None])
-            found = nz.any(axis=1)
-            np.minimum(best, np.where(found, lo + nz.argmax(axis=1), unset), out=best)
-        ceilings.append(np.where(found, unset, prec))
-    if (best == unset).any() or any((best > c).any() for c in ceilings):
+        lo, acc, prec = series_dot(fs, row, cols, 0, precision)
+        first = first_visible(lo, acc, prec)
+        del acc  # not alive beside the next row's products
+        np.minimum(best, first, out=best)
+        ceilings.append(np.where(np.isinf(first), prec, np.inf))
+    if np.isinf(best).any() or any((best > c).any() for c in ceilings):
         raise PrecisionError("first-column norm indeterminate; increase precision")
-    return best
-
-
-def _row_valuations(x: np.ndarray, width: int) -> np.ndarray:
-    """Index of the first nonzero coefficient per row; ``width`` for a row
-    of zeros (a zero series is known to vanish up to its window)."""
-    nz = x != 0
-    return np.where(nz.any(axis=1), nz.argmax(axis=1), width)
+    return best.astype(np.int64)
 
 
 def _default_mc_precision(g: Matrix) -> int:

@@ -576,6 +576,47 @@ def test_mul_precision_rule():
     assert c.v == -1
 
 
+def _random_entry(fs, rng, kind):
+    if kind == 0:
+        return LaurentSeries.zero(fs)
+    if kind == 1:
+        return LaurentSeries.zero_window(fs, int(rng.integers(-3, 5)))
+    v, n = int(rng.integers(-4, 3)), int(rng.integers(1, 4))
+    coeffs = rng.integers(0, fs.s, n)
+    coeffs[0] = rng.integers(1, fs.s)
+    return LaurentSeries(fs, v, coeffs, None if kind == 2 else v + n + int(rng.integers(0, 3)))
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+def test_series_dot_matches_series_arithmetic(p, e):
+    # exact-zero, zero-window, exact and windowed entries (negative
+    # valuations included) against stacks with all-zero x_j, start below,
+    # at and above 0, and x exact or known below a window
+    fs = field_spec(p, e)
+    rng = np.random.default_rng(10 * p + e)
+    for trial in range(60):
+        n = int(rng.integers(1, 4))
+        row = [_random_entry(fs, rng, int(k)) for k in rng.integers(0, 4, n)]
+        count, w = 5, int(rng.integers(1, 5))
+        x = rng.integers(0, fs.s, (count, n, w))
+        x[rng.random((count, n)) < 0.3] = 0
+        start = (-3, 0, 2)[trial % 3]
+        x_prec = (None, start + w, start + w + 2)[trial // 3 % 3]
+        lo, acc, prec = field_module.series_dot(fs, row, x, start, x_prec)
+        first = field_module.first_visible(lo, acc, prec)
+        assert lo <= start and start + w <= lo + acc.shape[1]
+        for k in range(count):
+            want = LaurentSeries.zero(fs)
+            for a, xj in zip(row, x[k]):
+                want = want + a * LaurentSeries(fs, start, xj, x_prec)
+            assert prec[k] == (math.inf if want.prec is None else want.prec)
+            assert first[k] == (want.v if want.coeffs.size else math.inf)
+            if want.coeffs.size:
+                assert lo <= want.v and want.last_listed_index() < lo + acc.shape[1]
+            known = [i for i in range(lo, lo + acc.shape[1]) if i < prec[k]]
+            assert [int(acc[k, i - lo]) for i in known] == [want.coeff_at(i) for i in known]
+
+
 def test_invert_round_trip():
     a = parse_series(F3, "X^2 + 2 + X^-1 (prec 10)")
     inv = a.invert()

@@ -197,6 +197,99 @@ def test_iwasawa_round_trip_property(t, c_coeffs, b_coeffs):
     assert f.diag_valuations[0] + f.diag_valuations[1] == 0
 
 
+def _unit_x(fs, shift):
+    """(1 + X^-1) X^-shift, an exact unit times a monomial."""
+    return LaurentSeries.from_pairs(fs, {0: 1, 1: 1}).shift(shift)
+
+
+F4 = field_spec(2, 2)
+
+# (g, prec) -> the exact factors, each entry as (v, prec, coefficient codes)
+IWASAWA_GOLDEN = {
+    "swap": (
+        ((xp(F2, 2), xp(F2, -1)), (xp(F2, 1), LaurentSeries.zero(F2))),
+        None,
+        [[(1, None, (1,)), (-2, None, (1,))], [(0, None, ()), (-1, None, (1,))]],
+        [[(0, None, ()), (0, None, (1,))], [(0, None, (1,)), (0, None, ())]],
+    ),
+    "shear": (
+        matmul2(upper_unipotent(F2, xp(F2, 2)), lower_unipotent(F2, xp(F2, -1))),
+        None,
+        [[(0, None, (1,)), (-2, None, (1,))], [(0, None, ()), (0, None, (1,))]],
+        [[(0, None, (1,)), (0, None, ())], [(1, None, (1,)), (0, None, (1,))]],
+    ),
+    "swap-shear": (
+        matmul2(lower_unipotent(F3, xp(F3, 2)), torus_element(F3, 1)),
+        None,
+        [[(3, None, (1,)), (-1, None, (1,))], [(0, None, ()), (-3, None, (1,))]],
+        [[(0, None, ()), (0, None, (2,))], [(0, None, (1,)), (4, None, (1,))]],
+    ),
+    "swap-shear-s4": (
+        matmul2(
+            upper_unipotent(F4, LaurentSeries.from_pairs(F4, {-1: 2, 0: 3})),
+            lower_unipotent(F4, LaurentSeries.from_pairs(F4, {-2: 3, 0: 1})),
+        ),
+        10,
+        [[(2, None, (1,)), (-3, 9, (2, 3, 0, 2))], [(0, 10, ()), (-2, None, (1,))]],
+        [[(0, 7, (2,)), (0, 7, (2,))], [(0, 12, (3, 0, 1)), (2, 12, (1,))]],
+    ),
+    "truncated": (
+        matmul2(
+            upper_unipotent(F3, LaurentSeries.from_pairs(F3, {-2: 2, 0: 1})),
+            matmul2(lower_unipotent(F3, xp(F3, 1, 2)), torus_element(F3, 2)),
+        ),
+        9,
+        [[(3, None, (1,)), (-5, 7, (2, 0, 1, 2))], [(0, 9, ()), (-3, None, (1,))]],
+        [[(0, 4, ()), (0, 4, (1,))], [(0, 12, (2,)), (5, 12, (1,))]],
+    ),
+    "division": (
+        ((xp(F2, 1), xp(F2, 1)), (LaurentSeries.one(F2), _unit_x(F2, 0))),
+        12,
+        [[(0, None, (1,)), (-1, 11, (1,))], [(0, 12, ()), (0, None, (1,))]],
+        [[(0, 11, ()), (0, 11, (1,))], [(0, 12, (1,)), (0, 12, (1, 1))]],
+    ),
+    "unnormalized": (
+        (
+            (_unit_x(F3, 1), LaurentSeries.zero(F3)),
+            (LaurentSeries.zero(F3), _unit_x(F3, 0).invert(8).shift(-1)),
+        ),
+        None,
+        [
+            [(-1, None, (1, 1)), (0, None, ())],
+            [(0, None, ()), (1, 9, (1, 2, 1, 2, 1, 2, 1, 2))],
+        ],
+        [[(0, None, (1,)), (0, None, ())], [(0, None, ()), (0, None, (1,))]],
+    ),
+    "unnormalized-swap": (
+        (
+            (xp(F3, 3), -_unit_x(F3, 0).invert(8).shift(-1)),
+            (_unit_x(F3, 1), LaurentSeries.zero(F3)),
+        ),
+        None,
+        [
+            [(1, 9, (2, 1, 2, 1, 2, 1, 2, 1)), (-3, None, (2,))],
+            [(0, None, ()), (-1, None, (2, 2))],
+        ],
+        [[(0, None, ()), (0, None, (1,))], [(0, None, (2,)), (0, None, ())]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(IWASAWA_GOLDEN))
+def test_iwasawa_golden_factors(case):
+    # swap, shear, both, truncated windows and the unnormalized fallback
+    # (an exact non-constant unit on the diagonal), pinned exactly
+    g, prec, b, kappa = IWASAWA_GOLDEN[case]
+    f = iwasawa(g, prec)
+
+    def key(m):
+        return [[(e.v, e.prec, tuple(e.coeffs.tolist())) for e in row] for row in m]
+
+    assert key(f.b) == b
+    assert key(f.kappa) == kappa
+    assert f.diag_valuations == (b[0][0][0], b[1][1][0])
+
+
 # ---------------------------------------------------------------------------
 # modular character
 
