@@ -29,6 +29,10 @@ The record holds:
 - ``tier1``: one run of the Tier-1 suite (``python -m pytest -q
   --continue-on-collection-errors`` with ``--durations=10``): its wall
   time, its result line and its ten slowest test phases;
+- ``ladder``: for s in 2, 4, 3, 5, 9, the seconds of one
+  ``flow._cf_ladder`` call on LADDER_P uniform codes with horizon
+  LADDER_P / 2, LADDER_RUNS times in this process, and their median;
+  no benchmark workload runs an odd-p ladder at that precision;
 - ``machine``: the git commit (marked dirty if edited), CPU model, CPU count, Python and numpy.
 
 Without ``--out`` the file is ``BENCH_<n>.json`` in the checkout's root,
@@ -55,6 +59,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 RUNS = 3  # runs of the sample configs and of the benchmark at each --trace
 THREADED_TAGS = ("kg-mc", "strong-bc", "tree-loglaw")
+LADDER_FIELDS = ((2, 1), (2, 2), (3, 1), (5, 1), (3, 2))  # (p, e): s = 2, 4, 3, 5, 9
+LADDER_P = 20192  # near the strong-bc sample config's precision, 2 (T + 8) + 96 = 20112
+LADDER_RUNS = 5
 
 
 def _env() -> dict:
@@ -165,6 +172,28 @@ def tier1_suite() -> dict:
     return {"wall_s": round(wall, 2), "result": lines[-1].strip("= "), "slowest": slowest}
 
 
+def ladder_times() -> dict:
+    """{"P", "horizon", s: {"runs_s", "median_s"}} of the ``ladder`` record."""
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from ffdyn.field import field_spec
+    from ffdyn.flow import _cf_ladder
+
+    horizon = LADDER_P // 2
+    out: dict = {"P": LADDER_P, "horizon": horizon}
+    for p, e in LADDER_FIELDS:
+        fs = field_spec(p, e)
+        coeffs = np.random.default_rng(SEED).integers(0, fs.s, size=LADDER_P)
+        runs = []
+        for _ in range(LADDER_RUNS):
+            start = time.perf_counter()
+            _cf_ladder(fs, coeffs, horizon)
+            runs.append(time.perf_counter() - start)
+        out[str(fs.s)] = {"runs_s": runs, "median_s": statistics.median(runs)}
+    return out
+
+
 def machine() -> dict:
     import numpy as np
 
@@ -215,6 +244,7 @@ def main(argv=None) -> int:
         "sample_configs": configs,
         "sha256sums": digests,
         "threaded_configs": threaded_config_runs(digests),
+        "ladder": ladder_times(),
         "tier1": tier1_suite(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -359,15 +359,16 @@ def _cf_ladder(
     sequence of degree D_k - D_(k-1).  The sawtooth at t reads the rungs
     around t, so stopping right after the first D_k > horizon leaves every
     depth, flag and convergent at t <= horizon as the full ladder has them;
-    a horizon >= P runs the whole ladder.  Over p = 2 the remainders are
-    bit planes of Python ints (``_plane_rungs``), where subtraction is XOR;
-    odd p divides coefficient arrays.
+    a horizon >= P runs the whole ladder.  Over p = 2 and p = 3 the
+    remainders are digit planes of Python ints (``_plane_rungs``,
+    ``_ternary_rungs``); p >= 5 divides coefficient arrays.
     """
     P = int(coeffs.size)
     last_deg = P - horizon  # a divisor of lower degree is a rung past horizon
-    if fs.p == 2:
-        degs, quotients = _plane_rungs(fs, _stacked_planes(coeffs, fs.e), P, last_deg)
-        quotients = _BitQuotients(quotients, fs.e)
+    if fs.p <= 3:
+        rungs = _plane_rungs if fs.p == 2 else _ternary_rungs
+        degs, quotients = rungs(fs, _planes(fs, coeffs), P, last_deg)
+        quotients = _BitQuotients(quotients, (fs.s - 1).bit_length())
     else:
         degs, quotients = [], []  # degree of each divisor, quotient by it
         r0 = np.zeros(P + 1, dtype=np.int64)
@@ -387,46 +388,66 @@ def _cf_ladder(
 
 
 # A polynomial over F_(2^e) is held as e bit planes: plane j is a Python int
-# whose bit d is bit j of the code of its X^d coefficient.  Multiplying by a
-# fixed c is F_2-linear on codes, so c X^k r is e XOR sums of r's planes,
-# shifted by k: out-plane j takes in-plane i wherever c x^i has bit j set.
+# whose bit d is bit j of the code of its X^d coefficient.  Over F_(3^e),
+# digit j of the codes takes two planes, 2j holding the bits d where the
+# X^d coefficient's digit j is 1 and 2j + 1 those where it is 2, so that
+# negating a digit swaps its two planes.  Multiplying by a fixed c is
+# F_p-linear on digits, so c X^k r is, in each out-digit j, a sum of r's
+# digits shifted by k: digit i, negated where c x^i has digit j equal to 2.
 
 
-def _stacked_planes(coeffs: np.ndarray, e: int) -> int:
-    """The e planes of N = sum a_i X^(P-i), for codes a_1..a_P in ``coeffs``,
-    stacked in one int: plane j at bits P (e - 1 - j) and up."""
-    P = coeffs.size
-    # row j holds bit j of every code; over F_2 the codes are the bits
-    bits = coeffs if e == 1 else coeffs >> np.arange(e)[:, None] & 1
+def _planes(fs: FieldSpec, coeffs: np.ndarray) -> list[int]:
+    """The planes of N = sum a_i X^(P-i), for codes a_1..a_P in ``coeffs``,
+    read off one int that stacks them, plane j at bits P (planes - 1 - j)."""
+    P, e = coeffs.size, fs.e
+    if fs.p == 2:  # row j holds bit j of every code; over F_2 the codes are the bits
+        count = e
+        bits = coeffs if e == 1 else coeffs >> np.arange(e)[:, None] & 1
+    else:  # rows 2j, 2j + 1: digit j is 1, digit j is 2
+        count = 2 * e
+        digits = coeffs[None] if e == 1 else fs._digits[coeffs].T
+        bits = digits[:, None, :] == np.array([1, 2])[:, None]
     packed = np.packbits(bits.astype(np.uint8))
-    return int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - e * P)
+    stacked = int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - count * P)
+    mask = (1 << P) - 1
+    return [stacked >> (P * (count - 1 - j)) & mask for j in range(count)]
 
 
 @functools.cache
-def _plane_tables(e: int) -> tuple[tuple, tuple, tuple]:
-    """log, antilog and, per code c, the in-planes that feed each out-plane
-    of c times a polynomial over F_(2^e): O(s e) ints, built by the first
-    ladder over that field."""
-    fs = field_spec(2, e)
+def _plane_tables(p: int, e: int) -> tuple[tuple, tuple, tuple]:
+    """log, antilog and, per code c, the in-planes that feed each out-digit
+    of -c times a polynomial over F_(p^e), p = 2 or 3: O(s e^2) entries, built
+    by the first ladder over that field.  Over p = 2 an entry is a plane;
+    over p = 3 it is the (ones, twos) pair of planes to add, swapped for a
+    negated digit."""
+    fs = field_spec(p, e)
     order = fs.s - 1
-    bits = [tuple(j for j in range(e) if m >> j & 1) for m in range(fs.s)]
-    # cols[c - 1, i] is the code of c x^i; masks[c - 1, j], row j of c's
-    # matrix, has bit i set where column i has bit j set
-    lg = fs._log
-    cols = fs._antilog[(lg[1:, None] + lg[1 << np.arange(e)]) % order]
-    masks = np.zeros_like(cols)
-    for i in range(e):
-        masks |= (cols[:, i, None] >> np.arange(e) & 1) << i
-    rows = ((),) + tuple(tuple(bits[m] for m in row) for row in masks.tolist())
-    return tuple(lg.tolist()), tuple(fs._antilog.tolist()), rows
+    if e > 1:
+        lg, antilog = fs._log, fs._antilog
+    else:  # F_3, generated by 2
+        lg, antilog = np.array([-1, 0, 1]), np.array([1, 2])
+    # digits[c - 1, i, j] is digit j of -c x^i, where -1 = g^(order / 2)
+    # over odd p and 1 over p = 2
+    neg_c = lg[1:, None] + order // 2 * (p - 2)
+    cols = antilog[(neg_c + lg[p ** np.arange(e)]) % order]
+    digits = cols[..., None] // p ** np.arange(e) % p
+
+    def feed(i: int, d: int):
+        return i if p == 2 else (2 * i, 2 * i + 1) if d == 1 else (2 * i + 1, 2 * i)
+
+    rows = ((),) + tuple(
+        tuple(tuple(feed(i, d[i][j]) for i in range(e) if d[i][j]) for j in range(e))
+        for d in digits.tolist()
+    )
+    return tuple(lg.tolist()), tuple(antilog.tolist()), rows
 
 
 def _plane_rungs(
-    fs: FieldSpec, stacked: int, P: int, last_deg: int
+    fs: FieldSpec, planes: list[int], P: int, last_deg: int
 ) -> tuple[list[int], list[int]]:
     """Divisor degrees and quotients of the ladder on X^P and the polynomial
-    whose planes are ``stacked``, stopping after the first divisor of degree
-    below ``last_deg``.
+    over F_(2^e) with these ``planes``, stopping after the first divisor of
+    degree below ``last_deg``.
 
     Each step clears the leading term of r0 by r0 += c X^k r1 with
     c = lead(r0) / lead(r1), read from the log tables; a plane's bit length
@@ -439,7 +460,7 @@ def _plane_rungs(
     """
     degs, quotients = [], []
     if fs.e == 1:
-        r0, r1 = 1 << P, stacked
+        r0, r1 = 1 << P, planes[0]
         while r1:
             d1 = r1.bit_length() - 1
             q = 0
@@ -453,10 +474,9 @@ def _plane_rungs(
             r0, r1 = r1, r0
         return degs, quotients
     e = fs.e
-    log, antilog, rows = _plane_tables(e)
-    mask = (1 << P) - 1
+    log, antilog, rows = _plane_tables(2, e)
     r0 = [1 << P] + [0] * (e - 1)
-    r1 = [stacked >> (P * (e - 1 - j)) & mask for j in range(e)]
+    r1 = planes
     top0, lead0 = P + 1, 1  # degree + 1 and leading code of r0
     top1 = max(r.bit_length() for r in r1)
     lead1 = sum(1 << j for j, r in enumerate(r1) if r.bit_length() == top1)
@@ -486,24 +506,75 @@ def _plane_rungs(
     return degs, quotients
 
 
+def _ternary_rungs(
+    fs: FieldSpec, planes: list[int], P: int, last_deg: int
+) -> tuple[list[int], list[int]]:
+    """``_plane_rungs`` over F_(3^e): the same steps on (ones, twos) pairs
+    of planes, with quotient codes in fields of (s - 1).bit_length() bits.
+
+    A digit sum is bit-sliced: with t = (xl | xh) & (yl | yh), where both
+    digits are nonzero, x + y is ((xl | yl) ^ t, (xh | yh) ^ t), which is
+    exact on all nine digit pairs.  The lead code sums p^j or 2 p^j over
+    the planes 2j or 2j + 1 that reach the top degree.
+    """
+    e = fs.e
+    width = (fs.s - 1).bit_length()
+    log, antilog, rows = _plane_tables(3, e)
+    weights = [(n % 2 + 1) * 3 ** (n // 2) for n in range(2 * e)]  # lead code of plane n
+    degs, quotients = [], []
+    r0 = [1 << P] + [0] * (2 * e - 1)
+    r1 = planes
+    top0, lead0 = P + 1, 1
+    top1 = max(r.bit_length() for r in r1)
+    lead1 = sum(w for r, w in zip(r1, weights) if r.bit_length() == top1)
+    while top1:
+        log1 = log[lead1]
+        q = 0
+        while (k := top0 - top1) >= 0:
+            c = antilog[log[lead0] - log1]
+            shifted = [r << k for r in r1] if k else r1
+            top0 = lead0 = 0
+            for j, row in enumerate(rows[c]):
+                xl, xh = r0[2 * j], r0[2 * j + 1]
+                for i_ones, i_twos in row:
+                    yl, yh = shifted[i_ones], shifted[i_twos]
+                    t = (xl | xh) & (yl | yh)
+                    xl, xh = (xl | yl) ^ t, (xh | yh) ^ t
+                r0[2 * j], r0[2 * j + 1] = xl, xh
+                b = (xl | xh).bit_length()
+                if b >= top0:
+                    w = weights[2 * j + (xl.bit_length() != b)]
+                    top0, lead0 = b, (lead0 if b == top0 else 0) + w
+            if top0 >= k + top1:
+                raise LatticeError("a ladder step did not lower the remainder's degree")
+            q |= c << (k * width)
+        degs.append(top1 - 1)
+        quotients.append(q)
+        if top1 <= last_deg:
+            break
+        r0, r1, top0, top1, lead0, lead1 = r1, r0, top1, top0, lead1, lead0
+    return degs, quotients
+
+
 class _BitQuotients(Sequence):
-    """p = 2 quotients kept as ints of e-bit codes and read as code lists.
+    """Plane-ladder quotients kept as ints of codes in fields of ``width``
+    bits and read as code lists.
 
     The Monte Carlo callers of the ladder never read the quotients, so
     they are not converted up front.
     """
 
-    def __init__(self, ints: list[int], e: int):
+    def __init__(self, ints: list[int], width: int):
         self._ints = ints
-        self._e = e
+        self._width = width
 
     def __len__(self) -> int:
         return len(self._ints)
 
     def __getitem__(self, k: int) -> list[int]:
-        q, e = self._ints[k], self._e
-        mask = (1 << e) - 1
-        return [(q >> i) & mask for i in range(0, q.bit_length(), e)]
+        q, width = self._ints[k], self._width
+        mask = (1 << width) - 1
+        return [(q >> i) & mask for i in range(0, q.bit_length(), width)]
 
 
 def _sawtooth_eval(

@@ -351,7 +351,8 @@ def cf_partial_quotients(a: list[int], p: int, modulus=(0, 1)) -> list[list[int]
 def cf_ladder_arrays(fs, coeffs: np.ndarray) -> tuple[list[int], list[list[int]]]:
     """Divisor degrees and quotients of the whole ladder on (X^P, N), by one
     ``fs.polydivmod`` on coefficient arrays per rung: a reference for the
-    p = 2 bit planes on inputs too long for ``cf_partial_quotients``."""
+    p = 2 and p = 3 digit planes on inputs too long for
+    ``cf_partial_quotients``."""
     P = coeffs.size
     r0 = np.zeros(P + 1, dtype=np.int64)
     r0[P] = 1

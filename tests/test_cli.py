@@ -264,6 +264,30 @@ def test_strong_bc_f4_artifact_digest(tmp_path):
     assert digest == STRONG_BC_F4_SHA256
 
 
+# the same run over F_3 and F_9, whose ladders take the ternary planes
+STRONG_BC_ODD_SHA256 = {
+    1: "c6591384c62d5ab3b63e3d32a4931f4cba951e34b32c2a3e4dc7e320856a4fbb",
+    2: "b66d73cb8408100592d39130f14eddb800f6ff37a5d2bbff364100c7c5347779",
+}
+
+
+def _strong_bc_f3_digest(tmp_path, e: int) -> str:
+    text = (
+        f"tag = strong-bc\np = 3\ne = {e}\nT = 2000\ntrials = 6\n"
+        "rate = log\nrate_c = 0.5\nseed = 1104\n"
+    )
+    report = run_experiment(parse_config(text, overrides={"out": str(tmp_path)}))
+    return hashlib.sha256(Path(report.artifact).read_bytes()).hexdigest()
+
+
+def test_strong_bc_f3_artifact_digest(tmp_path):
+    assert _strong_bc_f3_digest(tmp_path, 1) == STRONG_BC_ODD_SHA256[1]
+
+
+def test_strong_bc_f9_artifact_digest(tmp_path):
+    assert _strong_bc_f3_digest(tmp_path, 2) == STRONG_BC_ODD_SHA256[2]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = _write(tmp_path / "c.cfg", "T = 16\ntrials = 2\nseed = 5\n")
     out = tmp_path / "out"

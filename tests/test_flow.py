@@ -366,10 +366,22 @@ def _long_inputs(rng, s: int) -> list[np.ndarray]:
     return out
 
 
-@pytest.mark.parametrize("e", [1, 2, 3, 4, 8, 10])
-def test_cf_ladder_on_long_inputs_matches_array_euclid(e):
-    fs = field_spec(2, e)
-    for coeffs in _long_inputs(stream(13, "test", e), fs.s):
+def _plane_fields(p2_degrees, p3_degrees):
+    """(p, e) parameters, the p = 2 ones named by e alone and the p = 3 ones
+    as p3-e."""
+    return [pytest.param(2, e, id=str(e)) for e in p2_degrees] + [
+        pytest.param(3, e, id=f"p3-{e}") for e in p3_degrees
+    ]
+
+
+@pytest.mark.parametrize("p,e", _plane_fields((1, 2, 3, 4, 8, 10), (1, 2, 3)))
+def test_cf_ladder_on_long_inputs_matches_array_euclid(p, e):
+    fs = field_spec(p, e)
+    rng = stream(13, "test", e if p == 2 else 100 + e)
+    # at s = 3 and 9 also an input of 2000 coefficients, above the
+    # ext-field workload's precision
+    cases = [rng.integers(0, fs.s, size=2000)] if fs.s in (3, 9) else []
+    for coeffs in cases + _long_inputs(rng, fs.s):
         P = coeffs.size
         degs, want = oracles.cf_ladder_arrays(fs, coeffs)
         D, cert, quotients = _cf_ladder(fs, coeffs, horizon=P)
@@ -379,20 +391,30 @@ def test_cf_ladder_on_long_inputs_matches_array_euclid(e):
     assert len(want[0]) > 9  # the leading zeros made a long first quotient
 
 
-@pytest.mark.parametrize("e", [3, 4])
-def test_plane_ladder_raises_when_a_step_keeps_the_degree(e, monkeypatch):
-    # with each code's rows transposed a step multiplies r1 by the wrong
+@pytest.mark.parametrize("p,e", _plane_fields((3, 4), (2, 3)))
+def test_plane_ladder_raises_when_a_step_keeps_the_degree(p, e, monkeypatch):
+    # with each code's matrix transposed a step multiplies r1 by the wrong
     # matrix, which leaves r0's leading term in place; unchecked, the
-    # ladder would then repeat that step forever
-    log, antilog, rows = flow._plane_tables(e)
+    # ladder would then repeat that step forever.  An entry names in-digit
+    # i as the plane i over p = 2 and as a pair of planes 2i, 2i + 1 over
+    # p = 3, in the order that carries the entry's sign.
+    log, antilog, rows = flow._plane_tables(p, e)
+
+    def digit(entry):
+        return entry if p == 2 else entry[0] // 2
+
+    def moved(entry, j):
+        return j if p == 2 else (2 * j, 2 * j + 1) if entry[0] % 2 == 0 else (2 * j + 1, 2 * j)
+
     transposed = tuple(
-        tuple(tuple(j for j in range(e) if i in m[j]) for i in range(e)) for m in rows[1:]
+        tuple(tuple(moved(x, j) for j in range(e) for x in m[j] if digit(x) == i) for i in range(e))
+        for m in rows[1:]
     )
     assert transposed != rows[1:]
-    monkeypatch.setattr(flow, "_plane_tables", lambda e: (log, antilog, ((),) + transposed))
-    coeffs = stream(16, "test", e).integers(0, 2**e, size=40)
+    monkeypatch.setattr(flow, "_plane_tables", lambda p, e: (log, antilog, ((),) + transposed))
+    coeffs = stream(16, "test", e if p == 2 else 30 + e).integers(0, p**e, size=40)
     with pytest.raises(LatticeError, match="did not lower"):
-        _cf_ladder(field_spec(2, e), coeffs, horizon=coeffs.size)
+        _cf_ladder(field_spec(p, e), coeffs, horizon=coeffs.size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,6 +495,37 @@ def test_ladder_need_past_the_last_rung_is_twice_the_time():
         traj = delta_trajectory(LaurentSeries(F2, 1, [1], N), spec, 10, strict=False)
         assert traj.certified.tolist() == [2 * t <= N for t in range(11)]
     assert delta_trajectory(LaurentSeries(F2, 1, [1], 20), spec, 10).certified.all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=st.sampled_from([1, 2]), data=st.data())
+def test_ladder_depths_hold_when_the_window_grows(e, data):
+    # over F_3 and F_9: a certified depth is the one every longer window
+    # gives, whatever it is filled with; a rerun at the reported need
+    # certifies or asks for more
+    fs = field_spec(3, e)
+    spec = FlowSpec(fs, 1, 1)
+    digits = st.integers(0, fs.s - 1)
+    known = data.draw(st.lists(digits, min_size=1, max_size=40))
+    T = data.draw(st.integers(0, 2 * len(known) + 4))
+    traj = delta_trajectory(LaurentSeries(fs, 1, known, len(known) + 1), spec, T, strict=False)
+    width = data.draw(st.integers(1, 40))
+    drawn = data.draw(st.lists(digits, min_size=width, max_size=width))
+    for tail in (drawn, [0] * width, [fs.s - 1] * width):
+        longer = known + tail
+        ext = delta_trajectory(LaurentSeries(fs, 1, longer, len(longer) + 1), spec, T, strict=False)
+        assert ext.deltas[traj.certified].tolist() == traj.deltas[traj.certified].tolist()
+    need = traj.meta["needed_precision"]
+    if need is None:
+        assert traj.certified.all()
+        return
+    assert need > len(known) + 1
+    fill = need - 1 - len(known)
+    more = known + data.draw(st.lists(digits, min_size=fill, max_size=fill))
+    try:
+        delta_trajectory(LaurentSeries(fs, 1, more, need), spec, T)
+    except CertificationError as err:
+        assert err.needed_precision > need
 
 
 def test_trajectory_generic_multirow_matches_static_reduction():
