@@ -288,6 +288,34 @@ def test_strong_bc_f9_artifact_digest(tmp_path):
     assert _strong_bc_f3_digest(tmp_path, 2) == STRONG_BC_ODD_SHA256[2]
 
 
+# delta-flow on the generic reduction engine (m + n > 2) over each field
+# kind: F_2, F_3, F_4, F_5 and F_9.  Recorded at commit f35284d, before the
+# engine's weak Popov steps ran on digit planes over p = 2 and 3.
+DELTA_FLOW_GENERIC_SHA256 = {
+    (1, 2, 2, 1): "4ad0ecdd904e5c0f4be5be09d943d8696bc728a761e5648957c9d0d53d4d5867",
+    (1, 2, 3, 1): "136ff2e4ff4695f369c8fa326ab0398da5459428032c9d86cd48b39965817653",
+    (1, 2, 2, 2): "36fe43f53cefe0ce525be7483f5a25fe2e3523db10d4ff724db0aa7b1793d94f",
+    (1, 2, 5, 1): "9931ecb82de06c96288463941ae9c5fc05c11f43862e980e1678e6f080af4143",
+    (1, 2, 3, 2): "9f9eeaabfc85208bea04a11ed5616aae3bb70f307475b55092c4669f1bb8ab6e",
+    (2, 2, 2, 1): "ef6bb29f288a8cdb04120d6222f24718be56e4db3438183dc0f552652f074629",
+    (2, 2, 3, 1): "5f571f07fd860d4ef66ec612f464e506372af18ce73a289be0fadc10e1b1aaff",
+    (2, 2, 2, 2): "cf4d57b86ccf72ed948ff1c44d6e740b1fc7748b8679046f6064f3088427aa30",
+    (2, 2, 5, 1): "aaf7d6e7fa0c86cc2c95047e846c118a12a03066a289ad426cfb980b9e5b36c5",
+    (2, 2, 3, 2): "5081a335f66e840b9caecc0aed3118a60b115b71080662f757866fe90167b1e1",
+}
+
+
+@pytest.mark.parametrize("m,n,p,e", sorted(DELTA_FLOW_GENERIC_SHA256))
+def test_delta_flow_generic_artifact_digest(m, n, p, e, tmp_path):
+    text = (
+        f"tag = delta-flow\np = {p}\ne = {e}\nm = {m}\nn = {n}\n"
+        "T = 48\ntrials = 4\nseed = 2207\n"
+    )
+    report = run_experiment(parse_config(text, overrides={"out": str(tmp_path)}))
+    digest = hashlib.sha256(Path(report.artifact).read_bytes()).hexdigest()
+    assert digest == DELTA_FLOW_GENERIC_SHA256[m, n, p, e]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = _write(tmp_path / "c.cfg", "T = 16\ntrials = 2\nseed = 5\n")
     out = tmp_path / "out"
