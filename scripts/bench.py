@@ -33,6 +33,10 @@ The record holds:
   ``flow._cf_ladder`` call on LADDER_P uniform codes with horizon
   LADDER_P / 2, LADDER_RUNS times in this process, and their median;
   no benchmark workload runs an odd-p ladder at that precision;
+- ``generic``: for s in 2, 3, 4, 5, 9, the seconds of one
+  ``flow._trajectory_generic`` run at m = n = 2 and T = GENERIC_T on
+  uniform codes at flow-reduce's precision 4 T + 96, GENERIC_RUNS times
+  in this process, and their median; flow-reduce times only s = 2 and 3;
 - ``machine``: the git commit (marked dirty if edited), CPU model, CPU count, Python and numpy.
 
 Without ``--out`` the file is ``BENCH_<n>.json`` in the checkout's root,
@@ -62,6 +66,9 @@ THREADED_TAGS = ("kg-mc", "strong-bc", "tree-loglaw")
 LADDER_FIELDS = ((2, 1), (2, 2), (3, 1), (5, 1), (3, 2))  # (p, e): s = 2, 4, 3, 5, 9
 LADDER_P = 20192  # near the strong-bc sample config's precision, 2 (T + 8) + 96 = 20112
 LADDER_RUNS = 5
+GENERIC_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))  # (p, e): s = 2, 3, 4, 5, 9
+GENERIC_T = 128
+GENERIC_RUNS = 5
 
 
 def _env() -> dict:
@@ -194,6 +201,29 @@ def ladder_times() -> dict:
     return out
 
 
+def generic_times() -> dict:
+    """{"m", "n", "T", s: {"runs_s", "median_s"}} of the ``generic`` record."""
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from ffdyn.field import field_spec
+    from ffdyn.flow import FlowSpec, _trajectory_generic, sample_matrix
+
+    out: dict = {"m": 2, "n": 2, "T": GENERIC_T}
+    for p, e in GENERIC_FIELDS:
+        fs = field_spec(p, e)
+        spec = FlowSpec(fs, 2, 2)
+        A = sample_matrix(fs, np.random.default_rng(SEED), 2, 2, 4 * GENERIC_T + 96)
+        runs = []
+        for _ in range(GENERIC_RUNS):
+            start = time.perf_counter()
+            for _ in _trajectory_generic(spec, A, GENERIC_T):
+                pass
+            runs.append(time.perf_counter() - start)
+        out[str(fs.s)] = {"runs_s": runs, "median_s": statistics.median(runs)}
+    return out
+
+
 def machine() -> dict:
     import numpy as np
 
@@ -245,6 +275,7 @@ def main(argv=None) -> int:
         "sha256sums": digests,
         "threaded_configs": threaded_config_runs(digests),
         "ladder": ladder_times(),
+        "generic": generic_times(),
         "tier1": tier1_suite(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -824,7 +824,7 @@ def _window_correspondence(A, psi, spec, T) -> CorrespondenceReport:
             qs = (convergents[k],)
             ps = None
         else:
-            col = steps[t][2]
+            col = np.asarray(steps[t][2])
             ps = tuple(Poly(fs, c) for c in col[:m])
             qs = tuple(Poly(fs, c) for c in col[m:])
         flagged.append((t, R, qs, ps))

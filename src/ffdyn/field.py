@@ -21,6 +21,7 @@ XOR of codes at every order.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -1035,6 +1036,77 @@ def first_visible(lo: int, acc: np.ndarray, prec: np.ndarray) -> np.ndarray:
     from ``series_dot``; inf where there is none."""
     nz = (acc != 0) & (np.arange(lo, lo + acc.shape[1]) < prec[:, None])
     return np.where(nz.any(axis=1), lo + nz.argmax(axis=1), np.inf)
+
+
+# -- digit planes -----------------------------------------------------------------
+#
+# A polynomial over F_(2^e) is held as e digit planes: plane j is a Python
+# int whose bit d is bit j of the code of its X^d coefficient.  Over F_(3^e),
+# digit j of the codes takes two planes, 2j holding the bits d where the
+# X^d coefficient's digit j is 1 and 2j + 1 those where it is 2, so that
+# negating a digit swaps its two planes.  Multiplying by a fixed c is
+# F_p-linear on digits, so c X^k r is, in each out-digit j, a sum of r's
+# digits shifted by k: digit i, negated where c x^i has digit j equal to 2.
+
+
+def _planes(fs: FieldSpec, coeffs: np.ndarray) -> list[int]:
+    """The planes of the polynomials sum_d coeffs[..., d] X^d over p = 2 or
+    3, one per row of ``coeffs`` (the last axis is the degree), listed row
+    after row: e planes a row over p = 2, 2e over p = 3."""
+    p, e = fs.p, fs.e
+    rows = coeffs.reshape(-1, coeffs.shape[-1]).astype(np.uint16)  # s <= 2^16
+    digits = rows[:, None, :] // (p ** np.arange(e, dtype=np.uint16))[:, None] % p
+    bits = digits if p == 2 else digits[:, :, None, :] == np.array([1, 2])[:, None]
+    packed = np.packbits(bits.reshape(-1, rows.shape[1]), axis=1, bitorder="little")
+    buf, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
+
+
+def _from_planes(fs: FieldSpec, planes: list[int], length: int) -> np.ndarray:
+    """The int64 codes (polynomials, length) of polynomials of degree below
+    ``length`` from their planes, as ``_planes`` lists them."""
+    count = fs.e if fs.p == 2 else 2 * fs.e
+    w = (length + 7) // 8
+    buf = np.frombuffer(b"".join(x.to_bytes(w, "little") for x in planes), dtype=np.uint8)
+    bits = np.unpackbits(buf.reshape(len(planes), w), axis=1, count=length, bitorder="little")
+    return _plane_weights(fs) @ bits.reshape(-1, count, length).astype(np.int64)
+
+
+def _plane_weights(fs: FieldSpec) -> np.ndarray:
+    """What a set bit of each plane adds to a code: 2^j for plane j over
+    p = 2; 3^j and 2 3^j for planes 2j and 2j + 1 over p = 3."""
+    if fs.p == 2:
+        return 1 << np.arange(fs.e, dtype=np.int64)
+    return (np.arange(2 * fs.e) % 2 + 1) * 3 ** (np.arange(2 * fs.e) // 2)
+
+
+@functools.cache
+def _plane_tables(p: int, e: int) -> tuple[tuple, tuple, tuple]:
+    """log, antilog and, per code c, the in-planes that feed each out-digit
+    of -c times a polynomial over F_(p^e), p = 2 or 3: O(s e^2) entries, built
+    at the first use over that field.  Over p = 2 an entry is a plane; over
+    p = 3 it is the (ones, twos) pair of planes to add, swapped for a
+    negated digit."""
+    fs = field_spec(p, e)
+    order = fs.s - 1
+    if e > 1:
+        lg, antilog = fs._log, fs._antilog
+    else:  # F_2 and F_3, generated by 1 and 2
+        lg, antilog = np.array([-1, 0, 1][:p]), np.array([1, 2][:order])
+    # digits[c - 1, i, j] is digit j of -c x^i, where -1 = g^(order / 2)
+    # over odd p and 1 over p = 2
+    neg_c = lg[1:, None] + order // 2 * (p - 2)
+    cols = antilog[(neg_c + lg[p ** np.arange(e)]) % order]
+    digits = cols[..., None] // p ** np.arange(e) % p
+
+    def feed(i: int, d: int):
+        return i if p == 2 else (2 * i, 2 * i + 1) if d == 1 else (2 * i + 1, 2 * i)
+
+    rows = ((),) + tuple(
+        tuple(tuple(feed(i, d[i][j]) for i in range(e) if d[i][j]) for j in range(e))
+        for d in digits.tolist()
+    )
+    return tuple(lg.tolist()), tuple(antilog.tolist()), rows
 
 
 # -- text form ------------------------------------------------------------------

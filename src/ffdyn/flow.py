@@ -15,7 +15,6 @@ against the input window.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
@@ -24,9 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BracketError, CertificationError, FieldError, LatticeError
-from .field import FieldSpec, LaurentSeries, Poly, field_spec
+from .field import FieldSpec, LaurentSeries, Poly, _from_planes, _plane_tables, _plane_weights
+from .field import _planes
 from .lattice import LatticeBasis, _augmented, _column_pivots, _needed
-from .lattice import _reduce_packed, _transform_room
+from .lattice import _PlaneWU, _reduce_packed, _transform_room
 from .streams import map_trials, stream
 
 DEFAULT_BURN_IN = 8
@@ -367,7 +367,7 @@ def _cf_ladder(
     last_deg = P - horizon  # a divisor of lower degree is a rung past horizon
     if fs.p <= 3:
         rungs = _plane_rungs if fs.p == 2 else _ternary_rungs
-        degs, quotients = rungs(fs, _planes(fs, coeffs), P, last_deg)
+        degs, quotients = rungs(fs, _planes(fs, coeffs[::-1]), P, last_deg)
         quotients = _BitQuotients(quotients, (fs.s - 1).bit_length())
     else:
         degs, quotients = [], []  # degree of each divisor, quotient by it
@@ -385,61 +385,6 @@ def _cf_ladder(
     cert = np.ones(D.size, dtype=bool)
     cert[1:] = D[:-1] + D[1:] <= P
     return D, cert, quotients
-
-
-# A polynomial over F_(2^e) is held as e bit planes: plane j is a Python int
-# whose bit d is bit j of the code of its X^d coefficient.  Over F_(3^e),
-# digit j of the codes takes two planes, 2j holding the bits d where the
-# X^d coefficient's digit j is 1 and 2j + 1 those where it is 2, so that
-# negating a digit swaps its two planes.  Multiplying by a fixed c is
-# F_p-linear on digits, so c X^k r is, in each out-digit j, a sum of r's
-# digits shifted by k: digit i, negated where c x^i has digit j equal to 2.
-
-
-def _planes(fs: FieldSpec, coeffs: np.ndarray) -> list[int]:
-    """The planes of N = sum a_i X^(P-i), for codes a_1..a_P in ``coeffs``,
-    read off one int that stacks them, plane j at bits P (planes - 1 - j)."""
-    P, e = coeffs.size, fs.e
-    if fs.p == 2:  # row j holds bit j of every code; over F_2 the codes are the bits
-        count = e
-        bits = coeffs if e == 1 else coeffs >> np.arange(e)[:, None] & 1
-    else:  # rows 2j, 2j + 1: digit j is 1, digit j is 2
-        count = 2 * e
-        digits = coeffs[None] if e == 1 else fs._digits[coeffs].T
-        bits = digits[:, None, :] == np.array([1, 2])[:, None]
-    packed = np.packbits(bits.astype(np.uint8))
-    stacked = int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - count * P)
-    mask = (1 << P) - 1
-    return [stacked >> (P * (count - 1 - j)) & mask for j in range(count)]
-
-
-@functools.cache
-def _plane_tables(p: int, e: int) -> tuple[tuple, tuple, tuple]:
-    """log, antilog and, per code c, the in-planes that feed each out-digit
-    of -c times a polynomial over F_(p^e), p = 2 or 3: O(s e^2) entries, built
-    by the first ladder over that field.  Over p = 2 an entry is a plane;
-    over p = 3 it is the (ones, twos) pair of planes to add, swapped for a
-    negated digit."""
-    fs = field_spec(p, e)
-    order = fs.s - 1
-    if e > 1:
-        lg, antilog = fs._log, fs._antilog
-    else:  # F_3, generated by 2
-        lg, antilog = np.array([-1, 0, 1]), np.array([1, 2])
-    # digits[c - 1, i, j] is digit j of -c x^i, where -1 = g^(order / 2)
-    # over odd p and 1 over p = 2
-    neg_c = lg[1:, None] + order // 2 * (p - 2)
-    cols = antilog[(neg_c + lg[p ** np.arange(e)]) % order]
-    digits = cols[..., None] // p ** np.arange(e) % p
-
-    def feed(i: int, d: int):
-        return i if p == 2 else (2 * i, 2 * i + 1) if d == 1 else (2 * i + 1, 2 * i)
-
-    rows = ((),) + tuple(
-        tuple(tuple(feed(i, d[i][j]) for i in range(e) if d[i][j]) for j in range(e))
-        for d in digits.tolist()
-    )
-    return tuple(lg.tolist()), tuple(antilog.tolist()), rows
 
 
 def _plane_rungs(
@@ -520,7 +465,7 @@ def _ternary_rungs(
     e = fs.e
     width = (fs.s - 1).bit_length()
     log, antilog, rows = _plane_tables(3, e)
-    weights = [(n % 2 + 1) * 3 ** (n // 2) for n in range(2 * e)]  # lead code of plane n
+    weights = _plane_weights(fs).tolist()  # lead code of plane n
     degs, quotients = [], []
     r0 = [1 << P] + [0] * (2 * e - 1)
     r1 = planes
@@ -691,20 +636,30 @@ def _trajectory_cf(spec: FlowSpec, a: LaurentSeries, T: int) -> TrajectoryResult
     )
 
 
+# characteristics whose reduction engine runs on digit planes
+_PLANE_PRIMES = (2, 3)
+
+
 def _trajectory_generic(spec: FlowSpec, entries, T: int):
     """The incremental reduction engine along the flow, t = 0..T.
 
     Keeps W = X^M g_t u_A U in weak Popov form, U the cumulative unimodular
-    transform, both in one augmented array (``_augmented``), and yields
-    (depth, needed, column) at each t.  A step of the flow shifts the rows
-    of W by slice assignment, after which every column's (degree, pivot) is
-    read in one ``_column_pivots`` pass and ``_reduce_packed`` restores the
-    form.  needed is ``lattice._needed`` at scale M + n t: None when every
-    column of U is certified at t, else the input precision that would
-    certify them all; column is the U column of the shortest reduced
-    vector trimmed to its degree, (p_1..p_m, q_1..q_n) in the basis u_A.
-    U's room is ``_transform_room`` with every column of X^M g_t u_A at
-    degree <= M + n T and det X^(r M): r n T + 1 coefficients.
+    transform, both in one augmented state (``_augmented``), and yields
+    (depth, needed, column) at each t.  Over p = 2 and 3 the state is a
+    ``_PlaneWU``: a step of the flow shifts the bits of the first m rows of
+    W up by n r places, cut to W's L coefficients, and those of the rest
+    down by m r, and every column's (degree, pivot) is read from bit
+    lengths.  Over p >= 5 it is the int64 array, shifted by slice
+    assignment and read in one ``_column_pivots`` pass.
+    ``_reduce_packed`` then restores the form.  needed is
+    ``lattice._needed`` at scale M + n t: None when every column of U is
+    certified at t, else the input precision that would certify them all;
+    column is the U column of the shortest reduced vector trimmed to its
+    degree, (p_1..p_m, q_1..q_n) in the basis u_A, as an int64 array or,
+    over p <= 3, a ``_PlaneColumn`` that numpy reads as one
+    (``np.asarray``).  U's room is ``_transform_room`` with every column of
+    X^M g_t u_A at degree <= M + n T and det X^(r M): r n T + 1
+    coefficients.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
@@ -716,19 +671,50 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     L = M + n * T + 1
     room = _transform_room([L - 1] * r, r * M)
     WU, W, U = _augmented(basis.packed(scale=M)[1], L, max(L, room))
+    planar = fs.p in _PLANE_PRIMES
+    if planar:
+        WU = _PlaneWU(fs, WU, L)
+        # the bits of rows :m of W, of rows m: and of U
+        up = ((1 << m) - 1) * WU.wmask // ((1 << r) - 1)
+        down, rest = WU.wmask ^ up, ~WU.wmask
     udegrees = [0] * r
     for t in range(T + 1):
-        if t:
+        if t and planar:
+            for col in WU.cols:
+                col[:] = [(x & up) << n * r & up | (x & down) >> m * r | x & rest for x in col]
+        elif t:
             # g_1 multiplies the first m rows by X^n and divides the rest by X^m
             W[:m, :, n:] = W[:m, :, :-n]
             W[:m, :, :n] = 0
             W[m:, :, :-m] = W[m:, :, m:]
             W[m:, :, -m:] = 0
-        degrees, pivots = (a.tolist() for a in _column_pivots(W))
+        if planar:
+            degrees, pivots = WU.pivots()
+        else:
+            degrees, pivots = (a.tolist() for a in _column_pivots(W))
         _reduce_packed(fs, WU, degrees, pivots, udegrees)
         j = degrees.index(min(degrees))
         needed = _needed(M + n * t, N, degrees, udegrees)
-        yield M - degrees[j], needed, U[:, j, : udegrees[j] + 1].copy()
+        if planar:
+            column = _PlaneColumn(fs, [x >> r * L for x in WU.cols[j]], r, udegrees[j] + 1)
+        else:
+            column = U[:, j, : udegrees[j] + 1].copy()
+        yield M - degrees[j], needed, column
+
+
+class _PlaneColumn:
+    """A U column of a ``_PlaneWU`` as its planes, converted to the int64
+    (r, degree + 1) array only when numpy reads it: most times' columns
+    are never read."""
+
+    __slots__ = ("fs", "planes", "r", "length")
+
+    def __init__(self, fs: FieldSpec, planes: list[int], r: int, length: int):
+        self.fs, self.planes, self.r, self.length = fs, planes, r, length
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        codes = _from_planes(self.fs, self.planes, self.r * self.length)
+        return codes.reshape(self.length, self.r).T.copy()
 
 
 def _generic_result(spec: FlowSpec, steps) -> TrajectoryResult:

@@ -16,13 +16,14 @@ multiplier.  Uncertified results carry the window that would have sufficed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificationError, EnumerationCapError, FieldError, LatticeError
-from .field import FieldSpec, LaurentSeries
+from .field import FieldSpec, LaurentSeries, _plane_tables, _plane_weights, _planes
 
 _DEFAULT_ENUM_CAP = 200_000
 
@@ -285,11 +286,13 @@ def _reduce_packed(fs: FieldSpec, WU, degrees, pivots, udegrees, max_steps=None)
 def _simple_transform(fs, WU, degrees, pivots, udegrees, keep: int, red: int) -> None:
     """Column red -= c X^e column keep of WU, cancelling the pivot of red.
 
-    One in-place ``submul_arr`` over all rows of WU, on the window that the
-    larger of dk = deg W_keep and udegrees[keep] reaches.  The new degree
-    of red is at most its old one, dr, so its (degree, pivot) is read from
-    the slice W[:, red, dr] while that is nonzero, and from a ``_pivot_of``
-    scan below dr once it is zero."""
+    On an array, one in-place ``submul_arr`` over all rows of WU, on the
+    window that the larger of dk = deg W_keep and udegrees[keep] reaches.
+    The new degree of red is at most its old one, dr, so its (degree,
+    pivot) is read from the slice W[:, red, dr] while that is nonzero, and
+    from a ``_pivot_of`` scan below dr once it is zero.  On a ``_PlaneWU``,
+    ``_plane_transform``.  Either storage raises before any change when
+    the new U column would not fit in WU.shape[2] coefficients."""
     r = len(degrees)
     row = pivots[keep]
     dk, dr = degrees[keep], degrees[red]
@@ -298,6 +301,8 @@ def _simple_transform(fs, WU, degrees, pivots, udegrees, keep: int, red: int) ->
     top = uk + e
     if top >= WU.shape[2]:
         raise LatticeError("transform buffer overflow")  # guarded by caller sizing
+    if not isinstance(WU, np.ndarray):
+        return _plane_transform(WU, degrees, pivots, udegrees, keep, red)
     c = fs.mul(int(WU[row, red, dr]), fs.inv(int(WU[row, keep, dk])))
     span = max(dk, uk) + 1
     window = WU[:, red, e : e + span]
@@ -312,6 +317,104 @@ def _simple_transform(fs, WU, degrees, pivots, udegrees, keep: int, red: int) ->
         pivots[red] = int(lead[0])
     else:
         degrees[red], pivots[red] = _pivot_of(WU[:r, red, :dr])
+
+
+# The reduction core over p = 2 and 3 holds each column of [W; U] as the
+# digit planes (``field._planes``) of one sequence that interleaves its
+# rows: coefficient d of W's row i at index d r + i for d < L, and
+# coefficient d of U's row i at r L + d r + i.  Multiplying a column by X^k
+# shifts each plane by k r, and no entry reaches another row's bits while
+# W stays below degree L and U below ulen, which the room check keeps.  So
+# a simple transform is one shift and one XOR per plane over p = 2, and a
+# shift and a seven-operation bit-sliced digit sum per pair of planes over
+# p = 3 (``flow._ternary_rungs``), whatever the rank.  The bit length of
+# W's planes gives the degree, and the lowest row set at that degree the
+# pivot; U's own bit length gives its degree.
+
+
+class _PlaneWU:
+    """The augmented [W; U] of ``_augmented`` (W of length L) on digit
+    planes, for p = 2 and 3: cols[j] lists column j's planes, e over
+    p = 2 and 2e over p = 3.  ``shape`` is the array's, so that the room
+    check of ``_simple_transform`` reads the same ulen.  ``feed`` is
+    ``_plane_feed``'s, None over F_2, where c is 1."""
+
+    __slots__ = ("p", "r", "L", "shape", "weights", "log", "antilog", "feed", "wmask", "cols")
+
+    def __init__(self, fs: FieldSpec, WU: np.ndarray, L: int):
+        _, r, _ = self.shape = WU.shape
+        self.p, self.r, self.L, self.wmask = fs.p, r, L, (1 << r * L) - 1
+        w = fs.e if fs.p == 2 else 2 * fs.e
+        self.weights = _plane_weights(fs).tolist()
+        self.log, self.antilog, _ = _plane_tables(fs.p, fs.e)
+        self.feed = None if fs.s == 2 else _plane_feed(fs.p, fs.e)
+        # (row, column, degree) -> (column, degree r + row), W then U
+        WU = WU.astype(np.uint16)
+        seq = [a.transpose(1, 2, 0).reshape(r, -1) for a in (WU[:r, :, :L], WU[r:])]
+        planes = _planes(fs, np.concatenate(seq, axis=1))
+        self.cols = [planes[i : i + w] for i in range(0, len(planes), w)]
+
+    def pivot(self, col: list[int]) -> tuple[int, int, int]:
+        """(degree, pivot) of the column's W part, as ``_pivot_of``, and
+        the degree of its U part."""
+        x = col[0]
+        for y in col[1:]:
+            x |= y
+        r, w = self.r, x & self.wmask
+        u = (x.bit_length() - 1) // r - self.L
+        if not w:
+            return -1, -1, u
+        d = (w.bit_length() - 1) // r
+        top = w >> d * r
+        return d, (top & -top).bit_length() - 1, u
+
+    def pivots(self) -> tuple[list[int], list[int]]:
+        """(degrees, pivots) of the columns of W, as ``_column_pivots``."""
+        found = [self.pivot(col) for col in self.cols]
+        return [d for d, _, _ in found], [p for _, p, _ in found]
+
+    def lead(self, col: list[int], row: int, d: int) -> int:
+        """The code of the X^d coefficient of W's entry in ``row``."""
+        at, code = d * self.r + row, 0
+        for x, c in zip(col, self.weights):
+            if x >> at & 1:
+                code += c
+        return code
+
+
+@functools.cache
+def _plane_feed(p: int, e: int) -> list[list[tuple]]:
+    """``_plane_tables``' feed of -c per code c, flattened: (out-plane,
+    in-plane) over p = 2, (out ones-plane, in ones-plane, in twos-plane)
+    over p = 3."""
+    feeds = _plane_tables(p, e)[2]
+    if p == 2:
+        return [[(j, i) for j, f in enumerate(fd) for i in f] for fd in feeds]
+    return [[(2 * j, i, i2) for j, f in enumerate(fd) for i, i2 in f] for fd in feeds]
+
+
+def _plane_transform(WU: _PlaneWU, degrees, pivots, udegrees, keep: int, red: int) -> None:
+    """``_simple_transform`` on planes: c from the leads' log tables, the
+    keep column's planes shifted by e r once and summed into red's by the
+    feed of -c, and red's degrees and pivot read by ``_PlaneWU.pivot``."""
+    row, dk, dr = pivots[keep], degrees[keep], degrees[red]
+    kept, col = WU.cols[keep], WU.cols[red]
+    k = (dr - dk) * WU.r
+    if WU.feed is None:
+        col[0] ^= kept[0] << k
+    else:
+        log = WU.log
+        c = WU.antilog[log[WU.lead(col, row, dr)] - log[WU.lead(kept, row, dk)]]
+        shifted = [x << k for x in kept]
+        if WU.p == 2:
+            for o, i in WU.feed[c]:
+                col[o] ^= shifted[i]
+        else:
+            for o, i, i2 in WU.feed[c]:
+                xl, xh, yl, yh = col[o], col[o + 1], shifted[i], shifted[i2]
+                t = (xl | xh) & (yl | yh)
+                col[o], col[o + 1] = (xl | yl) ^ t, (xh | yh) ^ t
+    degrees[red], pivots[red], udegrees[red] = WU.pivot(col)
 
 
 def weak_popov(basis: LatticeBasis) -> ReducedBasis:

@@ -4,8 +4,9 @@ Everything here is deliberately naive: schoolbook polynomial arithmetic on
 Python lists, dict-based series products, literal box enumerations, Fraction
 arithmetic for exact identities, discrete-log tables built one product per
 element, the full-width weak Popov reduction the package's windowed one is
-checked against, the two Monte Carlo backends one step or one sample at a
-time, and the candidate walks one candidate at a time.  Nothing imports from
+checked against, a bit-by-bit decoding of its digit-plane state, the two
+Monte Carlo backends one step or one sample at a time, and the candidate
+walks one candidate at a time.  Nothing imports from
 ffdyn, so agreement between these and the package is a real cross-check,
 not a tautology.  The exceptions read package code, so each checks
 only what it does not share with the package:
@@ -555,6 +556,34 @@ def column_degrees(U: np.ndarray) -> list[int]:
     for j in range(U.shape[1]):
         nz = np.nonzero(U[:, j, :])[1]
         out.append(int(nz.max()) if nz.size else 0)
+    return out
+
+
+def plane_state_array(fs, WU) -> np.ndarray:
+    """The int64 augmented array [2r, r, ulen] that a reduction state
+    stands for: a copy of an array, or the decoding of a digit-plane state
+    (``lattice._PlaneWU``).  There column j lists its planes; coefficient
+    d of W's row i sits at bit d r + i for d < L and that of U's row i at
+    bit r L + d r + i; plane k is bit k of the codes over p = 2, and over
+    p = 3 planes 2k and 2k + 1 mark digit k equal to 1 and to 2, never
+    both.  No plane may reach past U's room."""
+    if isinstance(WU, np.ndarray):
+        return WU.copy()
+    rows, r, ulen = WU.shape
+    L, n = WU.L, r * (WU.L + ulen)
+    out = np.zeros(WU.shape, dtype=np.int64)
+    for j, col in enumerate(WU.cols):
+        assert len(col) == (fs.e if fs.p == 2 else 2 * fs.e)
+        codes = np.zeros(n, dtype=np.int64)
+        for k, x in enumerate(col):
+            assert 0 <= x < 1 << n
+            if fs.p == 3 and k % 2:
+                assert not x & col[k - 1]
+            raw = np.frombuffer(x.to_bytes(n // 8 + 1, "little"), dtype=np.uint8)
+            bits = np.unpackbits(raw, count=n, bitorder="little").astype(np.int64)
+            codes += bits * (2**k if fs.p == 2 else (k % 2 + 1) * 3 ** (k // 2))
+        out[:r, j, :L] = codes[: r * L].reshape(L, r).T
+        out[r:, j, :] = codes[r * L :].reshape(ulen, r).T
     return out
 
 

@@ -547,16 +547,19 @@ def test_trajectory_generic_multirow_matches_static_reduction():
 def test_trajectory_engine_matches_full_width_reference(p, e, monkeypatch):
     # every t of the engine, before and after its reduction, against the
     # np.roll shift, per-column pivot scans and full-width transforms; the
-    # last two fields are past the lookup-table bound
+    # last two fields are past the lookup-table bound.  Over p <= 3 the
+    # engine's state is on digit planes, read through the oracle's decoding
     fs = field_spec(p, e)
     real = flow._reduce_packed
     seen = []
 
     def recording(fs_, WU, degrees, pivots, udegrees):
-        shifted = (WU.copy(), list(degrees), list(pivots))
+        assert isinstance(WU, flow._PlaneWU) == (p <= 3)
+        shifted = (oracles.plane_state_array(fs_, WU), list(degrees), list(pivots))
         steps = real(fs_, WU, degrees, pivots, udegrees)
-        seen.append((*shifted, WU.copy(), list(degrees), list(pivots), steps))
-        assert udegrees == oracles.column_degrees(WU[len(udegrees) :])
+        after = oracles.plane_state_array(fs_, WU)
+        seen.append((*shifted, after, list(degrees), list(pivots), steps))
+        assert udegrees == oracles.column_degrees(after[len(udegrees) :])
         return steps
 
     monkeypatch.setattr(flow, "_reduce_packed", recording)
@@ -589,6 +592,40 @@ def test_trajectory_engine_matches_full_width_reference(p, e, monkeypatch):
             assert depths[t] == M - int(ref[4].min())
         total += sum(ref[-1] for ref in want)
     assert total > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3]),
+    e=st.integers(1, 3),
+    shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    T=st.integers(0, 10),
+    data=st.data(),
+)
+def test_engine_yields_the_same_steps_on_both_cores(p, e, shape, T, data):
+    # the engine over p <= 3 on digit planes and on the array core gives the
+    # same (depth, needed, column) at every t, exact and truncated inputs
+    fs = field_spec(p, e)
+    m, n = shape
+    spec = FlowSpec(fs, m, n)
+    size = data.draw(st.integers(0, (m + n) * T + 8))
+    truncated = data.draw(st.booleans())
+
+    def entry():
+        coeffs = data.draw(st.lists(st.integers(0, fs.s - 1), min_size=size, max_size=size))
+        return LaurentSeries(fs, 1, coeffs, size + 1 if truncated else None)
+
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    planes = list(flow._trajectory_generic(spec, A, T))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_PLANE_PRIMES", ())
+        arrays = list(flow._trajectory_generic(spec, A, T))
+    assert len(planes) == len(arrays) == T + 1
+    for (d, need, col), (d_a, need_a, col_a) in zip(planes, arrays):
+        assert isinstance(col, flow._PlaneColumn) and isinstance(col_a, np.ndarray)
+        assert (d, need) == (d_a, need_a)
+        col = np.asarray(col)
+        assert col.dtype == col_a.dtype and np.array_equal(col, col_a)
 
 
 def test_trajectory_method_validation():

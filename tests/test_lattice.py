@@ -58,14 +58,18 @@ def test_rejects_bad_shapes():
 
 @pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
 def test_windowed_reduction_matches_full_width_reference(p, e, monkeypatch):
+    # over p <= 3 the state is the digit-plane core's, read through the
+    # oracle's decoding of it
     fs = field_spec(p, e)
     rng = np.random.default_rng(100 * p + e)
     real = lattice._simple_transform
+    kinds = set()
 
     def checked(*args):
         real(*args)
-        WU, udegrees = args[1], args[4]
+        WU, udegrees = oracles.plane_state_array(fs, args[1]), args[4]
         assert udegrees == oracles.column_degrees(WU[len(udegrees) :])
+        kinds.add(type(args[1]))
 
     monkeypatch.setattr(lattice, "_simple_transform", checked)
     total = 0
@@ -83,13 +87,16 @@ def test_windowed_reduction_matches_full_width_reference(p, e, monkeypatch):
         assert np.array_equal(Wv, W) and not WU[:r, :, 8:].any()
         ref = [a.copy() for a in (W, U, degrees, pivots)]
         state = (degrees.tolist(), pivots.tolist(), [0] * r)
+        core = lattice._PlaneWU(fs, WU, 8) if p <= 3 else WU
         try:
             steps = oracles.reduce_packed_full_width(fs, *ref)
         except ValueError:
             with pytest.raises(LatticeError):
-                lattice._reduce_packed(fs, WU, *state)
+                lattice._reduce_packed(fs, core, *state)
             continue
-        assert lattice._reduce_packed(fs, WU, *state) == steps
+        assert lattice._reduce_packed(fs, core, *state) == steps
+        WU = oracles.plane_state_array(fs, core)
+        Wv, U = WU[:r, :, :8], WU[r:]
         for got, want in zip((Wv, U, *state[:2]), ref):
             assert np.array_equal(got, want)
         # W's rows stay zero past its length
@@ -97,6 +104,119 @@ def test_windowed_reduction_matches_full_width_reference(p, e, monkeypatch):
         assert state[2] == oracles.column_degrees(U)
         total += steps
     assert total > 0
+    assert kinds == {lattice._PlaneWU if p <= 3 else np.ndarray}
+
+
+def _ragged_basis(fs, rng, r):
+    W = rng.integers(0, fs.s, size=(r, r, 8))
+    W[np.arange(8) > rng.integers(-1, 8, size=(r, r, 1))] = 0
+    W[0, :, 0] = np.maximum(W[0, :, 0], 1)
+    return W
+
+
+def _run_core(fs, WU, L, state, planar, trace):
+    """Reduce one augmented array, W of length L, on the array or the plane
+    core; returns (steps or the LatticeError's message, per-step states,
+    final state)."""
+    core = lattice._PlaneWU(fs, WU, L) if planar else WU
+    if planar:
+        assert np.array_equal(oracles.plane_state_array(fs, core), WU)
+    trace.clear()
+    try:
+        steps = lattice._reduce_packed(fs, core, *state)
+    except LatticeError as err:
+        steps = str(err)
+    return steps, list(trace), (oracles.plane_state_array(fs, core), *state)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3) for e in (1, 2, 3)])
+def test_plane_core_matches_the_array_core_step_by_step(p, e, monkeypatch):
+    # ragged bases as in the windowed test, and flowed unipotent bases that
+    # take many steps, reduced on both storages: after every simple
+    # transform both hold the same W, U, degrees, pivots and U degrees, and
+    # both end where the full-width reference does
+    from ffdyn.flow import FlowSpec, flow_apply, sample_matrix, unipotent_lattice
+
+    fs = field_spec(p, e)
+    rng = np.random.default_rng(300 + 10 * p + e)
+    bases = [_ragged_basis(fs, rng, 2 + trial % 3) for trial in range(16)]
+    bases[5][:, 1] = fs.scale_arr(fs.s - 1, bases[5][:, 0])  # dependent columns
+    for m, n, t in ((2, 2, 6), (1, 2, 12), (2, 1, 9)):
+        spec = FlowSpec(fs, m, n)
+        A = sample_matrix(fs, rng, m, n, 32)
+        bases.append(flow_apply(unipotent_lattice(A, spec), t, spec).packed()[1])
+    real = lattice._simple_transform
+    trace = []
+
+    def spy(*args):
+        real(*args)
+        trace.append((oracles.plane_state_array(fs, args[1]), *(list(a) for a in args[2:5])))
+
+    monkeypatch.setattr(lattice, "_simple_transform", spy)
+    total = 0
+    for W in bases:
+        r, L = W.shape[1:]
+        found = [oracles.packed_pivot(W[:, j, :]) for j in range(r)]
+        runs = []
+        for planar in (False, True):
+            WU = lattice._augmented(W, L, L + 2 * sum(d for d, _ in found) + 1)[0]
+            state = ([d for d, _ in found], [q for _, q in found], [0] * r)
+            runs.append(_run_core(fs, WU, L, state, planar, trace))
+        (steps, trace_a, end_a), (steps_b, trace_b, end_b) = runs
+        assert steps == steps_b and len(trace_a) == len(trace_b)
+        for a, b in zip(trace_a + [end_a], trace_b + [end_b]):
+            assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+        ref = [W.copy(), np.zeros_like(end_a[0][r:]), *(np.array(x) for x in zip(*found))]
+        ref[1][:, :, 0] = np.eye(r, dtype=np.int64)
+        try:
+            want = oracles.reduce_packed_full_width(fs, *ref)
+        except ValueError:
+            assert steps == "columns are linearly dependent"
+            continue
+        assert steps == want and len(trace_a) == steps
+        assert np.array_equal(end_a[0][:r, :, :L], ref[0]) and np.array_equal(end_a[0][r:], ref[1])
+        assert end_a[1:3] == (ref[2].tolist(), ref[3].tolist())
+        total += steps
+    assert total > 100
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3) for e in (1, 2, 3)])
+def test_both_cores_raise_on_dependent_columns_and_overflow(p, e):
+    # a zero column and an overflowing transform raise before any change;
+    # columns that a step makes dependent raise after it, with the same
+    # state on both cores
+    fs = field_spec(p, e)
+    c = fs.s - 1
+    zero = np.zeros((2, 2, 8), dtype=np.int64)
+    zero[0, 0, 0] = zero[1, 0, 2] = c
+    # (1, 0) and (X, 1) collide in row 0 with shift 1, and the kept column's
+    # transform (1, X) would need degree 2 in two coefficients
+    room = np.zeros((2, 2, 2), dtype=np.int64)
+    room[0, 0, 0] = c
+    room[0, 1, 1] = room[1, 1, 0] = 1
+    # (1, X) and c X (1, X): the step clears the second column
+    dependent = np.zeros((2, 2, 8), dtype=np.int64)
+    dependent[0, 0, 0] = dependent[1, 0, 1] = 1
+    dependent[0, 1, 1] = dependent[1, 1, 2] = c
+    cases = [
+        (zero, 9, ([2, -1], [1, -1], [0, 0]), "linearly dependent", True),
+        (room, 2, ([0, 1], [0, 0], [1, 0]), "transform buffer overflow", True),
+        (dependent, 9, ([1, 2], [1, 1], [0, 0]), "linearly dependent", False),
+    ]
+    for W, ulen, state, message, unchanged in cases:
+        ends = []
+        for planar in (False, True):
+            WU = lattice._augmented(W, W.shape[2], ulen)[0]
+            if ulen == 2:
+                WU[3, 0, 1] = 1  # U's column 0 is (1, X)
+            before = WU.copy()
+            args = tuple(list(x) for x in state)
+            steps, _, end = _run_core(fs, WU, W.shape[2], args, planar, [])
+            assert message in steps
+            if unchanged:
+                assert np.array_equal(end[0], before) and end[1:] == args == state
+            ends.append(end)
+        assert np.array_equal(ends[0][0], ends[1][0]) and ends[0][1:] == ends[1][1:]
 
 
 def test_column_pivots_match_the_pivot_scan():
@@ -147,7 +267,10 @@ def test_transform_room_bounds_both_reducers(p, e, monkeypatch):
 
     def spy(fs_, WU, degrees, pivots, udegrees, keep, red):
         seen.append((udegrees[keep] + degrees[red] - degrees[keep], WU.shape[2]))
+        kinds.add(type(WU))
         real(fs_, WU, degrees, pivots, udegrees, keep, red)
+
+    kinds = set()
 
     monkeypatch.setattr(lattice, "_simple_transform", spy)
     T = 12
@@ -163,11 +286,16 @@ def test_transform_room_bounds_both_reducers(p, e, monkeypatch):
             room = sum(d) - min(d) + max(d) + 1
             assert lattice._transform_room(d, 0) == room
             seen.clear()
+            kinds.clear()
             weak_popov(flowed)
             assert seen and max(top for top, _ in seen) < room, (fs, m, n, t)
             assert {ulen for _, ulen in seen} == {max(W0.shape[2], room)}
+            assert kinds == {np.ndarray}
         seen.clear()
+        kinds.clear()
         list(_trajectory_generic(spec, A, T))
+        # the engine reduces on digit planes over p <= 3
+        assert kinds == {lattice._PlaneWU if p <= 3 else np.ndarray}
         L = max(basis.scaling_exponent(), m * T) + n * T + 1
         assert (r * n * T + 1 > L) == (n == 2)
         assert seen and max(top for top, _ in seen) < r * n * T + 1, (fs, m, n)
@@ -193,6 +321,18 @@ def test_step_cap_admits_nonsingular_bases(p, e, steps, monkeypatch):
     reduced = weak_popov(flowed)
     assert seen == [steps] and steps <= 4 * sum(d) + 6
     assert sorted(reduced.pivots) == [0, 1, 2, 3]
+    if p <= 3:
+        # weak_popov reduces arrays; the plane core takes the same steps
+        # to the same form under the same cap
+        W0 = flowed.packed()[1]
+        WU = lattice._augmented(W0, W0.shape[2], lattice._transform_room(d, 0))[0]
+        core = lattice._PlaneWU(fs, WU, W0.shape[2])
+        state = (list(d), lattice._column_pivots(W0)[1].tolist(), [0] * 4)
+        assert real(fs, core, *state) == steps
+        assert list(state[:2]) == [list(reduced.degrees), list(reduced.pivots)]
+        got = oracles.plane_state_array(fs, core)
+        assert np.array_equal(got[:4, :, : W0.shape[2]], reduced.matrix)
+        assert np.array_equal(got[4:], reduced.transform)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
