@@ -1054,10 +1054,15 @@ def _planes(fs: FieldSpec, coeffs: np.ndarray) -> list[int]:
     3, one per row of ``coeffs`` (the last axis is the degree), listed row
     after row: e planes a row over p = 2, 2e over p = 3."""
     p, e = fs.p, fs.e
-    rows = coeffs.reshape(-1, coeffs.shape[-1]).astype(np.uint16)  # s <= 2^16
-    digits = rows[:, None, :] // (p ** np.arange(e, dtype=np.uint16))[:, None] % p
-    bits = digits if p == 2 else digits[:, :, None, :] == np.array([1, 2])[:, None]
-    packed = np.packbits(bits.reshape(-1, rows.shape[1]), axis=1, bitorder="little")
+    rows = coeffs.reshape(-1, 1, coeffs.shape[-1])
+    if p == 2:  # over F_2 the codes are the bits
+        bits = rows if e == 1 else rows >> np.arange(e, dtype=rows.dtype)[:, None] & 1
+    else:
+        if e > 1:  # s <= 2^16, and division is faster on narrow ints
+            rows = rows.astype(np.uint16) // (3 ** np.arange(e, dtype=np.uint16))[:, None] % 3
+        bits = rows[:, :, None, :] == np.array([1, 2], dtype=rows.dtype)[:, None]
+    bits = bits.reshape(-1, coeffs.shape[-1]).astype(np.uint8)
+    packed = np.packbits(bits, axis=1, bitorder="little")
     buf, w = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
 

@@ -247,8 +247,10 @@ def _augmented(W0: np.ndarray, L: int, ulen: int):
 
 
 def _reduce_packed(fs: FieldSpec, WU, degrees, pivots, udegrees, max_steps=None) -> int:
-    """Drive the augmented array WU (as ``_augmented`` builds it) to weak
-    Popov form in its W rows, in place; returns steps taken.
+    """Drive the augmented state WU to weak Popov form in its W rows, in
+    place; returns steps taken.  WU is the array ``_augmented`` builds or
+    its digit planes (``_PlaneWU``); only ``_simple_transform`` tells them
+    apart.
 
     ``degrees``/``pivots`` (of the columns of W, as ``_column_pivots`` gives
     them) and ``udegrees`` (of the columns of U) are lists of current
