@@ -37,6 +37,12 @@ The record holds:
   ``flow._trajectory_generic`` run at m = n = 2 and T = GENERIC_T on
   uniform codes at flow-reduce's precision 4 T + 96, GENERIC_RUNS times
   in this process, and their median; flow-reduce times only s = 2 and 3;
+- ``correspondence``: for s in 2, 3, 4, 5, 9, the seconds of one
+  ``dioph.correspondence_check`` at m = n = 2 and T = CORR_T against the
+  power law psi(x) = 1/x, on uniform codes at flow-reduce's precision
+  4 T + 64, CORR_RUNS times in this process, and their median; it times
+  the rate solve, the engine and the witness check together, and
+  flow-reduce runs it only at s = 2 and 3;
 - ``machine``: the git commit (marked dirty if edited), CPU model, CPU count, Python and numpy.
 
 Without ``--out`` the file is ``BENCH_<n>.json`` in the checkout's root,
@@ -69,6 +75,8 @@ LADDER_RUNS = 5
 GENERIC_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2))  # (p, e): s = 2, 3, 4, 5, 9
 GENERIC_T = 128
 GENERIC_RUNS = 5
+CORR_T = 32
+CORR_RUNS = 5
 
 
 def _env() -> dict:
@@ -224,6 +232,30 @@ def generic_times() -> dict:
     return out
 
 
+def correspondence_times() -> dict:
+    """{"m", "n", "T", s: {"runs_s", "median_s"}} of the ``correspondence`` record."""
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from ffdyn.dioph import correspondence_check
+    from ffdyn.field import field_spec
+    from ffdyn.flow import FlowSpec, PsiPowerLaw, sample_matrix
+
+    out: dict = {"m": 2, "n": 2, "T": CORR_T}
+    for p, e in GENERIC_FIELDS:
+        fs = field_spec(p, e)
+        spec = FlowSpec(fs, 2, 2)
+        A = sample_matrix(fs, np.random.default_rng(SEED), 2, 2, 4 * CORR_T + 64)
+        psi = PsiPowerLaw(fs.s, c=0.0, tau=1.0)
+        runs = []
+        for _ in range(CORR_RUNS):
+            start = time.perf_counter()
+            correspondence_check(A, psi, spec=spec, T=CORR_T)
+            runs.append(time.perf_counter() - start)
+        out[str(fs.s)] = {"runs_s": runs, "median_s": statistics.median(runs)}
+    return out
+
+
 def machine() -> dict:
     import numpy as np
 
@@ -276,6 +308,7 @@ def main(argv=None) -> int:
         "threaded_configs": threaded_config_runs(digests),
         "ladder": ladder_times(),
         "generic": generic_times(),
+        "correspondence": correspondence_times(),
         "tier1": tier1_suite(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -1074,15 +1074,17 @@ def _from_planes(fs: FieldSpec, planes: list[int], length: int) -> np.ndarray:
     w = (length + 7) // 8
     buf = np.frombuffer(b"".join(x.to_bytes(w, "little") for x in planes), dtype=np.uint8)
     bits = np.unpackbits(buf.reshape(len(planes), w), axis=1, count=length, bitorder="little")
-    return _plane_weights(fs) @ bits.reshape(-1, count, length).astype(np.int64)
+    return _plane_weights(fs.p, fs.e) @ bits.reshape(-1, count, length).astype(np.int64)
 
 
-def _plane_weights(fs: FieldSpec) -> np.ndarray:
+@functools.cache
+def _plane_weights(p: int, e: int) -> np.ndarray:
     """What a set bit of each plane adds to a code: 2^j for plane j over
-    p = 2; 3^j and 2 3^j for planes 2j and 2j + 1 over p = 3."""
-    if fs.p == 2:
-        return 1 << np.arange(fs.e, dtype=np.int64)
-    return (np.arange(2 * fs.e) % 2 + 1) * 3 ** (np.arange(2 * fs.e) // 2)
+    p = 2; 3^j and 2 3^j for planes 2j and 2j + 1 over p = 3; read-only."""
+    j = np.arange(e if p == 2 else 2 * e, dtype=np.int64)
+    weights = 1 << j if p == 2 else (j % 2 + 1) * 3 ** (j // 2)
+    weights.flags.writeable = False
+    return weights
 
 
 @functools.cache

@@ -256,9 +256,11 @@ def psi_to_rate(psi: PsiFunction, m: int, n: int, tol: float = 1e-12) -> RateFun
     """Solve psi(s^(a - n r)) = s^(-(a + m r)) for r as a function of a.
 
     The residual h(r) = log_s psi(s^(a - n r)) + a + m r is non-decreasing in
-    r (psi non-increasing), so bisection applies.  The bracket starts at
+    r (psi non-increasing), with slope at least m.  The bracket starts at
     [-a/m, (a - u0)/n]; the upper end keeps the psi argument inside the
-    domain and satisfies h >= 0 for every a >= a0, with equality at a0.
+    domain and satisfies h >= 0 for every a >= a0, with equality at a0.  A
+    secant step through it is kept when |h| <= tol there (h is affine for a
+    power law); else bisection finds the root to within tol.
     """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
@@ -275,24 +277,27 @@ def psi_to_rate(psi: PsiFunction, m: int, n: int, tol: float = 1e-12) -> RateFun
             return psi.llog(a - n * r) + a + m * r
 
         hi = (a - u0) / n
-        if h(hi) < -tol:
+        if (h_hi := h(hi)) < -tol:
             raise BracketError(f"no root above the domain edge at a = {a}")
         lo = min(-a / m, hi - 1.0)
         grow = 1.0
-        while h(lo) > 0:
+        while (h_lo := h(lo)) > 0:
             lo -= grow
             grow *= 2
             if grow > 2**40:
                 raise BracketError(f"bracket expansion failed at a = {a}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if h(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < tol:
-                break
-        root = 0.5 * (lo + hi)
+        # h_hi - h_lo >= m (hi - lo) >= 1; h_hi may be below 0 by tol
+        root = min(hi, lo - h_lo * (hi - lo) / (h_hi - h_lo))
+        if abs(h(root)) > tol:
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if h(mid) > 0:
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo < tol:
+                    break
+            root = 0.5 * (lo + hi)
         cache[a] = root
         return root
 
@@ -465,7 +470,7 @@ def _ternary_rungs(
     e = fs.e
     width = (fs.s - 1).bit_length()
     log, antilog, rows = _plane_tables(3, e)
-    weights = _plane_weights(fs).tolist()  # lead code of plane n
+    weights = _plane_weights(fs.p, fs.e).tolist()  # lead code of plane n
     degs, quotients = [], []
     r0 = [1 << P] + [0] * (2 * e - 1)
     r1 = planes
@@ -646,12 +651,12 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     Keeps W = X^M g_t u_A U in weak Popov form, U the cumulative unimodular
     transform, both in one augmented state (``_augmented``), and yields
     (depth, needed, column) at each t.  Over p = 2 and 3 the state is a
-    ``_PlaneWU``: a step of the flow shifts the bits of the first m rows of
-    W up by n r places, cut to W's L coefficients, and those of the rest
-    down by m r, and every column's (degree, pivot) is read from bit
-    lengths.  Over p >= 5 it is the int64 array, shifted by slice
-    assignment and read in one ``_column_pivots`` pass.
-    ``_reduce_packed`` then restores the form.  needed is
+    ``_PlaneWU``, packed straight from the basis: a step of the flow shifts
+    the bits of the first m rows of W up by n r places, cut to W's L
+    coefficients, and those of the rest down by m r, and every column's
+    (degree, pivot) is read from bit lengths.  Over p >= 5 it is the int64
+    array, shifted by slice assignment and read in one ``_column_pivots``
+    pass.  ``_reduce_packed`` then restores the form.  needed is
     ``lattice._needed`` at scale M + n t: None when every column of U is
     certified at t, else the input precision that would certify them all;
     column is the U column of the shortest reduced vector trimmed to its
@@ -669,11 +674,13 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     m, n, r = spec.m, spec.n, spec.rank
     M = max(basis.scaling_exponent(), m * T)
     L = M + n * T + 1
-    room = _transform_room([L - 1] * r, r * M)
-    WU, W, U = _augmented(basis.packed(scale=M)[1], L, max(L, room))
+    ulen = max(L, _transform_room([L - 1] * r, r * M))
+    W0 = basis.packed(scale=M)[1]
     planar = fs.p in _PLANE_PRIMES
-    if planar:
-        WU = _PlaneWU(fs, WU, L)
+    if not planar:
+        WU, W, U = _augmented(W0, L, ulen)
+    else:
+        WU = _PlaneWU(fs, W0, L, ulen)
         # the bits of rows :m of W, of rows m: and of U
         up = ((1 << m) - 1) * WU.wmask // ((1 << r) - 1)
         down, rest = WU.wmask ^ up, ~WU.wmask

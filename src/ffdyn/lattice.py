@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,31 +260,36 @@ def _reduce_packed(fs: FieldSpec, WU, degrees, pivots, udegrees, max_steps=None)
     which keeps them current.  Collisions are resolved deterministically:
     at the lowest pivot row that two columns share, the first two columns
     there by index collide, and the one of larger (degree, index) is
-    reduced against the other.  Each step lowers sum_j (r d_j - pivot_j) by
-    at least 1 (a pivot at an unchanged degree moves down), so deg det >= 0
-    caps the steps at r sum_j d_j + r(r - 1)/2 (Mulders and Storjohann 2003).
+    reduced against the other: the clash map lists each pivot row's columns
+    in index order, and a step moves only red, if its pivot row changed.
+    Each step lowers sum_j (r d_j - pivot_j) by at least 1 (a pivot at an
+    unchanged degree moves down), so deg det >= 0 caps the steps at
+    r sum_j d_j + r(r - 1)/2 (Mulders and Storjohann 2003).
     """
     r = len(degrees)
     if max_steps is None:
         max_steps = r * sum(max(d, 0) for d in degrees) + r * (r - 1) // 2
+    if min(pivots) < 0:
+        raise LatticeError("columns are linearly dependent")
+    rows = [[j for j, p in enumerate(pivots) if p == q] for q in range(r)]
     steps = 0
     while True:
-        first, clash = {}, None
-        for j, p in enumerate(pivots):
-            if p < 0:
-                raise LatticeError("columns are linearly dependent")
-            if p not in first:
-                first[p] = j
-            elif clash is None or p < clash[0]:
-                clash = (p, first[p], j)
-        if clash is None:
+        for cols in rows:  # the lowest row holding two columns
+            if len(cols) > 1:
+                break
+        else:
             return steps
-        _, a, j = clash
+        a, j = cols[0], cols[1]
         keep, red = (a, j) if degrees[a] <= degrees[j] else (j, a)
         _simple_transform(fs, WU, degrees, pivots, udegrees, keep, red)
         steps += 1
         if steps > max_steps:
             raise LatticeError("reduction did not terminate (singular input?)")
+        if (p := pivots[red]) < 0:
+            raise LatticeError("columns are linearly dependent")
+        if p != pivots[keep]:  # red left the clash row
+            cols.remove(red)
+            insort(rows[p], red)
 
 
 def _simple_transform(fs, WU, degrees, pivots, udegrees, keep: int, red: int) -> None:
@@ -292,33 +299,73 @@ def _simple_transform(fs, WU, degrees, pivots, udegrees, keep: int, red: int) ->
     window that the larger of dk = deg W_keep and udegrees[keep] reaches.
     The new degree of red is at most its old one, dr, so its (degree,
     pivot) is read from the slice W[:, red, dr] while that is nonzero, and
-    from a ``_pivot_of`` scan below dr once it is zero.  On a ``_PlaneWU``,
-    ``_plane_transform``.  Either storage raises before any change when
-    the new U column would not fit in WU.shape[2] coefficients."""
-    r = len(degrees)
-    row = pivots[keep]
-    dk, dr = degrees[keep], degrees[red]
-    uk, ur = udegrees[keep], udegrees[red]
+    from a ``_pivot_of`` scan below dr once it is zero.
+
+    On a ``_PlaneWU``, keep's planes shifted by e r places: one XOR over
+    F_2; over F_3 one seven-operation bit-sliced digit sum
+    (``flow._ternary_rungs``) of -keep (planes swapped) when the leads'
+    twos-plane bits agree (c = 1), else of keep; over e > 1 the feed of
+    -c, c from the leads' log tables.  Red's (degree, pivot, U degree)
+    come from the bit lengths of the union of its planes.
+
+    Either storage raises before any change when the new U column would
+    not fit in WU.shape[2] coefficients."""
+    dk, dr, uk = degrees[keep], degrees[red], udegrees[keep]
     e = dr - dk
     top = uk + e
     if top >= WU.shape[2]:
         raise LatticeError("transform buffer overflow")  # guarded by caller sizing
-    if not isinstance(WU, np.ndarray):
-        return _plane_transform(WU, degrees, pivots, udegrees, keep, red)
-    c = fs.mul(int(WU[row, red, dr]), fs.inv(int(WU[row, keep, dk])))
-    span = max(dk, uk) + 1
-    window = WU[:, red, e : e + span]
-    fs.submul_arr(window, c, WU[:, keep, :span], out=window)
-    if top > ur:
-        udegrees[red] = top
-    elif top == ur and not WU[r:, red, top].any():
-        # the leading terms cancelled; nothing above top is nonzero
-        udegrees[red] = max(_pivot_of(WU[r:, red, :top])[0], 0)
-    lead = WU[:r, red, dr].nonzero()[0]
-    if lead.size:
-        pivots[red] = int(lead[0])
+    if isinstance(WU, np.ndarray):
+        r, row, ur = len(degrees), pivots[keep], udegrees[red]
+        c = fs.mul(int(WU[row, red, dr]), fs.inv(int(WU[row, keep, dk])))
+        span = max(dk, uk) + 1
+        window = WU[:, red, e : e + span]
+        fs.submul_arr(window, c, WU[:, keep, :span], out=window)
+        if top > ur:
+            udegrees[red] = top
+        elif top == ur and not WU[r:, red, top].any():
+            # the leading terms cancelled; nothing above top is nonzero
+            udegrees[red] = max(_pivot_of(WU[r:, red, :top])[0], 0)
+        lead = WU[:r, red, dr].nonzero()[0]
+        if lead.size:
+            pivots[red] = int(lead[0])
+        else:
+            degrees[red], pivots[red] = _pivot_of(WU[:r, red, :dr])
+        return
+    r, kept, col = WU.r, WU.cols[keep], WU.cols[red]
+    k, at = e * r, dr * r + pivots[keep]
+    if WU.feed is None and WU.p == 2:
+        x = col[0] = col[0] ^ kept[0] << k
+    elif WU.feed is None:
+        yl, yh = kept if (col[1] >> at ^ kept[1] >> at - k) & 1 else kept[::-1]
+        yl, yh, xl, xh = yl << k, yh << k, col[0], col[1]
+        t = (xl | xh) & (yl | yh)
+        xl, xh = col[0], col[1] = (xl | yl) ^ t, (xh | yh) ^ t
+        x = xl | xh
     else:
-        degrees[red], pivots[red] = _pivot_of(WU[:r, red, :dr])
+        lead_r = lead_k = 0
+        for x, y, w in zip(col, kept, WU.weights):
+            lead_r += w * (x >> at & 1)
+            lead_k += w * (y >> at - k & 1)
+        shifted = [y << k for y in kept]
+        feed = WU.feed[WU.antilog[WU.log[lead_r] - WU.log[lead_k]]]
+        if WU.p == 2:
+            for o, i in feed:
+                col[o] ^= shifted[i]
+        else:
+            for o, i, i2 in feed:
+                xl, xh, yl, yh = col[o], col[o + 1], shifted[i], shifted[i2]
+                t = (xl | xh) & (yl | yh)
+                col[o], col[o + 1] = (xl | yl) ^ t, (xh | yh) ^ t
+        x = functools.reduce(operator.or_, col)
+    w = x & WU.wmask
+    udegrees[red] = (x.bit_length() - 1) // r - WU.L
+    if w:
+        d = (w.bit_length() - 1) // r
+        top = w >> d * r
+        degrees[red], pivots[red] = d, (top & -top).bit_length() - 1
+    else:
+        degrees[red] = pivots[red] = -1
 
 
 # The reduction core over p = 2 and 3 holds each column of [W; U] as the
@@ -326,62 +373,49 @@ def _simple_transform(fs, WU, degrees, pivots, udegrees, keep: int, red: int) ->
 # rows: coefficient d of W's row i at index d r + i for d < L, and
 # coefficient d of U's row i at r L + d r + i.  Multiplying a column by X^k
 # shifts each plane by k r, and no entry reaches another row's bits while
-# W stays below degree L and U below ulen, which the room check keeps.  So
-# a simple transform is one shift and one XOR per plane over p = 2, and a
-# shift and a seven-operation bit-sliced digit sum per pair of planes over
-# p = 3 (``flow._ternary_rungs``), whatever the rank.  The bit length of
-# W's planes gives the degree, and the lowest row set at that degree the
-# pivot; U's own bit length gives its degree.
+# W stays below degree L and U below ulen, which the room check keeps.  The
+# bit length of W's planes gives the degree, the lowest row set at that
+# degree the pivot, and U's own bit length its degree.
 
 
 class _PlaneWU:
     """The augmented [W; U] of ``_augmented`` (W of length L) on digit
     planes, for p = 2 and 3: cols[j] lists column j's planes, e over
-    p = 2 and 2e over p = 3.  ``shape`` is the array's, so that the room
-    check of ``_simple_transform`` reads the same ulen.  ``feed`` is
-    ``_plane_feed``'s, None over F_2, where c is 1."""
+    p = 2 and 2e over p = 3.  Built from that array, or with ``ulen`` from
+    W0 alone (at most L coefficients) and the identity U.  ``shape`` is
+    the array's, so that the room check of ``_simple_transform`` reads the
+    same ulen.  ``feed`` is ``_plane_feed``'s, None over F_2 and F_3."""
 
     __slots__ = ("p", "r", "L", "shape", "weights", "log", "antilog", "feed", "wmask", "cols")
 
-    def __init__(self, fs: FieldSpec, WU: np.ndarray, L: int):
-        _, r, _ = self.shape = WU.shape
+    def __init__(self, fs: FieldSpec, WU: np.ndarray, L: int, ulen: int | None = None):
+        r = WU.shape[1]
+        parts = [WU[:r, :, :L]] if ulen is not None else [WU[:r, :, :L], WU[r:]]
+        self.shape = (2 * r, r, WU.shape[2] if ulen is None else ulen)
         self.p, self.r, self.L, self.wmask = fs.p, r, L, (1 << r * L) - 1
         w = fs.e if fs.p == 2 else 2 * fs.e
-        self.weights = _plane_weights(fs).tolist()
+        self.weights = _plane_weights(fs.p, fs.e).tolist()
         self.log, self.antilog, _ = _plane_tables(fs.p, fs.e)
-        self.feed = None if fs.s == 2 else _plane_feed(fs.p, fs.e)
+        self.feed = None if fs.e == 1 else _plane_feed(fs.p, fs.e)
         # (row, column, degree) -> (column, degree r + row), W then U
-        WU = WU.astype(np.uint16)
-        seq = [a.transpose(1, 2, 0).reshape(r, -1) for a in (WU[:r, :, :L], WU[r:])]
+        seq = [a.astype(np.uint16).transpose(1, 2, 0).reshape(r, -1) for a in parts]
         planes = _planes(fs, np.concatenate(seq, axis=1))
         self.cols = [planes[i : i + w] for i in range(0, len(planes), w)]
-
-    def pivot(self, col: list[int]) -> tuple[int, int, int]:
-        """(degree, pivot) of the column's W part, as ``_pivot_of``, and
-        the degree of its U part."""
-        x = col[0]
-        for y in col[1:]:
-            x |= y
-        r, w = self.r, x & self.wmask
-        u = (x.bit_length() - 1) // r - self.L
-        if not w:
-            return -1, -1, u
-        d = (w.bit_length() - 1) // r
-        top = w >> d * r
-        return d, (top & -top).bit_length() - 1, u
+        if ulen is not None:
+            for j, col in enumerate(self.cols):
+                col[0] |= 1 << r * L + j
 
     def pivots(self) -> tuple[list[int], list[int]]:
-        """(degrees, pivots) of the columns of W, as ``_column_pivots``."""
-        found = [self.pivot(col) for col in self.cols]
-        return [d for d, _, _ in found], [p for _, p, _ in found]
-
-    def lead(self, col: list[int], row: int, d: int) -> int:
-        """The code of the X^d coefficient of W's entry in ``row``."""
-        at, code = d * self.r + row, 0
-        for x, c in zip(col, self.weights):
-            if x >> at & 1:
-                code += c
-        return code
+        """(degrees, pivots) of the columns of W, as ``_column_pivots``,
+        read from bit lengths as ``_simple_transform`` reads them."""
+        r, degrees, pivots = self.r, [], []
+        for col in self.cols:
+            w = functools.reduce(operator.or_, col) & self.wmask
+            d = (w.bit_length() - 1) // r  # -1 for a zero column
+            top = w >> max(d, 0) * r
+            degrees.append(d)
+            pivots.append((top & -top).bit_length() - 1)
+        return degrees, pivots
 
 
 @functools.cache
@@ -393,30 +427,6 @@ def _plane_feed(p: int, e: int) -> list[list[tuple]]:
     if p == 2:
         return [[(j, i) for j, f in enumerate(fd) for i in f] for fd in feeds]
     return [[(2 * j, i, i2) for j, f in enumerate(fd) for i, i2 in f] for fd in feeds]
-
-
-def _plane_transform(WU: _PlaneWU, degrees, pivots, udegrees, keep: int, red: int) -> None:
-    """``_simple_transform`` on planes: c from the leads' log tables, the
-    keep column's planes shifted by e r once and summed into red's by the
-    feed of -c, and red's degrees and pivot read by ``_PlaneWU.pivot``."""
-    row, dk, dr = pivots[keep], degrees[keep], degrees[red]
-    kept, col = WU.cols[keep], WU.cols[red]
-    k = (dr - dk) * WU.r
-    if WU.feed is None:
-        col[0] ^= kept[0] << k
-    else:
-        log = WU.log
-        c = WU.antilog[log[WU.lead(col, row, dr)] - log[WU.lead(kept, row, dk)]]
-        shifted = [x << k for x in kept]
-        if WU.p == 2:
-            for o, i in WU.feed[c]:
-                col[o] ^= shifted[i]
-        else:
-            for o, i, i2 in WU.feed[c]:
-                xl, xh, yl, yh = col[o], col[o + 1], shifted[i], shifted[i2]
-                t = (xl | xh) & (yl | yh)
-                col[o], col[o + 1] = (xl | yl) ^ t, (xh | yh) ^ t
-    degrees[red], pivots[red], udegrees[red] = WU.pivot(col)
 
 
 def weak_popov(basis: LatticeBasis) -> ReducedBasis:

@@ -403,6 +403,34 @@ def rate_oracle(llog, a: float, m: int, n: int, u0: float, tol: float = 1e-13) -
     return 0.5 * (lo + hi)
 
 
+def rate_bisection(llog, a: float, m: int, n: int, u0: float, tol: float = 1e-12) -> float:
+    """The rate solve of ``flow.psi_to_rate`` as bisection alone: the same
+    bracket, grown by doubling steps below, halved until narrower than tol."""
+
+    def h(r: float) -> float:
+        return llog(a - n * r) + a + m * r
+
+    hi = (a - u0) / n
+    if h(hi) < -tol:
+        raise ValueError(f"no root above the domain edge at a = {a}")
+    lo = min(-a / m, hi - 1.0)
+    grow = 1.0
+    while h(lo) > 0:
+        lo -= grow
+        grow *= 2
+        if grow > 2**40:
+            raise ValueError(f"bracket expansion failed at a = {a}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if h(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
 # ---------------------------------------------------------------------------
 # Affine Weyl length by counting separating hyperplanes, exact Fractions.
 # Type A_r inside the sum-zero subspace of Q^(r+1); w is a permutation of
@@ -587,8 +615,9 @@ def plane_state_array(fs, WU) -> np.ndarray:
     return out
 
 
-def reduce_packed_full_width(fs, W, U, degrees, pivots, max_steps=None) -> int:
-    """Weak Popov form in place, with the package's collision order."""
+def reduce_packed_full_width(fs, W, U, degrees, pivots, max_steps=None, trace=None) -> int:
+    """Weak Popov form in place, with the package's collision order; each
+    step's (keep, red) is appended to ``trace`` when one is given."""
     r = W.shape[0]
     if max_steps is None:
         max_steps = r * int(degrees.clip(min=0).sum()) + r * (r - 1) // 2
@@ -614,6 +643,8 @@ def reduce_packed_full_width(fs, W, U, degrees, pivots, max_steps=None) -> int:
         if clash is None:
             return steps
         _, keep, red = clash
+        if trace is not None:
+            trace.append((keep, red))
         row = int(pivots[keep])
         dk, dr = int(degrees[keep]), int(degrees[red])
         e = dr - dk

@@ -193,6 +193,33 @@ def test_rate_domain_guard_and_bracket_error():
         rate.evaluator(rate.a0 - 1.0)
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_rate_secant_step_matches_the_bisection(m, n):
+    # the secant step, or the bisection where it misses, gives the rate of
+    # the bisection alone to within 2 tol and the same ceil_eps(r) that
+    # correspondence_check reads; on power laws the step is taken
+    from ffdyn.dioph import _ceil_eps
+
+    powers = ((2, 0.0, 1.0), (3, 3.0, 1.0), (2, 0.5, 2.0), (3, 1.25, 0.5), (2, 2.0, 0.0))
+    psis = [PsiPowerLaw(s, c=c, tau=tau) for s, c, tau in powers]
+    psis += [PsiLogPower(3, sigma=1.0), PsiLogPower(2, sigma=2.0)]
+    us = [1.0 + 0.25 * k for k in range(400)]
+    psis.append(PsiTable(2, [(u, psis[-1].llog(u)) for u in us]))
+    tol = 1e-12
+    for psi in psis:
+        llog, calls = psi.llog, []
+        psi.llog = lambda u, llog=llog: calls.append(u) or llog(u)
+        rate = psi_to_rate(psi, m, n, tol)
+        grid = [rate.a0 + 0.37 * k for k in range(40)] + [float(m * n * t) for t in range(1, 9)]
+        for a in (a for a in grid if a >= rate.a0):
+            calls.clear()
+            r = rate.r(a)
+            want = oracles.rate_bisection(llog, a, m, n, psi.u0, tol)
+            assert abs(r - want) <= 2 * tol and _ceil_eps(r) == _ceil_eps(want), (psi.label, a)
+            if isinstance(psi, PsiPowerLaw):
+                assert len(calls) <= 3, (psi.label, a)
+
+
 def test_psi_table_tracks_analytic_family():
     exact = PsiLogPower(2, sigma=2.0)
     us = [1.0 + 0.25 * k for k in range(237)]

@@ -219,6 +219,83 @@ def test_both_cores_raise_on_dependent_columns_and_overflow(p, e):
         assert np.array_equal(ends[0][0], ends[1][0]) and ends[0][1:] == ends[1][1:]
 
 
+def _clashing_basis(fs, rng, r):
+    """A basis [r, r, 6] whose column j leads at a drawn degree in a row
+    drawn from 0..r // 2, so that several pivot rows hold two or more
+    columns at once."""
+    W = rng.integers(0, fs.s, size=(r, r, 6))
+    for j in range(r):
+        row, d = int(rng.integers(0, r // 2 + 1)), int(rng.integers(2, 6))
+        W[:row, j, d:] = 0
+        W[row:, j, d + 1 :] = 0
+        W[row, j, d] = rng.integers(1, fs.s)
+    return W
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+def test_clash_map_follows_the_reference_order(p, e, monkeypatch):
+    # the driver's clash map picks the (keep, red) that the full-width
+    # reference's rescan picks, on both storages, through states where
+    # several pivot rows clash at once and steps that move red into a
+    # row already holding two columns
+    fs = field_spec(p, e)
+    rng = np.random.default_rng(500 + 10 * p + e)
+    real = lattice._simple_transform
+    moves = []
+
+    def spy(fs_, WU, degrees, pivots, udegrees, keep, red):
+        rows = [pivots.count(q) for q in range(len(pivots))]
+        real(fs_, WU, degrees, pivots, udegrees, keep, red)
+        moves.append((keep, red, sum(n > 1 for n in rows), pivots.count(pivots[red]) - 1))
+
+    monkeypatch.setattr(lattice, "_simple_transform", spy)
+    several = crowded = 0
+    for trial in range(24):
+        r = 4 + trial % 2
+        W = _clashing_basis(fs, rng, r)
+        found = [oracles.packed_pivot(W[:, j, :]) for j in range(r)]
+        ref = [W.copy(), np.zeros((r, r, 64), dtype=np.int64), *(np.array(x) for x in zip(*found))]
+        ref[1][:, :, 0] = np.eye(r, dtype=np.int64)
+        order = []
+        try:
+            want = oracles.reduce_packed_full_width(fs, *ref, trace=order)
+        except ValueError:
+            want = "columns are linearly dependent"
+        for planar in (False, True)[: 2 if p <= 3 else 1]:
+            WU = lattice._augmented(W, 6, 64)[0]
+            state = ([d for d, _ in found], [q for _, q in found], [0] * r)
+            moves.clear()
+            steps, _, end = _run_core(fs, WU, 6, state, planar, [])
+            assert steps == want and [m[:2] for m in moves] == order, (planar, trial)
+            if isinstance(want, int):
+                assert np.array_equal(end[0][:r, :, :6], ref[0]) and end[2] == ref[3].tolist()
+            several += sum(m[2] > 1 for m in moves)
+            crowded += sum(m[3] > 1 for m in moves)
+    assert several and crowded
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
+def test_step_cap_raises_before_the_dependence_it_reaches(p, e):
+    # (1, X) and c X (1, X): the one step clears the second column; under a
+    # cap of 0 steps that step is already one too many.  A zero column is
+    # refused on entry, before the cap is ever read
+    fs = field_spec(p, e)
+    c = fs.s - 1
+    W = np.zeros((2, 2, 3), dtype=np.int64)
+    W[0, 0, 0] = W[1, 0, 1] = 1
+    W[0, 1, 1] = W[1, 1, 2] = c
+    for planar in (False, True)[: 2 if p <= 3 else 1]:
+        for cap, message in ((0, "did not terminate"), (1, "linearly dependent"), (None, "linearly dependent")):
+            WU = lattice._augmented(W, 3, 9)[0]
+            core = lattice._PlaneWU(fs, WU, 3) if planar else WU
+            with pytest.raises(LatticeError, match=message):
+                lattice._reduce_packed(fs, core, [1, 2], [1, 1], [0, 0], cap)
+        WU = lattice._augmented(W[:, :1].repeat(2, axis=1) * 0, 3, 9)[0]
+        core = lattice._PlaneWU(fs, WU, 3) if planar else WU
+        with pytest.raises(LatticeError, match="linearly dependent"):
+            lattice._reduce_packed(fs, core, [-1, -1], [-1, -1], [0, 0], 0)
+
+
 def test_column_pivots_match_the_pivot_scan():
     rng = np.random.default_rng(31)
     for trial in range(60):
