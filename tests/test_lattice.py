@@ -290,7 +290,7 @@ def test_step_cap_raises_before_the_dependence_it_reaches(p, e):
             core = lattice._PlaneWU(fs, WU, 3) if planar else WU
             with pytest.raises(LatticeError, match=message):
                 lattice._reduce_packed(fs, core, [1, 2], [1, 1], [0, 0], cap)
-        WU = lattice._augmented(W[:, :1].repeat(2, axis=1) * 0, 3, 9)[0]
+        WU = lattice._augmented(np.zeros_like(W), 3, 9)[0]
         core = lattice._PlaneWU(fs, WU, 3) if planar else WU
         with pytest.raises(LatticeError, match="linearly dependent"):
             lattice._reduce_packed(fs, core, [-1, -1], [-1, -1], [0, 0], 0)
