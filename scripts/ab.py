@@ -50,7 +50,8 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd += ["--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{tree.name} {workload} seed {seed} failed:\n{proc.stdout}{proc.stderr}")
+        failed = f"{tree.name} {workload} seed {seed} failed"
+        raise SystemExit(f"{failed}:\n{proc.stdout}{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -93,7 +94,8 @@ def main(argv=None) -> int:
                     runs[workload][side].append({"seed": seed, **metrics})
                 print(f"pair seed {seed} {workload} done", file=sys.stderr, flush=True)
     print(f"{args.parent} -> {args.change}: {args.pairs} pairs, {args.seconds:g} s each")
-    print(f"{'workload':12} {'metric':12} {'parent':>10} {'change':>10} {'ratio':>7} {'IQR':>9} wins")
+    head = ("workload", "metric", "parent", "change", "ratio", "IQR")
+    print("{:12} {:12} {:>10} {:>10} {:>7} {:>9} wins".format(*head))
     for workload in workloads:
         parent, change = runs[workload]["parent"], runs[workload]["change"]
         for metric, direction in better.items():

@@ -285,7 +285,8 @@ def test_step_cap_raises_before_the_dependence_it_reaches(p, e):
     W[0, 0, 0] = W[1, 0, 1] = 1
     W[0, 1, 1] = W[1, 1, 2] = c
     for planar in (False, True)[: 2 if p <= 3 else 1]:
-        for cap, message in ((0, "did not terminate"), (1, "linearly dependent"), (None, "linearly dependent")):
+        cases = ((0, "did not terminate"), (1, "linearly dependent"), (None, "linearly dependent"))
+        for cap, message in cases:
             WU = lattice._augmented(W, 3, 9)[0]
             core = lattice._PlaneWU(fs, WU, 3) if planar else WU
             with pytest.raises(LatticeError, match=message):
