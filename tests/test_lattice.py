@@ -234,7 +234,7 @@ def _clashing_basis(fs, rng, r):
 
 @pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (1, 2, 3)])
 def test_clash_map_follows_the_reference_order(p, e, monkeypatch):
-    # the driver's clash map picks the (keep, red) that the full-width
+    # _reduce_packed's clash map picks the (keep, red) that the full-width
     # reference's rescan picks, on both storages, through states where
     # several pivot rows clash at once and steps that move red into a
     # row already holding two columns
