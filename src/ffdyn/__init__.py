@@ -3,10 +3,10 @@
 Subpackages by theme: ``field`` (coefficient arithmetic), ``lattice``
 (weak Popov reduction and the depth statistic), ``flow`` (diagonal flows,
 psi/rate transforms, tail tables, Borel-Cantelli experiments), ``dioph``
-(approximation solvers and the dynamical correspondence), ``weyl``
-(affine Weyl combinatorics and cusp volumes), ``tree`` (quotient-ray
-geometry and log laws), ``spherical`` (Iwasawa factorization and the
-spherical decay profile), ``cli`` (experiment driver).
+(approximation censuses and the dynamical correspondence), ``weyl``
+(dominant cocharacter counts and cusp volumes), ``tree`` (quotient-ray
+geometry and log laws), ``spherical`` (the spherical average Xi and its
+decay profile), ``cli`` (experiment driver).
 """
 
 __version__ = "0.1.0"

@@ -9,14 +9,15 @@ Three regimes for an m x n matrix A over O, all with s-power norms:
 * multiplicative regime: prod_i |v_i| <= ||v|| psi(||v||) (non-strict),
   with zero-coordinate vectors reported separately.
 
-``correspondence_check`` ties the first two to excursion times of the
-diagonal flow: every time t with Delta(g_t Lambda_A) >= ceil(r(mnt)) must
-produce a verified solution inside the predicted norm window.
+``kg_monte_carlo`` counts the admitted classes of the first regime and
+``mult_solutions`` lists the vectors of the third.  ``correspondence_check``
+ties the first two to excursion times of the diagonal flow: every time t
+with Delta(g_t Lambda_A) >= ceil(r(mnt)) must produce a verified solution
+inside the predicted norm window.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -24,37 +25,23 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CertificationError, EnumerationCapError, FieldError, PrecisionError
-from .field import FieldSpec, LaurentSeries, Poly, first_visible, poly_gcd, series_dot
+from .field import FieldSpec, LaurentSeries, Poly, first_visible, series_dot
 from .flow import (
-    DriftVector,
     FlowSpec,
     PsiFunction,
     _generic_result,
     _require_certified,
     _trajectory_generic,
     delta_trajectory,
-    flow_apply,
     psi_to_rate,
     sample_matrix,
 )
-from .lattice import (
-    LatticeBasis,
-    _series_rows,
-    _short_vector_array,
-    delta as lattice_delta,
-    weak_popov,
-)
+from .lattice import LatticeBasis, _series_rows, _short_vector_array
 from .streams import map_trials, stream
 
 _EPS = 1e-9
 
 _DEFAULT_SEARCH_CAP = 1_000_000
-
-# rows per candidate block of a unit-class search, by default
-_CANDIDATE_BLOCK = 1 << 14
-
-# codes per residual row of one candidate block
-_RESIDUAL_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +55,6 @@ def _matrix_rows(A) -> list[list[LaurentSeries]]:
     if not rows or any(len(r) != len(rows[0]) or not r for r in rows):
         raise ValueError("A must be a nonempty rectangular matrix")
     return rows
-
-
-def _poly_vector(q, n: int) -> tuple[Poly, ...]:
-    if isinstance(q, Poly):
-        qs = (q,)
-    else:
-        qs = tuple(q)
-    if len(qs) != n:
-        raise ValueError(f"q must have {n} coordinates")
-    return qs
 
 
 def _spower_exponent(x, s: int, what: str) -> int:
@@ -121,11 +98,12 @@ def _degrees(q: np.ndarray) -> np.ndarray:
     return np.where(q.any(axis=-1), last, -1)
 
 
-def _block_rows(rows, deg: int) -> int:
-    """Candidates per block of a unit-class search, so that one row of
-    their residual holds about _RESIDUAL_CELLS codes."""
-    width = deg + 1 + max(a.coeffs.size for row in rows for a in row)
-    return max(1, _RESIDUAL_CELLS // width)
+def _lead_codes(rows: np.ndarray) -> np.ndarray:
+    """Top-degree code of the first nonzero coordinate of each nonzero row
+    of an array (count, n, width) in ascending degree."""
+    at = np.arange(rows.shape[0])
+    first = rows[at, rows.any(axis=2).argmax(axis=1)]
+    return first[at, _degrees(first)]
 
 
 def _residuals(fs, rows, q: np.ndarray, split: bool = False):
@@ -164,79 +142,16 @@ def _residuals(fs, rows, q: np.ndarray, split: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# best integer approximation
-
-
-def best_integer_approx(A, q) -> tuple[tuple[Poly, ...], float]:
-    """Nearest integer vector to -Aq and the distance ||p + Aq||.
-
-    Returns (p, error) with p = -floor(Aq) componentwise and error the norm
-    of the fractional part, a float power of s (0.0 when Aq is integral).
-    Any integer vector within distance <= error of p does equally well;
-    beyond that p is the unique minimizer.  Raises PrecisionError when the
-    window of Aq cannot determine the fractional norm.
-    """
-    rows = _matrix_rows(A)
-    qs = _poly_vector(q, len(rows[0]))
-    fs = rows[0][0].field
-    if any(t.field != fs for t in qs):
-        raise FieldError("mixed fields in series arithmetic")
-    top, _, prec, p_whole = _residuals(fs, rows, _stack([qs]), split=True)
-    if (prec < 1).any():
-        raise PrecisionError("window does not reach index 0")
-    tops = top[:, 0].tolist()
-    for t, w in zip(tops, prec[:, 0].tolist()):
-        if t == -math.inf and w < math.inf:
-            raise PrecisionError(
-                f"series vanishes through index {int(w) - 1}; valuation indeterminate"
-            )
-    return tuple(Poly(fs, c[0]) for c in p_whole), max(float(fs.s) ** t for t in tops)
-
-
-# ---------------------------------------------------------------------------
 # strict admission ||p + Aq||^m < psi(||q||^n)
 #
-# The error norm is resolved from the fractional parts of the rows of Aq.
-# A row with a visible leading term pins its exponent exactly; a row that
-# vanishes through a finite window only bounds it from above.  Admission is
-# decided whenever those bounds suffice, otherwise the window is too small
-# and the caller gets the precision estimate.
+# A class q of degree d is admitted when the fractional part of Aq has no
+# nonzero coefficient before index _admission_depth(psi, m, n, d); a window
+# that ends earlier cannot decide, and the caller gets the precision estimate.
 
 
 def _admission_depth(psi: PsiFunction, m: int, n: int, q_deg: int) -> int:
     theta = _llog_ext(psi, n * q_deg)
     return max(int(math.floor(-(theta - _EPS) / m)) + 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive solution sets
-
-
-@dataclass(frozen=True)
-class ApproxSolution:
-    """One admitted pair: ||p + Aq||^m < psi(||q||^n) holds strictly."""
-
-    q: tuple[Poly, ...]
-    p: tuple[Poly, ...]
-    q_exp: int
-    err_exp: int | None
-    err_exact: bool = True
-
-    @property
-    def q_norm(self) -> float:
-        return float(self.q[0].field.s) ** self.q_exp
-
-    @property
-    def error_norm(self) -> float:
-        if self.err_exp is None:
-            return 0.0
-        return float(self.q[0].field.s) ** self.err_exp
-
-    def row(self) -> tuple[str, str, str, int]:
-        qtxt = "; ".join(str(t) for t in self.q)
-        ptxt = "; ".join(str(t) for t in self.p)
-        etxt = "-inf" if self.err_exp is None else str(self.err_exp)
-        return qtxt, ptxt, etxt, self.q_exp
 
 
 def _unit_class_count(s: int, n: int, deg: int) -> int:
@@ -251,158 +166,6 @@ def _check_class_cap(s: int, n: int, deg: int, cap: int) -> None:
         raise EnumerationCapError(
             f"{classes} candidate classes exceed the search cap {cap}"
         )
-
-
-def _lead_codes(rows: np.ndarray) -> np.ndarray:
-    """Top-degree code of the first nonzero coordinate of each nonzero row
-    of an array (count, n, width) in ascending degree."""
-    at = np.arange(rows.shape[0])
-    first = rows[at, rows.any(axis=2).argmax(axis=1)]
-    return first[at, _degrees(first)]
-
-
-def _unit_class_blocks(s: int, n: int, deg: int, cap: int, size: int = _CANDIDATE_BLOCK):
-    """All q in Z^n \\ 0 with max deg <= deg, one per unit class.
-
-    The class representative has a monic first nonzero coordinate; scalar
-    multiples by F_s^* are never listed twice.  Vectors come out in
-    increasing max-degree order, then in lexicographic order of their
-    coefficient lists, so first hits are minimal witnesses.  They are
-    yielded as int arrays (rows, n, deg + 1) of coefficient codes in
-    ascending degree, ``size`` rows each but the last.  Raises
-    EnumerationCapError, before any block is built, above ``cap`` classes.
-    """
-    _check_class_cap(s, n, deg, cap)
-    pending, held = [], 0
-    for d in range(deg + 1):
-        digits = n * (d + 1)
-        weights = s ** np.arange(digits - 1, -1, -1, dtype=np.int64)
-        total = s**digits
-        for start in range(0, total, _CANDIDATE_BLOCK):
-            flat = np.arange(start, min(start + _CANDIDATE_BLOCK, total))
-            coords = (flat[:, None] // weights % s).reshape(-1, n, d + 1)
-            keep = coords[:, :, d].any(axis=1) & (_lead_codes(coords) == 1)
-            block = np.zeros((int(keep.sum()), n, deg + 1), dtype=np.int64)
-            block[:, :, : d + 1] = coords[keep]
-            pending.append(block)
-            held += block.shape[0]
-            if held >= size:
-                rows = np.concatenate(pending)
-                cut = held - held % size
-                for at in range(0, cut, size):
-                    yield rows[at : at + size]
-                pending, held = [rows[cut:]], held - cut
-    if held:
-        yield np.concatenate(pending)
-
-
-def _primitive_key(qs: tuple[Poly, ...]) -> tuple:
-    """Coefficient key of a unit-class representative with its content
-    removed (n > 1); the gcd is monic, so the first nonzero coordinate of
-    the quotient stays monic."""
-    if len(qs) > 1:
-        g = functools.reduce(poly_gcd, qs)
-        if g.degree > 0:
-            qs = tuple(t // g for t in qs)
-    return tuple(tuple(int(c) for c in t.coeffs) for t in qs)
-
-
-@dataclass
-class KGSolutionSet:
-    """Admitted solutions up to a norm bound, one per primitive q-ray."""
-
-    m: int
-    n: int
-    s: int
-    q_max_exp: int
-    psi: str
-    solutions: list[ApproxSolution]
-    raw_count: int
-
-    def __iter__(self):
-        return iter(self.solutions)
-
-    def __len__(self) -> int:
-        return len(self.solutions)
-
-    def q_keys(self) -> set[tuple]:
-        return {
-            tuple(tuple(int(c) for c in t.coeffs) for t in sol.q)
-            for sol in self.solutions
-        }
-
-    def rows(self):
-        for sol in self.solutions:
-            yield sol.row()
-
-    def summary(self) -> dict:
-        return {
-            "psi": self.psi,
-            "m": self.m,
-            "n": self.n,
-            "s": self.s,
-            "q_max_exp": self.q_max_exp,
-            "count": len(self.solutions),
-            "raw_count": self.raw_count,
-        }
-
-
-def kg_solutions(A, psi: PsiFunction, q_max, cap: int = _DEFAULT_SEARCH_CAP):
-    """All solutions of the strict inequality with ||q|| <= q_max.
-
-    q_max must be an integer power of s.  The search is exhaustive over
-    integer vectors q of bounded degree, one representative per unit class;
-    the returned set keeps one solution per primitive q (content removed),
-    with the raw admitted-class count alongside.  Raises
-    EnumerationCapError when the candidate count exceeds ``cap``.
-    """
-    rows = _matrix_rows(A)
-    m, n = len(rows), len(rows[0])
-    fs = rows[0][0].field
-    if psi.s != fs.s:
-        raise ValueError("psi and A use different values of s")
-    deg = _spower_exponent(q_max, fs.s, "q_max")
-    if deg < 0:
-        raise ValueError("q_max must be >= 1")
-    theta = np.array([_llog_ext(psi, n * d) for d in range(deg + 1)])
-    best: dict[tuple, ApproxSolution] = {}
-    raw = 0
-    for q in _unit_class_blocks(fs.s, n, deg, cap, _block_rows(rows, deg)):
-        top, floor, prec, p_whole = _residuals(fs, rows, q, split=True)
-        q_deg = _degrees(q).max(axis=1)
-        known, floors = top.max(axis=0), floor.max(axis=0)
-        limit = theta[q_deg] - _EPS
-        admitted = m * known < limit
-        short = (prec < 1).any(axis=0)
-        failed = short | admitted & (m * floors >= limit)
-        if failed.any():
-            k = int(failed.argmax())
-            if short[k]:
-                raise PrecisionError("window does not reach index 0")
-            d = int(q_deg[k])
-            raise CertificationError(
-                "window cannot decide the admission inequality",
-                needed_precision=_admission_depth(psi, m, n, d) + d + 1,
-            )
-        for k in np.flatnonzero(admitted).tolist():
-            raw += 1
-            qs = tuple(Poly(fs, c) for c in q[k])
-            ps = tuple(Poly(fs, c[k]) for c in p_whole)
-            # a window floor above the visible term leaves the error unknown
-            exact = not floors[k] > known[k]
-            err_exp = int(known[k]) if exact and known[k] > -np.inf else None
-            sol = ApproxSolution(qs, ps, int(q_deg[k]), err_exp, exact)
-            key = _primitive_key(qs)
-            old = best.get(key)
-            if old is None or _solution_order(sol) < _solution_order(old):
-                best[key] = sol
-    sols = sorted(best.values(), key=_solution_order)
-    return KGSolutionSet(m, n, fs.s, deg, psi.describe(), sols, raw)
-
-
-def _solution_order(sol: ApproxSolution):
-    err = -math.inf if sol.err_exp is None else sol.err_exp
-    return (sol.q_exp, err, tuple(tuple(int(c) for c in t.coeffs) for t in sol.q))
 
 
 # ---------------------------------------------------------------------------
@@ -688,22 +451,12 @@ class WindowWitness:
 
 
 @dataclass(frozen=True)
-class MultWitness:
-    """Short vector extracted at one flagged drift of the full torus."""
-
-    coord_exps: tuple
-    degenerate: bool
-    window_ok: bool
-    ineq_ok: bool
-
-
-@dataclass(frozen=True)
 class CorrespondenceRow:
-    time: object
+    time: int
     delta: int
     threshold: int | None
     flagged: bool
-    witness: object | None
+    witness: WindowWitness | None
     ok: bool
     note: str = ""
 
@@ -717,7 +470,6 @@ class CorrespondenceReport:
     psi: str
     horizon: int
     rows: list[CorrespondenceRow]
-    chambers: dict | None = None
     meta: dict = dc_field(default_factory=dict)
 
     @property
@@ -758,33 +510,18 @@ class CorrespondenceReport:
 
 
 def correspondence_check(
-    target,
-    psi: PsiFunction,
-    spec: FlowSpec | None = None,
-    T: int = 64,
-    cap: int = _DEFAULT_SEARCH_CAP,
+    A, psi: PsiFunction, spec: FlowSpec, T: int = 64
 ) -> CorrespondenceReport:
     """Check the excursion-to-solution dictionary up to horizon T.
 
-    With a coefficient matrix A (spec required), every t <= T with
-    Delta(g_t Lambda_A) >= ceil(r(mnt)) must yield a vector in the window
-    ||v_top|| <= s^(-nt-R), ||v_bot|| <= s^(mt-R) satisfying the non-strict
-    inequality.  The witnesses of all flagged times are re-verified from A
-    together, one batched product per entry of A against their stacked q,
-    independently of the reduced basis that produced them.
-    With a LatticeBasis, the same check runs over the zero-sum drift box
-    ||t||_inf <= T chamber by chamber, against the multiplicative
-    inequality with the (rank-1, 1) rate transform.  Raises
-    CertificationError when any needed Delta is uncertified.
+    Every t <= T with Delta(g_t Lambda_A) >= ceil(r(mnt)) must yield a
+    vector in the window ||v_top|| <= s^(-nt-R), ||v_bot|| <= s^(mt-R)
+    satisfying the non-strict inequality.  The witnesses of all flagged
+    times are re-verified from A together, one batched product per entry
+    of A against their stacked q, independently of the reduced basis that
+    produced them.  Raises CertificationError when any needed Delta is
+    uncertified.
     """
-    if isinstance(target, LatticeBasis):
-        return _mult_correspondence(target, psi, T, cap)
-    if spec is None:
-        raise ValueError("matrix input needs a FlowSpec")
-    return _window_correspondence(target, psi, spec, T)
-
-
-def _window_correspondence(A, psi, spec, T) -> CorrespondenceReport:
     rows_A = _matrix_rows(A)
     if len(rows_A) != spec.m or len(rows_A[0]) != spec.n:
         raise ValueError(f"A must be {spec.m} x {spec.n}")
@@ -900,167 +637,3 @@ def _window_witnesses(rows_A, psi, spec, flagged) -> list[WindowWitness]:
         out.append(WindowWitness(qs, ps, b, top_f, bool(window_ok[f]), bool(ineq_ok)))
     return out
 
-
-def _mult_correspondence(basis, psi, box, cap) -> CorrespondenceReport:
-    fs = basis.field
-    if basis.rank < 2:
-        raise ValueError("multiplicative regime needs rank >= 2")
-    if psi.s != fs.s:
-        raise ValueError("psi and the basis use different values of s")
-    r = basis.rank
-    rate = psi_to_rate(psi, r - 1, 1)
-    grouped: dict[tuple, list[tuple[int, ...]]] = {}
-    for head in itertools.product(range(-box, box + 1), repeat=r - 1):
-        last = -sum(head)
-        if abs(last) > box:
-            continue
-        tvec = head + (last,)
-        if not any(tvec):
-            continue
-        # Weyl chamber = ordering pattern of the exponents; ||t||_- is a
-        # norm on each chamber, so the box is walked one chamber at a time
-        order = tuple(
-            int(i) for i in sorted(range(r), key=lambda i: (-tvec[i], i))
-        )
-        grouped.setdefault(order, []).append(tvec)
-    rows: list[CorrespondenceRow] = []
-    chambers: dict[str, dict] = {}
-    xpsi_flag = psi.x_psi_non_increasing()
-    for order in sorted(grouped):
-        label = ">".join(str(i) for i in order)
-        stats = {"checked": 0, "flagged": 0, "verified": 0}
-        for tvec in sorted(grouped[order]):
-            drift = DriftVector(tvec)
-            a = float(drift.neg_norm())
-            flowed = flow_apply(basis, drift)
-            red = weak_popov(flowed)
-            dv = lattice_delta(red)
-            if not dv.certified:
-                raise CertificationError(
-                    f"uncertified depth at drift {tvec}",
-                    needed_precision=dv.needed_precision,
-                )
-            stats["checked"] += 1
-            if a < rate.a0 - _EPS:
-                rows.append(
-                    CorrespondenceRow(
-                        tvec, dv.value, None, False, None, True, f"chamber {label}"
-                    )
-                )
-                continue
-            R = _ceil_eps(rate.r(a))
-            flagged = dv.value >= R
-            if not flagged:
-                rows.append(
-                    CorrespondenceRow(
-                        tvec, dv.value, R, False, None, True, f"chamber {label}"
-                    )
-                )
-                continue
-            stats["flagged"] += 1
-            witness = _verify_mult_witness(basis, red, psi, tvec, R)
-            ok = witness.window_ok and witness.ineq_ok
-            if ok:
-                stats["verified"] += 1
-            rows.append(
-                CorrespondenceRow(
-                    tvec, dv.value, R, True, witness, ok, f"chamber {label}"
-                )
-            )
-        chambers[label] = stats
-    return CorrespondenceReport(
-        "multiplicative",
-        fs.s,
-        psi.describe(),
-        box,
-        rows,
-        chambers=chambers,
-        meta={"rank": r, "x_psi_non_increasing": xpsi_flag},
-    )
-
-
-def _verify_mult_witness(basis, red, psi, tvec, R) -> MultWitness:
-    # coordinates of the shortest reduced column: B times its column of U
-    j = int(np.argmin(red.degrees))
-    top, _, prec, _ = _residuals(basis.field, basis.entries, red.transform[None, :, j])
-    exps: list[int | None] = []
-    for e, w in zip(top[:, 0].tolist(), prec[:, 0].tolist()):
-        if e > -math.inf:
-            exps.append(int(e))
-        elif w == math.inf:
-            exps.append(None)
-        else:
-            raise CertificationError(
-                "witness coordinate vanishes through the window",
-                needed_precision=int(w) + 1,
-            )
-    window_ok = all(e is None or e <= -ti - R for e, ti in zip(exps, tvec))
-    if None in exps:
-        # a zero coordinate makes the product vanish; the inequality holds
-        # for every positive profile
-        return MultWitness(tuple(exps), True, window_ok, True)
-    norm = max(exps)
-    ineq_ok = sum(exps) <= norm + _llog_ext(psi, norm) + _EPS
-    return MultWitness(tuple(exps), False, window_ok, ineq_ok)
-
-
-# ---------------------------------------------------------------------------
-# degenerate first-block detection
-
-
-@dataclass
-class ZeroBlockReport:
-    """Outcome of the bounded search for vectors with zero first block."""
-
-    found: bool
-    witness: tuple[Poly, ...] | None
-    searched: int
-    indeterminate: int
-    degree_bound: int
-
-    def __bool__(self) -> bool:
-        return self.found
-
-
-def zero_block_detector(
-    target,
-    spec: FlowSpec,
-    degree_bound: int = 4,
-    cap: int = _DEFAULT_SEARCH_CAP,
-) -> ZeroBlockReport:
-    """Bounded search for lattice vectors whose first m coordinates vanish.
-
-    Such a vector forces approximability for every profile (integer
-    multiples give solutions with error zero at all scales).  target is a
-    coefficient matrix A or a LatticeBasis.  Detection requires the block
-    to vanish provably; candidates that only vanish through a finite
-    window are counted as indeterminate, never as hits.
-    """
-    if isinstance(target, LatticeBasis):
-        if spec.rank != target.rank:
-            raise ValueError("spec rank does not match the basis")
-        # the block is the first m coordinates of B u
-        fs, rows, split = target.field, target.entries[: spec.m], False
-    else:
-        # the block is the fractional part of Aq
-        fs, rows, split = spec.field, _matrix_rows(target), True
-        if len(rows) != spec.m or len(rows[0]) != spec.n:
-            raise ValueError(f"A must be {spec.m} x {spec.n}")
-    n = len(rows[0])
-    searched = 0
-    indeterminate = 0
-    for q in _unit_class_blocks(fs.s, n, degree_bound, cap, _block_rows(rows, degree_bound)):
-        top, floor, prec, _ = _residuals(fs, rows, q, split=split)
-        vanished = (top == -np.inf).all(axis=0)
-        hit = vanished & (floor == -np.inf).all(axis=0)
-        stop = hit | (prec < 1).any(axis=0) if split else hit
-        if stop.any():
-            k = int(stop.argmax())
-            if not hit[k]:
-                raise PrecisionError("window does not reach index 0")
-            witness = tuple(Poly(fs, c) for c in q[k])
-            indeterminate += int(vanished[:k].sum())
-            return ZeroBlockReport(True, witness, searched + k + 1, indeterminate, degree_bound)
-        searched += q.shape[0]
-        indeterminate += int(vanished.sum())
-    return ZeroBlockReport(False, None, searched, indeterminate, degree_bound)

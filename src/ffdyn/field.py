@@ -650,30 +650,6 @@ class Poly:
         return f"Poly({self.field.p}^{self.field.e}: {self})"
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g, g the monic gcd."""
-    fs = a.field
-    r0, r1 = a, b
-    u0, u1 = Poly.one(fs), Poly.zero(fs)
-    v0, v1 = Poly.zero(fs), Poly.one(fs)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        return r0, u0, v0
-    c = fs.inv(r0.leading)
-    return r0.monic(), u0.scale(c), v0.scale(c)
-
-
 class LaurentSeries:
     """Element of F_s((1/X)) known on a coefficient window.
 

@@ -4,7 +4,7 @@ The model: A is an m x n matrix over O = F_s[[1/X]], u_A the block-unipotent
 basis [[I, A], [0, I]], and g_t = diag(X^(nt) I_m, X^(-mt) I_n) the diagonal
 flow.  The depth trajectory t -> Delta(g_t u_A Z^r) measures how well A is
 approximable; the rate transform links a decay profile psi to the linear
-drift r(a) that the trajectory must beat; and the tail table estimates
+drift r(a) that the trajectory must beat; and the tail table holds
 mu{Delta >= n} together with its geometric decay exponent.
 
 Sampling is by iid uniform coefficients to an explicit window, pushed by a
@@ -71,10 +71,6 @@ class DriftVector:
     @property
     def rank(self) -> int:
         return len(self.exponents)
-
-    def neg_norm(self) -> int:
-        """max |t_i| over the non-positive entries."""
-        return max((-t for t in self.exponents if t <= 0), default=0)
 
 
 def unipotent_lattice(A, spec: FlowSpec) -> LatticeBasis:
@@ -748,9 +744,9 @@ class KappaFit:
 
 
 class TailTable:
-    """Estimates (or exact values) of Phi(n) = mu{Delta >= n}."""
+    """Values of Phi(n) = mu{Delta >= n}, exact or estimated."""
 
-    def __init__(self, s, thresholds, values, hits=None, trials=None, exact=False):
+    def __init__(self, s, thresholds, values, exact=False):
         self.s = int(s)
         self.thresholds = tuple(int(t) for t in thresholds)
         self.values = tuple(values)
@@ -758,8 +754,6 @@ class TailTable:
             raise ValueError("tail values must be non-increasing")
         if any(v < 0 or v > 1 for v in self.values):
             raise ValueError("tail values must lie in [0, 1]")
-        self.hits = None if hits is None else tuple(int(h) for h in hits)
-        self.trials = None if trials is None else int(trials)
         self.exact = bool(exact)
 
     def phi(self, nthr: int) -> float:
@@ -768,33 +762,15 @@ class TailTable:
         except ValueError:
             raise ValueError(f"threshold {nthr} not in the table") from None
 
-    def ci(self, nthr: int, z: float = 1.96) -> tuple[float, float]:
-        """Wilson score interval for the hit fraction."""
-        if self.exact or self.hits is None:
-            v = self.phi(nthr)
-            return v, v
-        i = self.thresholds.index(nthr)
-        nt = self.trials
-        phat = self.hits[i] / nt
-        denom = 1 + z * z / nt
-        center = (phat + z * z / (2 * nt)) / denom
-        half = z * math.sqrt(phat * (1 - phat) / nt + z * z / (4 * nt * nt)) / denom
-        return max(center - half, 0.0), min(center + half, 1.0)
-
-    def kappa_fit(self, min_hits: int = 50) -> KappaFit:
+    def kappa_fit(self) -> KappaFit:
         """Least-squares fit of log_s Phi(n) = log_s C - kappa n over the
-        populated thresholds n >= 1 (at least min_hits sample hits each)."""
+        thresholds n >= 1 with Phi(n) > 0."""
         xs, ys = [], []
-        for i, nthr in enumerate(self.thresholds):
-            if nthr < 1:
-                continue
-            v = float(self.values[i])
-            if v <= 0:
-                continue
-            if not self.exact and self.hits is not None and self.hits[i] < min_hits:
+        for nthr, v in zip(self.thresholds, self.values):
+            if nthr < 1 or v <= 0:
                 continue
             xs.append(float(nthr))
-            ys.append(math.log(v) / math.log(self.s))
+            ys.append(math.log(float(v)) / math.log(self.s))
         if len(xs) < 2:
             raise ValueError("not enough populated thresholds for a fit")
         slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
@@ -811,9 +787,6 @@ class TailTable:
             "phi": [float(v) for v in self.values],
             "exact": self.exact,
         }
-        if self.hits is not None:
-            out["hits"] = list(self.hits)
-            out["trials"] = self.trials
         try:
             fit = self.kappa_fit()
             out["kappa_fit"] = {"kappa": fit.kappa, "prefactor": fit.prefactor}
@@ -855,31 +828,6 @@ def sample_matrix(
     return out
 
 
-def tail_distribution(
-    spec: FlowSpec,
-    trials: int,
-    seed: int,
-    burn_in: int = DEFAULT_BURN_IN,
-    precision: int | None = None,
-    thresholds=None,
-    tag: str = "tail",
-) -> TailTable:
-    """Empirical tail of Delta(g_burn u_A Z^r) over iid uniform A."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    fs = spec.field
-    if precision is None:
-        precision = 2 * spec.rank * burn_in + 64
-    at_burn_in = np.zeros(1, dtype=np.int64)
-    rows = [_trial_row(spec, seed, tag, k, precision, burn_in, at_burn_in) for k in range(trials)]
-    deltas = np.concatenate(rows)
-    if thresholds is None:
-        thresholds = list(range(0, int(deltas.max(initial=0)) + 2))
-    hits = [int((deltas >= nthr).sum()) for nthr in thresholds]
-    values = [h / trials for h in hits]
-    return TailTable(fs.s, thresholds, values, hits=hits, trials=trials)
-
-
 def _trial_depths(
     spec: FlowSpec, rng, precision: int, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
@@ -908,9 +856,8 @@ def _trial_row(spec, seed, tag, trial: int, precision: int, burn_in: int, ts) ->
     deltas, certified, needed = _trial_depths(spec, stream(seed, tag, trial), precision, burn_in + ts)
     if not certified.all():
         t = int(ts[np.argmin(certified)])
-        at = f"t = {t}" if t else "burn-in"
         raise CertificationError(
-            f"trial {trial} uncertified at {at}; raise the precision to at least {needed}",
+            f"trial {trial} uncertified at t = {t}; raise the precision to at least {needed}",
             needed_precision=needed,
         )
     return deltas
@@ -1061,114 +1008,4 @@ def strong_bc_experiment(
         expected=expected_full[cps - 1],
         counts=counts,
         divergent=bool(expected_full[-1] >= DIVERGENCE_FLOOR),
-    )
-
-
-# ---------------------------------------------------------------------------
-# quasi-independence diagnostics
-
-
-@dataclass
-class DiagnosticsReport:
-    """Windowed second-moment diagnostics for the event sums S_(M,N).
-
-    c_estimate is the constant in E[S^2] <= (E S)^2 + C E[S] observed over
-    the checkpoints; covariance_excess subtracts the pure-Bernoulli variance,
-    so values near zero indicate quasi-independent events.
-    """
-
-    start: int
-    trials: int
-    checkpoints: np.ndarray
-    sums: np.ndarray
-    expectations: np.ndarray
-    variances: np.ndarray
-    covariance_excess: np.ndarray
-    c_estimate: float
-    ed_sums: dict[float, float]
-    notes: str = ""
-
-    def summary(self) -> dict:
-        return {
-            "start": self.start,
-            "trials": self.trials,
-            "c_estimate": self.c_estimate,
-            "ed_sums": {str(b): v for b, v in self.ed_sums.items()},
-            "notes": self.notes,
-        }
-
-
-def ed_pair_sum(spec: FlowSpec, beta: float, window: int = 64) -> float:
-    """sum over t of ||g_t g_u^(-1)||^(-beta), norms taken from the matrices.
-
-    The summand depends only on tau = t - u, so the sup over u is the full
-    two-sided sum; the finite window is completed with the exact geometric
-    tails.  The diagonal term contributes 1.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    fs = spec.field
-    ident = LatticeBasis.identity(fs, spec.rank)
-    total = 1.0
-    for tau in range(1, window + 1):
-        for sgn in (tau, -tau):
-            gb = flow_apply(ident, sgn, spec)
-            norm = max(
-                e.abs_value() for row in gb.entries for e in row if e.coeffs.size
-            )
-            total += norm**-beta
-    qn = float(fs.s) ** (-beta * spec.n)
-    qm = float(fs.s) ** (-beta * spec.m)
-    tail = qn ** (window + 1) / (1 - qn) + qm ** (window + 1) / (1 - qm)
-    return total + tail
-
-
-def quasi_independence_report(
-    spec: FlowSpec,
-    thresholds,
-    trials: int,
-    seed: int,
-    window: tuple[int, int] | None = None,
-    burn_in: int = DEFAULT_BURN_IN,
-    precision: int | None = None,
-    phi_table: TailTable | None = None,
-    checkpoints: int = 24,
-    betas=(0.25, 0.5, 1.0),
-    tag: str = "quasi",
-) -> DiagnosticsReport:
-    """Monte-Carlo pair-correlation diagnostics for the depth events."""
-    thr, phis = _ladder_phis(spec, thresholds, phi_table)
-    T = int(thr.size)
-    lo, hi = window if window is not None else (1, T)
-    if not (1 <= lo <= hi <= T):
-        raise ValueError("window must satisfy 1 <= M <= N <= T")
-    events = _event_matrix(spec, thr, trials, seed, burn_in, precision, tag)
-    cum = np.cumsum(events, axis=1, dtype=np.int64)
-    base = cum[:, lo - 2] if lo >= 2 else np.zeros(trials, dtype=np.int64)
-    cps = lo - 1 + _geometric_checkpoints(hi - lo + 1, checkpoints)
-    S = cum[:, cps - 1] - base[:, None]
-    mean = S.mean(axis=0)
-    mean_sq = (S.astype(float) ** 2).mean(axis=0)
-    var = mean_sq - mean**2
-    expectations = np.array([phis[lo - 1 : c].sum() for c in cps])
-    bernoulli = np.array(
-        [(phis[lo - 1 : c] * (1 - phis[lo - 1 : c])).sum() for c in cps]
-    )
-    excess = var - bernoulli
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cvals = np.where(expectations > 0, var / expectations, np.nan)
-    valid = cvals[~np.isnan(cvals)]
-    c_est = float(valid.max()) if valid.size else float("nan")
-    eds = {float(b): ed_pair_sum(spec, float(b)) for b in betas}
-    return DiagnosticsReport(
-        start=lo,
-        trials=trials,
-        checkpoints=cps,
-        sums=mean,
-        expectations=expectations,
-        variances=var,
-        covariance_excess=excess,
-        c_estimate=c_est,
-        ed_sums=eds,
-        notes="pair sums include the diagonal; norms computed from flow matrices",
     )

@@ -1,19 +1,19 @@
-"""Iwasawa factorization in SL2 of the Laurent field and the spherical
-decay profile.
+"""The spherical decay profile in SL2 of the Laurent field.
 
 Everything here lives on G = SL2(F_s((1/X))) with maximal compact
-K = SL2(O), O = F_s[[1/X]].  The module factors group elements through
-the upper-triangular subgroup (``iwasawa``), evaluates the modular
-character of that subgroup (``modular_delta_b``), and averages its
-inverse square root over K to produce the bi-invariant matrix
+K = SL2(O), O = F_s[[1/X]].  The module averages over K the inverse
+square root of the modular character Delta_B(diag(u, 1/u)) = |u|^2 of
+the upper-triangular subgroup B, giving the bi-invariant matrix
 coefficient
 
     Xi(g) = integral over K of Delta_B(p(g k))^(-1/2) dk,
 
-where p projects onto the triangular part along G = K*B.  Concretely
-the B-part of g k has diagonal (u, 1/u) with |u| = ||(g k) e_1||, since
-the first column of a determinant-one matrix over O has norm one, so
-the integrand is the reciprocal norm of the first column of g k.
+where p projects onto the triangular part along the Iwasawa
+decomposition G = K*B.  Concretely the B-part of g k has diagonal
+(u, 1/u) with |u| = ||(g k) e_1||, since the first column of a
+determinant-one matrix over O has norm one, so the integrand is the
+reciprocal norm of the first column of g k and no factorization is
+computed.
 
 Two backends evaluate the average.  The exact one sums the integrand
 over congruence classes of K at level N (classes of the first column
@@ -70,12 +70,6 @@ def as_matrix(g: Sequence[Sequence[LaurentSeries]]) -> Matrix:
     return rows
 
 
-def identity2(fs: FieldSpec) -> Matrix:
-    one = LaurentSeries.one(fs)
-    zero = LaurentSeries.zero(fs)
-    return ((one, zero), (zero, one))
-
-
 def torus_element(fs: FieldSpec, t: int) -> Matrix:
     """diag(X^t, X^-t), the standard diagonal one-parameter subgroup."""
     zero = LaurentSeries.zero(fs)
@@ -85,23 +79,8 @@ def torus_element(fs: FieldSpec, t: int) -> Matrix:
     )
 
 
-def matmul2(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2))
-        for i in range(2)
-    )
-
-
 def det2(g: Matrix) -> LaurentSeries:
     return g[0][0] * g[1][1] - g[0][1] * g[1][0]
-
-
-def mat_inverse2(g: Matrix) -> Matrix:
-    """Inverse of a determinant-one 2x2 matrix (the adjugate)."""
-    return (
-        (g[1][1], -g[0][1]),
-        (-g[1][0], g[0][0]),
-    )
 
 
 def _require_det_one(g: Matrix) -> None:
@@ -111,182 +90,6 @@ def _require_det_one(g: Matrix) -> None:
         raise ValueError("matrix determinant is not 1")
     if ok is None:
         raise PrecisionError("determinant indeterminate at this window")
-
-
-def _in_o(entry: LaurentSeries) -> bool:
-    """Whether the window certifies membership in O (no index < 0 terms)."""
-    if entry.coeffs.size:
-        return entry.v >= 0
-    return True
-
-
-# -- Iwasawa factorization ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IwasawaFactors:
-    """g = b * kappa with b upper triangular and kappa in SL2(O).
-
-    ``diag_valuations`` are the series valuations of the diagonal of b
-    (coefficient index of the leading term; diag(X^t, X^-t) has
-    valuations (-t, t)).  Equalities hold exactly on the declared
-    coefficient windows.
-    """
-
-    b: Matrix
-    kappa: Matrix
-    diag_valuations: tuple[int, int]
-
-
-def _norm_exponent_bound(entry: LaurentSeries) -> int | None:
-    """Valuation when visible, else None (window exhausted)."""
-    if entry.has_leading_term:
-        return entry.v
-    return None
-
-
-def _compare_bottom(c: LaurentSeries, d: LaurentSeries) -> bool:
-    """True when |c| <= |d| is certified, False when |d| <= |c| is.
-
-    False is strict (|c| > |d|) except when d vanishes through its window
-    and c's leading index is d.prec; either way |c| <= |d| holds once the
-    columns are swapped, which is all the pivot needs.
-
-    Raises PrecisionError when the windows cannot decide, FieldError
-    when the bottom row is identically zero.
-    """
-    vc = _norm_exponent_bound(c)
-    vd = _norm_exponent_bound(d)
-    if vc is not None and vd is not None:
-        return vc >= vd
-    if vc is None:
-        if c.is_exact_zero:
-            if vd is None and not d.is_exact_zero:
-                raise PrecisionError("|d| indeterminate against a zero entry")
-            if d.is_exact_zero:
-                raise FieldError("bottom row is zero; matrix is singular")
-            return True
-        # |c| <= s^-prec; decidable when d's leading term is at least as large
-        if vd is not None and vd <= c.prec:
-            return True
-        raise PrecisionError("cannot compare |c| and |d| at this window")
-    # vd is None, vc known
-    if d.is_exact_zero or (d.prec is not None and vc <= d.prec):
-        return False
-    raise PrecisionError("cannot compare |c| and |d| at this window")
-
-
-def _unit_part(entry: LaurentSeries) -> tuple[int, LaurentSeries]:
-    """Split entry = X^-v * u with u a unit of O (valuation and unit)."""
-    v = entry.valuation()
-    return v, entry.shift(v)
-
-
-def iwasawa(g: Sequence[Sequence[LaurentSeries]], prec: int | None = None) -> IwasawaFactors:
-    """Factor g = b * kappa by ultrametric column operations.
-
-    The bottom row (c, d) decides the pivot: when |c| <= |d| an O-multiple
-    of the second column clears c; otherwise the columns are swapped first.
-    kappa starts as the inverse of those operations: the swap sets it to
-    [[0, 1], [-1, 0]], and clearing c by t = c/d then sets it to
-    [[1, 0], [t, 1]] kappa.
-    Units on the diagonal of b, and the part of its corner entry divisible
-    by the leading diagonal monomial, are folded into kappa whenever the
-    needed inverses are representable, so b is normalized towards
-    [[X^a, beta], [0, X^-a]] with beta reduced mod X^a * O.
-
-    ``prec`` truncates the input entries first; exact inputs whose
-    divisions would produce infinite tails raise PrecisionError asking
-    for it.  A matrix already in SL2(O) short-circuits to (identity, g).
-    """
-    g = as_matrix(g)
-    fs = g[0][0].field
-    # Validate the determinant before truncation; windowed inputs whose
-    # windows cannot certify det = 1 are admitted (they cannot refute it).
-    ok = det2(g).equals(LaurentSeries.one(fs))
-    if ok is False:
-        raise ValueError("matrix determinant is not 1")
-    if prec is not None:
-        g = tuple(tuple(e.truncate(prec) for e in row) for row in g)
-
-    if all(_in_o(e) for row in g for e in row):
-        return IwasawaFactors(b=identity2(fs), kappa=g, diag_valuations=(0, 0))
-
-    # column operations take (a, b; c, d) to b; kappa is their inverse
-    (a, b), (c, d) = g
-    one, zero = LaurentSeries.one(fs), LaurentSeries.zero(fs)
-    kappa = identity2(fs)
-    if not _compare_bottom(c, d):
-        # column swap with determinant 1: (col1, col2) -> (col2, -col1)
-        neg_one = LaurentSeries(fs, 0, [fs.neg(1)])
-        a, b, c, d = b, a * neg_one, d, c * neg_one
-        kappa = ((zero, one), (neg_one, zero))
-    if not c.is_exact_zero:
-        try:
-            t = c / d
-        except PrecisionError as exc:
-            raise PrecisionError(
-                "clearing the bottom row needs an infinite expansion; "
-                "pass an explicit working precision"
-            ) from exc
-        neg_t = -t
-        a, c = a + neg_t * b, c + neg_t * d
-        kappa = matmul2(((one, zero), (t, one)), kappa)
-
-    b11, b12, b22, residual = a, b, d, c
-    if residual.has_leading_term:
-        raise RuntimeError("column operations failed to clear the bottom row")
-
-    # Normalize: fold diagonal units and the O-divisible part of the corner
-    # into kappa.  Needs the unit inverses; exact non-constant units would
-    # produce infinite tails, in which case b is returned unnormalized.
-    try:
-        v1, u1 = _unit_part(b11)
-        v2, u2 = _unit_part(b22)
-        if u1.is_exact and u1.coeffs.size > 1:
-            raise PrecisionError("exact non-constant unit")
-        if u2.is_exact and u2.coeffs.size > 1:
-            raise PrecisionError("exact non-constant unit")
-        u1_inv = u1.invert()
-        u2_inv = u2.invert()
-    except PrecisionError:
-        if not (b11.has_leading_term and b22.has_leading_term):
-            raise PrecisionError(
-                "diagonal valuations indeterminate; increase the working precision"
-            ) from None
-        b = ((b11, b12), (residual, b22))
-        return IwasawaFactors(
-            b=b, kappa=kappa, diag_valuations=(b11.valuation(), b22.valuation())
-        )
-
-    d1 = LaurentSeries.x_power(fs, -v1)
-    d2 = LaurentSeries.x_power(fs, -v2)
-    beta = b12 * u2_inv
-    # beta mod d1*O: coefficients at index >= v1 belong to d1 * O.
-    head_len = max(min(v1 - beta.v, beta.coeffs.size), 0) if beta.coeffs.size else 0
-    head = LaurentSeries(fs, beta.v, beta.coeffs[:head_len], beta.prec)
-    tail = beta - head
-    tau = tail.shift(v1)  # tail / d1, a shift since d1 is a monomial
-    kappa = matmul2(((one, tau), (zero, one)), matmul2(((u1, zero), (zero, u2)), kappa))
-    b = ((d1, head), (residual, d2))
-    for row in kappa:
-        for entry in row:
-            if entry.has_leading_term and entry.v < 0:
-                raise RuntimeError("kappa left O during normalization")
-    return IwasawaFactors(b=b, kappa=kappa, diag_valuations=(v1, v2))
-
-
-def modular_delta_b(u: LaurentSeries) -> float:
-    """Modular character of the triangular subgroup at diag(u, 1/u).
-
-    One positive root with multiplicity one, character u^2, so the value
-    is |u|^2.
-    """
-    if not u.has_leading_term:
-        if u.is_exact_zero:
-            raise FieldError("diagonal entry is zero")
-        raise PrecisionError("diagonal entry indeterminate at this window")
-    return float(u.field.s) ** (-2 * u.valuation())
 
 
 # -- exact backend ------------------------------------------------------------
@@ -606,20 +409,6 @@ def xi_monte_carlo(
     return XiMonteCarlo(
         value=value, stderr=stderr, samples=samples, precision=precision, seed=seed
     )
-
-
-def xi_evaluate(
-    g: Sequence[Sequence[LaurentSeries]],
-    depth_cap: int = 48,
-    samples: int | None = None,
-    seed: int = 0,
-    precision: int | None = None,
-) -> XiExact | XiMonteCarlo:
-    """Xi(g) by the certified class sum, or Monte Carlo when ``samples``
-    is given."""
-    if samples is None:
-        return xi_exact(g, depth_cap=depth_cap)
-    return xi_monte_carlo(g, samples=samples, seed=seed, precision=precision)
 
 
 # -- decay profile ------------------------------------------------------------

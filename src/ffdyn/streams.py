@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+# The ids are spawn keys, so artifacts depend on them: never renumber one
+# (8 and 9 are free).
 _TAG_IDS = {
     "delta-flow": 0,
     "kg-mc": 1,
@@ -21,8 +23,6 @@ _TAG_IDS = {
     "tree-loglaw": 5,
     "xi-decay": 6,
     "reduce": 7,
-    "tail": 8,
-    "quasi": 9,
     "xi-mc": 10,
     "k-sample": 11,
     "test": 12,

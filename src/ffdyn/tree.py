@@ -139,23 +139,6 @@ def quotient_ray(q: int, j_max: int = 12, verify_depth: int = 1) -> QuotientRay:
 # geodesic simulation
 
 
-@dataclass(frozen=True)
-class GeodesicTrace:
-    """Projected levels d_t of a non-backtracking walk, t = 1..T."""
-
-    q: int
-    seed: int
-    levels: np.ndarray
-
-    @property
-    def max_level(self) -> int:
-        return int(self.levels.max())
-
-    def rows(self):
-        for t, lev in enumerate(self.levels, start=1):
-            yield (t, int(lev))
-
-
 def _climb_probability(ray: QuotientRay) -> float:
     """P(move up) at a vertex v_j, j >= 1, entered from below.
 
@@ -223,14 +206,6 @@ def _trace_levels(ray: QuotientRay, T: int, rng) -> np.ndarray:
     return _levels(*_excursions(ray, T, rng), T)
 
 
-def simulate_geodesic(ray: QuotientRay, T: int, seed: int) -> GeodesicTrace:
-    """Project a uniform non-backtracking walk to the ray for T steps."""
-    if T < 1:
-        raise ValueError("T must be positive")
-    rng = stream(seed, "tree-loglaw", 0)
-    return GeodesicTrace(ray.q, seed, _trace_levels(ray, T, rng))
-
-
 def excursion_tail_rate(maxima: np.ndarray, min_count: int = 100):
     """Geometric decay rate fitted to P(peak >= r); None if too few peaks."""
     return _tail_rate(np.bincount(maxima), min_count)
@@ -252,18 +227,6 @@ def _tail_rate(counts: np.ndarray, min_count: int = 100):
         return None
     slope = np.polyfit(rs, logs, 1)[0]
     return float(math.exp(slope))
-
-
-def occupation_distance(ray: QuotientRay, T: int, seed: int) -> float:
-    """Total-variation distance between the empirical level occupation of
-    one long walk and the exact ray masses."""
-    levels = _trace_levels(ray, T, stream(seed, "tree-loglaw", 0))
-    counts = np.bincount(levels)
-    tv = 0.0
-    for j, c in enumerate(counts):
-        tv += abs(c / T - float(ray.mass(j)))
-    tv += float(ray.tail_mass(len(counts)))
-    return 0.5 * tv
 
 
 # ---------------------------------------------------------------------------

@@ -11,30 +11,22 @@ ffdyn, so agreement between these and the package is a real cross-check,
 not a tautology.  The exceptions read package code, so each checks
 only what it does not share with the package:
 
-* ``residual_rows``, ``strict_admission``, ``kg_solutions_reference``
-  and ``best_integer_approx_reference`` form each candidate's residual by
-  the package's series arithmetic and reuse its psi extension, class cap,
-  content removal and solution order, so they check the block residual
-  and admission of ``kg_solutions`` and ``best_integer_approx``;
-* ``slow_trial`` evaluates each kg candidate the same way, so it checks
+* ``slow_trial`` evaluates each kg candidate's residual by the package's
+  series arithmetic (``residual_rows``) and admits it with the package's
+  psi extension and admission depth (``strict_admission``), so it checks
   the kg rank count's admitted classes, not the admission rule;
 * ``hankel_trial``, the batched Hankel walk that the rank count
-  replaced, reads the package's unit-class blocks, field kernels and
-  admission rule, so it checks the rank count on inputs too large for
-  ``slow_trial``;
-* ``zero_block_reference`` walks the unit classes one at a time through
-  the package's series arithmetic, so it checks the block walk and the
-  hit and indeterminate bookkeeping of ``zero_block_detector``;
+  replaced, reads the package's field kernels and admission rule, so it
+  checks the rank count on inputs too large for ``slow_trial``;
 * ``mult_solutions_reference`` reads the package's series walk
   ``enumerate_short_vectors`` one vector at a time, so it checks the
   monic build and the array classification of ``mult_solutions``;
 * ``xi_exact_reference`` walks the congruence classes on the package's
   field arithmetic and buffer layout, so it checks the class counting of
   ``xi_exact``;
-* ``verify_window_witness`` and ``verify_mult_witness`` recompute one
-  flagged witness's residual through the package's series arithmetic, so
-  they check the batched residuals and window bookkeeping of
-  ``correspondence_check``.
+* ``verify_window_witness`` recomputes one flagged witness's residual
+  through the package's series arithmetic, so it checks the batched
+  residuals and window bookkeeping of ``correspondence_check``.
 """
 
 from __future__ import annotations
@@ -90,16 +82,6 @@ def pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
             for j in range(len(b)):
                 rem[k - len(b) + 1 + j] = (rem[k - len(b) + 1 + j] - f * b[j]) % p
     return ptrim(q), ptrim(rem[: len(b) - 1])
-
-
-def pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = ptrim(a), ptrim(b)
-    while b:
-        a, b = b, pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -432,42 +414,17 @@ def rate_bisection(llog, a: float, m: int, n: int, u0: float, tol: float = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Affine Weyl length by counting separating hyperplanes, exact Fractions.
-# Type A_r inside the sum-zero subspace of Q^(r+1); w is a permutation of
-# 0..r acting by (w x)_i = x_{w^{-1}(i)}; the translation lattice is the
-# sum-zero integer vectors.  Element t_lam w maps x to w x + lam.
+# Dominant cocharacters of type A_r by literal enumeration.
 
 
-def affine_length_oracle(lam: tuple[int, ...], w: tuple[int, ...]) -> int:
-    rp1 = len(lam)
-    assert sum(lam) == 0
-    base = [Fraction(rp1 - 1 - i, rp1) for i in range(rp1)]
-    winv = [0] * rp1
-    for i, wi in enumerate(w):
-        winv[wi] = i
-    moved = [base[winv[i]] + lam[i] for i in range(rp1)]
-    total = 0
-    for i in range(rp1):
-        for j in range(i + 1, rp1):
-            x = base[i] - base[j]
-            y = moved[i] - moved[j]
-            lo, hi = min(x, y), max(x, y)
-            # integers strictly between lo and hi
-            count = math.ceil(hi) - math.floor(lo) - 1
-            if lo.denominator == 1 or hi.denominator == 1:
-                raise AssertionError("alcove point landed on a wall")
-            total += max(count, 0)
-    return total
-
-
-def dominant_count_oracle(rank: int, ell: int) -> int:
+def dominant_vectors_oracle(rank: int, ell: int) -> list[tuple[int, ...]]:
     """Dominant sum-zero integer vectors with sum_{i<j}(lam_i - lam_j) = ell.
 
     Literal enumeration over a safe coordinate box; for pairing value ell all
     coordinates satisfy |lam_i| <= ell.
     """
     rp1 = rank + 1
-    count = 0
+    found = []
     rng = range(-ell, ell + 1)
     for lam in itertools.product(rng, repeat=rp1):
         if sum(lam) != 0:
@@ -476,8 +433,8 @@ def dominant_count_oracle(rank: int, ell: int) -> int:
             continue
         pairing = sum(lam[i] - lam[j] for i in range(rp1) for j in range(i + 1, rp1))
         if pairing == ell:
-            count += 1
-    return count
+            found.append(lam)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +716,13 @@ def excursion_tail_rate(peaks: list[int], min_count: int = 100) -> float | None:
 # bookkeeping of windows is redone here.
 
 
+def matmul2(a, b):
+    """The product of two 2x2 tuples of ring elements."""
+    return tuple(
+        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)) for i in range(2)
+    )
+
+
 def first_column_norm_exponent(g, k) -> int | None:
     """Valuation of (g k) e_1; None when the windows cannot certify it."""
     col = (k[0][0], k[1][0])
@@ -859,110 +823,42 @@ def vector_exponents(vec) -> int:
 
 
 def residual_rows(rows, qs):
-    """(p, fractional parts) of the rows of Aq for one candidate q, by
-    series arithmetic: p is minus the whole part of each row."""
+    """The fractional parts of the rows of Aq for one candidate q, by
+    series arithmetic."""
     from ffdyn.field import LaurentSeries
 
     fs = rows[0][0].field
     qseries = [LaurentSeries.from_poly(t) for t in qs]
-    ps = []
     fracs = []
     for row in rows:
         w = LaurentSeries.zero(fs)
         for a, t in zip(row, qseries):
             w = w + a * t
-        whole, frac = w.polynomial_part()
-        ps.append(-whole)
-        fracs.append(frac)
-    return tuple(ps), fracs
+        fracs.append(w.polynomial_part()[1])
+    return fracs
 
 
-def strict_admission(psi, m, n, q_deg, fracs):
-    """Decide ||p + Aq||^m < psi(||q||^n) from the fractional parts;
-    returns (admitted, err_exp, exact).
+def strict_admission(psi, m, n, q_deg, fracs) -> bool:
+    """Decide ||p + Aq||^m < psi(||q||^n) from the fractional parts.
 
     A row with a visible leading term pins its exponent; one that vanishes
-    through a finite window only bounds it from above.  err_exp is log_s
-    of the error norm, or None when the error is zero or confined below
-    every stored index (then exact=False unless provably 0).
+    through a finite window only bounds it from above, and a bound that
+    cannot decide raises CertificationError.
     """
     from ffdyn.dioph import _EPS, _admission_depth, _llog_ext
     from ffdyn.errors import CertificationError
 
     theta = _llog_ext(psi, n * q_deg)
-    known: list[int] = []
-    floors: list[int] = []
-    for frac in fracs:
-        if frac.has_leading_term:
-            known.append(-int(frac.valuation()))
-        elif frac.prec is not None:
-            floors.append(-int(frac.prec))
-    e_known = max(known) if known else None
-    if e_known is not None and m * e_known >= theta - _EPS:
-        return False, e_known, True
-    undecided = [f for f in floors if m * f >= theta - _EPS]
-    if undecided:
+    known = [-int(frac.valuation()) for frac in fracs if frac.has_leading_term]
+    if known and m * max(known) >= theta - _EPS:
+        return False
+    floors = [-int(f.prec) for f in fracs if not f.has_leading_term and f.prec is not None]
+    if any(m * f >= theta - _EPS for f in floors):
         raise CertificationError(
             "window cannot decide the admission inequality",
             needed_precision=_admission_depth(psi, m, n, q_deg) + q_deg + 1,
         )
-    if e_known is None:
-        return True, None, not floors
-    if floors and e_known < max(floors):
-        return True, None, False
-    return True, e_known, True
-
-
-def best_integer_approx_reference(A, qs):
-    """``best_integer_approx`` by ``residual_rows``: p and the largest
-    norm of a fractional part."""
-    from ffdyn.dioph import _matrix_rows
-
-    ps, fracs = residual_rows(_matrix_rows(A), qs)
-    return ps, max((frac.abs_value() for frac in fracs), default=0.0)
-
-
-def kg_solutions_reference(A, psi, q_max, cap: int = 1_000_000):
-    """``kg_solutions`` one unit class at a time: each candidate's residual
-    by ``residual_rows``, admitted by ``strict_admission``, in the walk
-    order of ``unit_normalized_vectors``."""
-    from ffdyn.dioph import (
-        ApproxSolution,
-        KGSolutionSet,
-        _check_class_cap,
-        _matrix_rows,
-        _primitive_key,
-        _solution_order,
-        _spower_exponent,
-    )
-    from ffdyn.field import Poly
-
-    rows = _matrix_rows(A)
-    m, n = len(rows), len(rows[0])
-    fs = rows[0][0].field
-    if psi.s != fs.s:
-        raise ValueError("psi and A use different values of s")
-    deg = _spower_exponent(q_max, fs.s, "q_max")
-    if deg < 0:
-        raise ValueError("q_max must be >= 1")
-    _check_class_cap(fs.s, n, deg, cap)
-    best = {}
-    raw = 0
-    for coords in unit_normalized_vectors(fs.s, n, deg):
-        qs = tuple(Poly(fs, list(c)) for c in coords)
-        ps, fracs = residual_rows(rows, qs)
-        q_deg = vector_exponents(qs)
-        admitted, err_exp, exact = strict_admission(psi, m, n, q_deg, fracs)
-        if not admitted:
-            continue
-        raw += 1
-        sol = ApproxSolution(qs, ps, q_deg, err_exp, exact)
-        key = _primitive_key(qs)
-        old = best.get(key)
-        if old is None or _solution_order(sol) < _solution_order(old):
-            best[key] = sol
-    sols = sorted(best.values(), key=_solution_order)
-    return KGSolutionSet(m, n, fs.s, deg, psi.describe(), sols, raw)
+    return True
 
 
 def slow_trial(rows, psi, m, n, horizon, rungs):
@@ -975,14 +871,46 @@ def slow_trial(rows, psi, m, n, horizon, rungs):
     top = -1
     for coords in unit_normalized_vectors(fs.s, n, horizon):
         qs = tuple(Poly(fs, list(c)) for c in coords)
-        _, fracs = residual_rows(rows, qs)
         q_deg = vector_exponents(qs)
-        admitted, _, _ = strict_admission(psi, m, n, q_deg, fracs)
-        if admitted:
+        if strict_admission(psi, m, n, q_deg, residual_rows(rows, qs)):
             count += 1
             top = max(top, q_deg)
     passes = tuple(top >= h for h in rungs)
     return count, passes
+
+
+CANDIDATE_BLOCK = 1 << 14
+
+
+def unit_class_blocks(s: int, n: int, deg: int, size: int = CANDIDATE_BLOCK):
+    """The classes of ``unit_normalized_vectors`` in the same order, as int
+    arrays (rows, n, deg + 1) of coefficient codes in ascending degree,
+    ``size`` rows each but the last."""
+    pending, held = [], 0
+    for d in range(deg + 1):
+        digits = n * (d + 1)
+        weights = s ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+        total = s**digits
+        for start in range(0, total, CANDIDATE_BLOCK):
+            flat = np.arange(start, min(start + CANDIDATE_BLOCK, total))
+            coords = (flat[:, None] // weights % s).reshape(-1, n, d + 1)
+            # the top code of the first nonzero coordinate must be 1
+            idx = np.arange(coords.shape[0])
+            first = coords[idx, coords.any(axis=2).argmax(axis=1)]
+            lead = first[idx, d - (first[:, ::-1] != 0).argmax(axis=1)]
+            keep = coords[:, :, d].any(axis=1) & (lead == 1)
+            block = np.zeros((int(keep.sum()), n, deg + 1), dtype=np.int64)
+            block[:, :, : d + 1] = coords[keep]
+            pending.append(block)
+            held += block.shape[0]
+            if held >= size:
+                rows = np.concatenate(pending)
+                cut = held - held % size
+                for at in range(0, cut, size):
+                    yield rows[at : at + size]
+                pending, held = [rows[cut:]], held - cut
+    if held:
+        yield np.concatenate(pending)
 
 
 def hankel_trial(rows, psi, m, n, horizon, rungs):
@@ -995,11 +923,11 @@ def hankel_trial(rows, psi, m, n, horizon, rungs):
     candidate q at once.  The window depth U is chosen so an all-zero
     column certifies admission outright.
     """
-    from ffdyn.dioph import _DEFAULT_SEARCH_CAP, _EPS, _llog_ext, _unit_class_blocks
+    from ffdyn.dioph import _EPS, _llog_ext
 
     fs = rows[0][0].field
     blocks = []
-    for q in _unit_class_blocks(fs.s, n, horizon, _DEFAULT_SEARCH_CAP):
+    for q in unit_class_blocks(fs.s, n, horizon):
         degrees = horizon - q.any(axis=1)[:, ::-1].argmax(axis=1)
         blocks.append((q.reshape(q.shape[0], -1), degrees))
     theta = np.array(
@@ -1036,38 +964,6 @@ def hankel_trial(rows, psi, m, n, horizon, rungs):
         if admitted.any():
             top = max(top, int(qdegs[admitted].max()))
     return count, tuple(top >= h for h in rungs)
-
-
-def zero_block_reference(target, m, degree_bound):
-    """(found, witness, searched, indeterminate) of the zero-block search,
-    one unit class at a time through series products.
-
-    ``target`` is an m x n matrix of series, whose block is the fractional
-    part of each row of Aq, or a basis with ``entries``, whose block is the
-    first m coordinates of the lattice vector.  A class whose block is
-    exactly zero is a hit; one whose block only vanishes through the window
-    is indeterminate.
-    """
-    from ffdyn.field import LaurentSeries, Poly
-
-    lattice = hasattr(target, "entries")
-    rows = target.entries[:m] if lattice else target
-    fs = rows[0][0].field
-    searched = indeterminate = 0
-    for coords in unit_normalized_vectors(fs.s, len(rows[0]), degree_bound):
-        qs = tuple(Poly(fs, list(c)) for c in coords)
-        searched += 1
-        block = []
-        for row in rows:
-            w = LaurentSeries.zero(fs)
-            for a, q in zip(row, qs):
-                w = w + a * LaurentSeries.from_poly(q)
-            block.append(w if lattice else w.polynomial_part()[1])
-        if all(w.is_exact_zero for w in block):
-            return True, qs, searched, indeterminate
-        if not any(w.has_leading_term for w in block):
-            indeterminate += 1
-    return False, None, searched, indeterminate
 
 
 def mult_solutions_reference(basis, psi, norm_bound, cap: int = 200_000):
@@ -1272,39 +1168,3 @@ def verify_window_witness(rows_A, psi, spec, t, R, qs, ps):
         theta = _llog_ext(psi, n * bot)
         ineq_ok = m * upper <= theta + _EPS
     return WindowWitness(qs, tuple(p_out), bot, top, window_ok, ineq_ok)
-
-
-def verify_mult_witness(basis, red, psi, tvec, R):
-    """The MultWitness of one flagged drift tvec with threshold R: the
-    coordinates B u of the reduced basis's shortest column, u its column
-    of U, recomputed by series products, then the predicted window and the
-    multiplicative inequality, as ``correspondence_check`` reads them."""
-    from ffdyn.dioph import _EPS, MultWitness, _llog_ext
-    from ffdyn.errors import CertificationError
-    from ffdyn.field import LaurentSeries
-
-    fs = basis.field
-    r = basis.rank
-    j = int(np.argmin(red.degrees))
-    ucol = red.transform_columns()[j]
-    exps = []
-    for i in range(r):
-        w = LaurentSeries.zero(fs)
-        for k in range(r):
-            w = w + basis.entries[i][k] * ucol[k]
-        if w.has_leading_term:
-            exps.append(-int(w.valuation()))
-        elif w.prec is None:
-            exps.append(None)
-        else:
-            raise CertificationError(
-                "witness coordinate vanishes through the window",
-                needed_precision=w.prec + 1,
-            )
-    window_ok = all(e is None or e <= -ti - R for e, ti in zip(exps, tvec))
-    if None in exps:
-        # a zero coordinate makes the product vanish
-        return MultWitness(tuple(exps), True, window_ok, True)
-    norm = max(exps)
-    ineq_ok = sum(exps) <= norm + _llog_ext(psi, norm) + _EPS
-    return MultWitness(tuple(exps), False, window_ok, ineq_ok)

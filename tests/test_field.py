@@ -19,8 +19,6 @@ from ffdyn.field import (
     field_spec,
     parse_poly,
     parse_series,
-    poly_ext_gcd,
-    poly_gcd,
 )
 
 F2 = field_spec(2)
@@ -206,24 +204,6 @@ def test_poly_divmod_matches_oracle_f5(a, b):
     assert list(q.coeffs) == qo
     assert list(r.coeffs) == ro
     assert q * Poly(f5, b) + r == Poly(f5, a)
-
-
-@given(
-    a=st.lists(st.integers(0, 1), max_size=8),
-    b=st.lists(st.integers(0, 1), max_size=8),
-)
-def test_poly_gcd_matches_oracle_f2(a, b):
-    g = poly_gcd(Poly(F2, a), Poly(F2, b))
-    want = oracles.pgcd(a, b, 2)
-    assert list(g.coeffs) == want
-
-
-def test_poly_ext_gcd_bezout():
-    a = parse_poly(F3, "X^3 + 2*X + 1")
-    b = parse_poly(F3, "X^2 + 2")
-    g, u, v = poly_ext_gcd(a, b)
-    assert u * a + v * b == g
-    assert g == poly_gcd(a, b)
 
 
 def test_poly_extension_field_ring_identities():

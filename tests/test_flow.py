@@ -18,15 +18,12 @@ from ffdyn.flow import (
     PsiPowerLaw,
     PsiTable,
     delta_trajectory,
-    ed_pair_sum,
     exact_rank2_tail,
     flow_apply,
     psi_to_rate,
-    quasi_independence_report,
     rate_to_psi,
     sample_matrix,
     strong_bc_experiment,
-    tail_distribution,
     unipotent_lattice,
     TailTable,
     _cf_ladder,
@@ -110,8 +107,6 @@ def test_flow_apply_examples():
 def test_drift_vector_validation():
     with pytest.raises(ValueError):
         DriftVector((1, 1))
-    assert DriftVector((2, -1, -1)).neg_norm() == 1
-    assert DriftVector((1, -1, 0)).neg_norm() == 1
     with pytest.raises(ValueError):
         flow_apply(LatticeBasis.identity(F2, 2), 1)  # no FlowSpec
 
@@ -665,7 +660,7 @@ def test_trajectory_method_validation():
 
 
 # ---------------------------------------------------------------------------
-# tail distribution
+# tail table
 
 
 def test_exact_rank2_tail_matches_vertex_masses():
@@ -692,20 +687,6 @@ def test_trial_depths_read_the_trajectory_of_the_drawn_matrix():
             assert deltas.tolist() == traj.deltas[ts].tolist(), (fs, m, n)
             assert certified.tolist() == traj.certified[ts].tolist(), (fs, m, n)
             assert certified.all() and needed is None
-
-
-def test_tail_distribution_kappa_fit():
-    spec = FlowSpec(F2, 1, 1)
-    table = tail_distribution(spec, trials=4000, seed=20240817)
-    assert table.phi(0) == 1.0
-    assert all(b <= a for a, b in zip(table.values, table.values[1:]))
-    fit = table.kappa_fit()
-    assert 1.8 <= fit.kappa <= 2.2
-    lo, hi = table.ci(1)
-    assert lo <= 0.5 <= hi
-    bigger = tail_distribution(spec, trials=8000, seed=20240817)
-    fit2 = bigger.kappa_fit()
-    assert abs(fit2.kappa - fit.kappa) / fit.kappa <= 0.10
 
 
 def test_tail_table_validation():
@@ -816,45 +797,3 @@ def test_strong_bc_counts_match_the_euclid_oracle(e):
 def test_strong_bc_needs_table_for_bigger_blocks():
     with pytest.raises(ValueError):
         strong_bc_experiment(FlowSpec(F2, 2, 1), np.ones(8), trials=2, seed=1)
-
-
-# ---------------------------------------------------------------------------
-# quasi-independence diagnostics
-
-
-def test_quasi_independence_constant_is_moderate():
-    spec = FlowSpec(F2, 1, 1)
-    rep = quasi_independence_report(
-        spec, np.full(512, 2), trials=400, seed=20240819
-    )
-    assert np.all(np.diff(rep.sums) >= 0)
-    assert np.all(np.diff(rep.expectations) >= 0)
-    assert rep.c_estimate < 6.0
-    final = rep.covariance_excess[-1] / rep.expectations[-1]
-    assert abs(final) < 4.0
-
-
-def test_quasi_single_term_window():
-    spec = FlowSpec(F2, 1, 1)
-    rep = quasi_independence_report(
-        spec, np.full(16, 1), trials=64, seed=9, window=(5, 5)
-    )
-    assert rep.checkpoints.tolist() == [5]
-    assert rep.variances[0] >= -1e-9
-    assert 0.0 <= rep.sums[0] <= 1.0
-
-
-def test_ed_pair_sums_match_geometric_formulas():
-    spec = FlowSpec(F2, 1, 1)
-    assert ed_pair_sum(spec, 1.0) == pytest.approx(3.0, abs=1e-9)
-    spec21 = FlowSpec(F2, 2, 1)
-    assert ed_pair_sum(spec21, 1.0) == pytest.approx(1.0 + 1.0 + 1.0 / 3.0, abs=1e-9)
-
-    def closed(s, m, n, beta):
-        xn = s ** (-beta * n)
-        xm = s ** (-beta * m)
-        return 1.0 + xn / (1.0 - xn) + xm / (1.0 - xm)
-
-    assert ed_pair_sum(spec, 0.25) == pytest.approx(closed(2, 1, 1, 0.25), abs=1e-9)
-    with pytest.raises(ValueError):
-        ed_pair_sum(spec, 0.0)

@@ -1,33 +1,25 @@
-"""Tests for the Iwasawa factorization, the Borel modular character, the
-spherical average and its decay fit."""
+"""Tests for the spherical average Xi over SL2(O), its two backends and
+its decay fit."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from ffdyn.errors import CertificationError, FieldError, PrecisionError
 from ffdyn.field import LaurentSeries, field_spec, prime_power
 from ffdyn.spherical import (
-    IwasawaFactors,
     as_matrix,
     decay_check,
     det2,
-    identity2,
-    iwasawa,
-    mat_inverse2,
-    matmul2,
-    modular_delta_b,
     sample_k,
     torus_element,
-    xi_evaluate,
     xi_exact,
     xi_monte_carlo,
 )
 from ffdyn.streams import stream
+from oracles import matmul2
 
 F2 = field_spec(2)
 F3 = field_spec(3)
@@ -49,19 +41,14 @@ def entries_in_o(m):
     return all((not e.has_leading_term) or e.v >= 0 for row in m for e in row)
 
 
-def round_trips(factors, g, default_prec=None):
-    rt = matmul2(factors.b, factors.kappa)
-    for i in range(2):
-        for j in range(2):
-            target = g[i][j]
-            prec = rt[i][j].prec
-            if prec is None and default_prec is not None:
-                prec = default_prec
-            if prec is not None:
-                target = target.truncate(prec)
-            if rt[i][j].equals(target) is False:
-                return False
-    return True
+def identity2(fs):
+    one, zero = LaurentSeries.one(fs), LaurentSeries.zero(fs)
+    return ((one, zero), (zero, one))
+
+
+def mat_inverse2(g):
+    """Inverse of a determinant-one 2x2 matrix (the adjugate)."""
+    return ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -87,240 +74,6 @@ def test_as_matrix_validation():
                 [LaurentSeries.zero(F3), LaurentSeries.one(F3)],
             ]
         )
-
-
-# ---------------------------------------------------------------------------
-# iwasawa factorization
-
-
-def test_iwasawa_diagonal_is_its_own_b():
-    g = torus_element(F2, 3)
-    f = iwasawa(g)
-    ident = identity2(F2)
-    assert f.diag_valuations == (-3, 3)
-    assert all(f.kappa[i][j].equals(ident[i][j]) for i in range(2) for j in range(2))
-    assert all(f.b[i][j].equals(g[i][j]) for i in range(2) for j in range(2))
-
-
-def test_iwasawa_compact_input_passes_through():
-    # det = 1*(1 + X^-3) - X^-1 * X^-2 = 1
-    g = (
-        (LaurentSeries.one(F2), xp(F2, -1)),
-        (xp(F2, -2), LaurentSeries.from_pairs(F2, {0: 1, 3: 1})),
-    )
-    f = iwasawa(g)
-    ident = identity2(F2)
-    assert f.diag_valuations == (0, 0)
-    assert all(f.b[i][j].equals(ident[i][j]) for i in range(2) for j in range(2))
-    assert f.kappa == g
-
-
-@pytest.mark.parametrize("fs", [F2, F3], ids=["q2", "q3"])
-def test_iwasawa_lower_unipotent_round_trip(fs):
-    g = lower_unipotent(fs, xp(fs, 2))
-    f = iwasawa(g)
-    assert round_trips(f, g)
-    assert entries_in_o(f.kappa)
-    assert det2(f.kappa).equals(LaurentSeries.one(fs))
-    assert f.diag_valuations == (2, -2)
-    assert not f.b[1][0].has_leading_term
-
-
-def test_iwasawa_normalized_form():
-    # b has monomial diagonal and a corner reduced mod the leading monomial
-    g = matmul2(lower_unipotent(F2, LaurentSeries.from_pairs(F2, {-1: 1, 1: 1})), torus_element(F2, 2))
-    f = iwasawa(g, prec=24)
-    v1, v2 = f.diag_valuations
-    assert f.b[0][0].coeffs.size == 1 and f.b[0][0].v == v1
-    assert f.b[1][1].coeffs.size == 1 and f.b[1][1].v == v2
-    if f.b[0][1].has_leading_term:
-        assert f.b[0][1].last_listed_index() < v1
-    assert round_trips(f, g)
-    assert entries_in_o(f.kappa)
-
-
-def test_iwasawa_windowed_round_trip():
-    g = matmul2(
-        upper_unipotent(F3, LaurentSeries.from_pairs(F3, {-2: 2, 0: 1})),
-        matmul2(lower_unipotent(F3, xp(F3, 1, 2)), torus_element(F3, 2)),
-    )
-    g = tuple(tuple(e.truncate(20) for e in row) for row in g)
-    f = iwasawa(g)
-    assert round_trips(f, g, default_prec=20)
-    assert entries_in_o(f.kappa)
-
-
-def test_iwasawa_determinant_guard():
-    bad = ((xp(F2, 1), LaurentSeries.zero(F2)), (LaurentSeries.zero(F2), xp(F2, 1)))
-    with pytest.raises(ValueError):
-        iwasawa(bad)
-
-
-def test_iwasawa_indeterminate_comparison():
-    # bottom row vanishes on windows too shallow to order |c| against |d|
-    # (and too shallow to refute det = 1)
-    zw = LaurentSeries.zero_window(F2, 1)
-    g = ((xp(F2, 1), LaurentSeries.one(F2)), (zw, zw))
-    with pytest.raises(PrecisionError):
-        iwasawa(g)
-
-
-def test_iwasawa_exact_division_needs_precision():
-    # [[X, X], [1, 1 + X^-1]] has determinant 1 but clearing its bottom
-    # row needs (1 + X^-1)^-1, an infinite expansion
-    d = LaurentSeries.from_pairs(F2, {0: 1, 1: 1})
-    g = ((xp(F2, 1), xp(F2, 1)), (LaurentSeries.one(F2), d))
-    assert det2(g).equals(LaurentSeries.one(F2))
-    with pytest.raises(PrecisionError):
-        iwasawa(g)
-    f = iwasawa(g, prec=16)
-    assert round_trips(f, g)
-    assert entries_in_o(f.kappa)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    t=st.integers(min_value=-3, max_value=3),
-    c_coeffs=st.lists(st.integers(min_value=0, max_value=2), min_size=0, max_size=3),
-    b_coeffs=st.lists(st.integers(min_value=0, max_value=2), min_size=0, max_size=3),
-)
-def test_iwasawa_round_trip_property(t, c_coeffs, b_coeffs):
-    fs = F3
-    c = LaurentSeries.from_pairs(fs, {i - 1: v for i, v in enumerate(c_coeffs)})
-    b = LaurentSeries.from_pairs(fs, {i - 2: v for i, v in enumerate(b_coeffs)})
-    g = matmul2(upper_unipotent(fs, b), matmul2(lower_unipotent(fs, c), torus_element(fs, t)))
-    f = iwasawa(g, prec=32)
-    assert isinstance(f, IwasawaFactors)
-    assert round_trips(f, g, default_prec=32)
-    assert entries_in_o(f.kappa)
-    assert det2(f.kappa).equals(LaurentSeries.one(fs)) is not False
-    assert f.diag_valuations[0] + f.diag_valuations[1] == 0
-
-
-def _unit_x(fs, shift):
-    """(1 + X^-1) X^-shift, an exact unit times a monomial."""
-    return LaurentSeries.from_pairs(fs, {0: 1, 1: 1}).shift(shift)
-
-
-F4 = field_spec(2, 2)
-
-# (g, prec) -> the exact factors, each entry as (v, prec, coefficient codes)
-IWASAWA_GOLDEN = {
-    "swap": (
-        ((xp(F2, 2), xp(F2, -1)), (xp(F2, 1), LaurentSeries.zero(F2))),
-        None,
-        [[(1, None, (1,)), (-2, None, (1,))], [(0, None, ()), (-1, None, (1,))]],
-        [[(0, None, ()), (0, None, (1,))], [(0, None, (1,)), (0, None, ())]],
-    ),
-    "shear": (
-        matmul2(upper_unipotent(F2, xp(F2, 2)), lower_unipotent(F2, xp(F2, -1))),
-        None,
-        [[(0, None, (1,)), (-2, None, (1,))], [(0, None, ()), (0, None, (1,))]],
-        [[(0, None, (1,)), (0, None, ())], [(1, None, (1,)), (0, None, (1,))]],
-    ),
-    "swap-shear": (
-        matmul2(lower_unipotent(F3, xp(F3, 2)), torus_element(F3, 1)),
-        None,
-        [[(3, None, (1,)), (-1, None, (1,))], [(0, None, ()), (-3, None, (1,))]],
-        [[(0, None, ()), (0, None, (2,))], [(0, None, (1,)), (4, None, (1,))]],
-    ),
-    "swap-shear-s4": (
-        matmul2(
-            upper_unipotent(F4, LaurentSeries.from_pairs(F4, {-1: 2, 0: 3})),
-            lower_unipotent(F4, LaurentSeries.from_pairs(F4, {-2: 3, 0: 1})),
-        ),
-        10,
-        [[(2, None, (1,)), (-3, 9, (2, 3, 0, 2))], [(0, 10, ()), (-2, None, (1,))]],
-        [[(0, 7, (2,)), (0, 7, (2,))], [(0, 12, (3, 0, 1)), (2, 12, (1,))]],
-    ),
-    "truncated": (
-        matmul2(
-            upper_unipotent(F3, LaurentSeries.from_pairs(F3, {-2: 2, 0: 1})),
-            matmul2(lower_unipotent(F3, xp(F3, 1, 2)), torus_element(F3, 2)),
-        ),
-        9,
-        [[(3, None, (1,)), (-5, 7, (2, 0, 1, 2))], [(0, 9, ()), (-3, None, (1,))]],
-        [[(0, 4, ()), (0, 4, (1,))], [(0, 12, (2,)), (5, 12, (1,))]],
-    ),
-    "division": (
-        ((xp(F2, 1), xp(F2, 1)), (LaurentSeries.one(F2), _unit_x(F2, 0))),
-        12,
-        [[(0, None, (1,)), (-1, 11, (1,))], [(0, 12, ()), (0, None, (1,))]],
-        [[(0, 11, ()), (0, 11, (1,))], [(0, 12, (1,)), (0, 12, (1, 1))]],
-    ),
-    "unnormalized": (
-        (
-            (_unit_x(F3, 1), LaurentSeries.zero(F3)),
-            (LaurentSeries.zero(F3), _unit_x(F3, 0).invert(8).shift(-1)),
-        ),
-        None,
-        [
-            [(-1, None, (1, 1)), (0, None, ())],
-            [(0, None, ()), (1, 9, (1, 2, 1, 2, 1, 2, 1, 2))],
-        ],
-        [[(0, None, (1,)), (0, None, ())], [(0, None, ()), (0, None, (1,))]],
-    ),
-    "unnormalized-swap": (
-        (
-            (xp(F3, 3), -_unit_x(F3, 0).invert(8).shift(-1)),
-            (_unit_x(F3, 1), LaurentSeries.zero(F3)),
-        ),
-        None,
-        [
-            [(1, 9, (2, 1, 2, 1, 2, 1, 2, 1)), (-3, None, (2,))],
-            [(0, None, ()), (-1, None, (2, 2))],
-        ],
-        [[(0, None, ()), (0, None, (1,))], [(0, None, (2,)), (0, None, ())]],
-    ),
-}
-
-
-@pytest.mark.parametrize("case", list(IWASAWA_GOLDEN))
-def test_iwasawa_golden_factors(case):
-    # swap, shear, both, truncated windows and the unnormalized fallback
-    # (an exact non-constant unit on the diagonal), pinned exactly
-    g, prec, b, kappa = IWASAWA_GOLDEN[case]
-    f = iwasawa(g, prec)
-
-    def key(m):
-        return [[(e.v, e.prec, tuple(e.coeffs.tolist())) for e in row] for row in m]
-
-    assert key(f.b) == b
-    assert key(f.kappa) == kappa
-    assert f.diag_valuations == (b[0][0][0], b[1][1][0])
-
-
-# ---------------------------------------------------------------------------
-# modular character
-
-
-def test_modular_delta_values():
-    assert modular_delta_b(xp(F2, 3)) == 2.0**6
-    assert modular_delta_b(xp(F2, -1)) == 2.0**-2
-    assert modular_delta_b(LaurentSeries.from_pairs(F3, {0: 2, 4: 1})) == 1.0
-    assert modular_delta_b(xp(F3, 2)) == 3.0**4
-
-
-def test_modular_delta_guards():
-    with pytest.raises(FieldError):
-        modular_delta_b(LaurentSeries.zero(F2))
-    with pytest.raises(PrecisionError):
-        modular_delta_b(LaurentSeries.zero_window(F2, 6))
-
-
-def test_modular_delta_matches_iwasawa_on_first_column():
-    # |(g k) e_1| equals the B-part diagonal of the K-left factorization,
-    # recovered here through iwasawa applied to (g k)^-1.
-    fs = F2
-    g = torus_element(fs, 2)
-    k = ((LaurentSeries.one(fs), LaurentSeries.zero(fs)), (xp(fs, -1), LaurentSeries.one(fs)))
-    gk = matmul2(g, k)
-    col_norm = max(
-        float(fs.s) ** -gk[0][0].valuation(), float(fs.s) ** -gk[1][0].valuation()
-    )
-    f = iwasawa(mat_inverse2(gk))
-    # (gk)^-1 = b~ kappa~ with |b~_11| = 1 / |(gk) e_1|
-    assert modular_delta_b(f.b[0][0]) == pytest.approx(col_norm**-2)
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +227,6 @@ def test_xi_exact_closed_form_past_the_class_walk(s):
         out = xi_exact(torus_element(fs, t))
         assert out.value == oracles.xi_closed_form(s, t)
         assert out.classes == (s ** (2 * t + 1) - 1 if t else s * s - 1)
-
-
-def test_xi_evaluate_dispatch():
-    g = torus_element(F2, 1)
-    exact = xi_evaluate(g)
-    assert exact.value == Fraction(5, 6)
-    mc = xi_evaluate(g, samples=64, seed=5)
-    assert mc.samples == 64
-    assert 0 < mc.value
 
 
 # ---------------------------------------------------------------------------

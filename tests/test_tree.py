@@ -12,15 +12,12 @@ import oracles
 from ffdyn.errors import EnumerationCapError
 from ffdyn.streams import stream
 from ffdyn.tree import (
-    GeodesicTrace,
     _trace_levels,
     _vertex_order,
     excursion_tail_rate,
     loglaw_experiment,
-    occupation_distance,
     power_thresholds,
     quotient_ray,
-    simulate_geodesic,
     stabilizer_order_oracle,
 )
 
@@ -28,6 +25,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 RAY2 = quotient_ray(2, j_max=10, verify_depth=2)
 RAY3 = quotient_ray(3, j_max=10)
+
+
+def walk(ray, T, seed):
+    """Levels d_1..d_T of the walk that trial 0 of a tree-loglaw run with
+    this seed makes."""
+    return _trace_levels(ray, T, stream(seed, "tree-loglaw", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +122,16 @@ def test_ray_validation():
 
 
 def test_golden_trace():
-    trace = simulate_geodesic(RAY2, 10, 42)
+    levels = walk(RAY2, 10, 42)
     lines = (GOLDEN / "trace_q2_seed42_T10.csv").read_text().strip().splitlines()
     assert lines[0] == "t,level"
     expected = [tuple(int(x) for x in ln.split(",")) for ln in lines[1:]]
-    assert list(trace.rows()) == expected
+    assert list(enumerate(levels.tolist(), start=1)) == expected
 
 
 def test_trace_step_invariants():
     for seed in (0, 1, 7):
-        trace = simulate_geodesic(RAY2, 4000, seed)
-        lv = trace.levels
+        lv = walk(RAY2, 4000, seed)
         assert lv[0] == 1  # every edge at the base vertex climbs
         steps = np.diff(np.concatenate(([0], lv)))
         assert set(np.abs(steps)) == {1}
@@ -142,7 +144,7 @@ def test_trace_step_invariants():
 def test_trace_descent_is_monotone():
     # entering a vertex from above spends its only upward lift, so the
     # walk continues down until it hits the base vertex
-    lv = simulate_geodesic(RAY2, 6000, 3).levels
+    lv = walk(RAY2, 6000, 3)
     for i in range(1, len(lv) - 1):
         if lv[i] < lv[i - 1] and lv[i] > 0:
             assert lv[i + 1] == lv[i] - 1
@@ -150,7 +152,7 @@ def test_trace_descent_is_monotone():
 
 def test_trace_climb_probability():
     for ray, q in [(RAY2, 2), (RAY3, 3)]:
-        lv = simulate_geodesic(ray, 60000, 9).levels
+        lv = walk(ray, 60000, 9)
         ups = 0
         total = 0
         for i in range(1, len(lv) - 1):
@@ -163,21 +165,21 @@ def test_trace_climb_probability():
 
 
 def test_trace_determinism():
-    a = simulate_geodesic(RAY2, 500, 11).levels
-    b = simulate_geodesic(RAY2, 500, 11).levels
+    a = walk(RAY2, 500, 11)
+    b = walk(RAY2, 500, 11)
     assert np.array_equal(a, b)
-    c = simulate_geodesic(RAY2, 500, 12).levels
+    c = walk(RAY2, 500, 12)
     assert not np.array_equal(a, c)
 
 
-def test_trace_validation():
-    with pytest.raises(ValueError):
-        simulate_geodesic(RAY2, 0, 1)
-
-
 def test_occupation_matches_masses():
-    tv = occupation_distance(RAY2, 10**6, 3)
-    assert tv < 0.02
+    # total-variation distance between the level occupation of one long
+    # walk and the exact ray masses
+    T = 10**6
+    counts = np.bincount(walk(RAY2, T, 3))
+    tv = sum(abs(c / T - float(RAY2.mass(j))) for j, c in enumerate(counts))
+    tv += float(RAY2.tail_mass(len(counts)))
+    assert 0.5 * tv < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +268,7 @@ def test_loglaw_same_report_across_threads(monkeypatch):
 
 def test_loglaw_trial_zero_matches_simulate():
     rep = loglaw_experiment(RAY2, 3, 2000, 21)
-    trace = simulate_geodesic(RAY2, 2000, 21)
-    assert rep.max_levels[0] == trace.max_level
+    assert rep.max_levels[0] == walk(RAY2, 2000, 21).max()
 
 
 def test_loglaw_validation():
@@ -287,12 +288,3 @@ def test_power_thresholds_values():
     assert np.all(np.diff(r) >= 0)
     half = power_thresholds(1.0, 2, 16, lY=2.0)
     assert np.all(half <= r)
-
-
-def test_trace_dataclass_shape():
-    trace = simulate_geodesic(RAY3, 25, 5)
-    assert isinstance(trace, GeodesicTrace)
-    assert trace.q == 3 and trace.seed == 5
-    rows = list(trace.rows())
-    assert rows[0][0] == 1 and len(rows) == 25
-    assert trace.max_level == max(lv for _, lv in rows)

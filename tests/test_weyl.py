@@ -1,27 +1,17 @@
-"""Tests for type-A cusp-volume combinatorics: rho pairings, dominant
-counts, affine lengths, and the tail-to-power-law ratio."""
-
-import itertools
-import math
-import random
+"""Tests for type-A cusp-volume combinatorics: dominant counts and the
+tail-to-power-law ratio."""
 
 import pytest
 
 import oracles
 from ffdyn.errors import EnumerationCapError
 from ffdyn.weyl import (
-    AffineWeylElement,
     RootSystemSpec,
-    affine_length,
+    _gap_vectors,
     cusp_rows,
     cusp_tail,
-    dominant_cocharacters,
     dominant_count,
-    fiber_report,
-    is_dominant,
     ratio_band,
-    rho_pairing,
-    translation_element,
 )
 
 A1 = RootSystemSpec(1)
@@ -30,41 +20,12 @@ A3 = RootSystemSpec(3)
 
 
 # ---------------------------------------------------------------------------
-# root data and the pairing
+# root data
 
 
-def test_root_counts():
-    for spec in (A1, A2, A3):
-        r = spec.rank
-        assert len(spec.positive_roots) == r * (r + 1) // 2
-        assert spec.longest_length == r * (r + 1) // 2
-        assert spec.weyl_order == math.factorial(r + 1)
+def test_root_system_needs_positive_rank():
     with pytest.raises(ValueError):
         RootSystemSpec(0)
-
-
-def test_rho_pairing_examples():
-    assert rho_pairing((1, -1)) == 2
-    assert rho_pairing((1, 0, -1)) == 4
-    assert rho_pairing((0, 0, 0)) == 0
-    assert rho_pairing((2, 0, -2)) == 8
-
-
-def test_rho_pairing_matches_root_sum():
-    rng = random.Random(0)
-    for spec in (A1, A2, A3):
-        n = spec.rank + 1
-        for _ in range(20):
-            lam = [rng.randint(-5, 5) for _ in range(n)]
-            direct = sum(lam[i] - lam[j] for i, j in spec.positive_roots)
-            assert rho_pairing(lam) == direct
-
-
-def test_is_dominant():
-    assert is_dominant((2, 0, -2))
-    assert is_dominant((0, 0))
-    assert not is_dominant((0, 1, -1))
-    assert not is_dominant((2, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -90,20 +51,22 @@ def test_dominant_count_zero_is_one():
 def test_dominant_count_matches_brute_force():
     for spec, lmax in [(A1, 14), (A2, 12), (A3, 8)]:
         for l in range(lmax + 1):
-            assert dominant_count(l, spec) == oracles.dominant_count_oracle(
-                spec.rank, l
-            )
+            want = oracles.dominant_vectors_oracle(spec.rank, l)
+            assert dominant_count(l, spec) == len(want)
 
 
 def test_dominant_enumeration_consistent():
-    for spec in (A2, A3):
-        for l in (0, 6, 12, 17):
-            lams = list(dominant_cocharacters(l, spec))
-            assert len(lams) == dominant_count(l, spec)
-            for lam in lams:
-                assert is_dominant(lam)
-                assert rho_pairing(lam) == l
-            assert len(set(lams)) == len(lams)
+    # the counted gap vectors are those of the dominant lambda found by the
+    # literal enumeration, each once
+    for spec, lmax in [(A2, 12), (A3, 8)]:
+        for l in range(lmax + 1):
+            gaps = list(_gap_vectors(l, spec.rank))
+            want = {
+                tuple(lam[i] - lam[i + 1] for i in range(spec.rank))
+                for lam in oracles.dominant_vectors_oracle(spec.rank, l)
+            }
+            assert len(gaps) == len(set(gaps)) == dominant_count(l, spec)
+            assert set(gaps) == want, (spec, l)
 
 
 def test_dominant_count_growth_band():
@@ -125,85 +88,6 @@ def test_dominant_count_cap():
         dominant_count(10**8, A3, cap=10**6)
     with pytest.raises(ValueError):
         dominant_count(-1, A2)
-
-
-# ---------------------------------------------------------------------------
-# affine lengths
-
-
-def test_translation_length_is_rho_pairing():
-    for spec in (A1, A2, A3):
-        for l in range(0, 61, 6):
-            for lam in dominant_cocharacters(l, spec):
-                assert affine_length(translation_element(lam)) == l
-
-
-def test_affine_length_of_finite_elements_counts_inversions():
-    for n in (2, 3, 4):
-        zero = (0,) * n
-        for w in itertools.permutations(range(n)):
-            inv = sum(
-                1
-                for i in range(n)
-                for j in range(i + 1, n)
-                if w[i] > w[j]
-            )
-            assert affine_length(AffineWeylElement(w, zero)) == inv
-
-
-def test_affine_length_matches_hyperplane_oracle():
-    rng = random.Random(5)
-    for r in (1, 2, 3):
-        n = r + 1
-        for _ in range(25):
-            lam = [rng.randint(-4, 4) for _ in range(n - 1)]
-            lam.append(-sum(lam))
-            w = list(range(n))
-            rng.shuffle(w)
-            elem = AffineWeylElement(tuple(w), tuple(lam))
-            assert affine_length(elem) == oracles.affine_length_oracle(
-                tuple(lam), tuple(w)
-            )
-
-
-def test_affine_element_validation():
-    with pytest.raises(ValueError):
-        AffineWeylElement((0, 0), (1, -1))
-    with pytest.raises(ValueError):
-        AffineWeylElement((0, 1, 2), (1, -1))
-
-
-# ---------------------------------------------------------------------------
-# fibers
-
-
-def test_fiber_report_rank1_exact():
-    rep = fiber_report((1, -1), A1)
-    assert rep.base_length == 2
-    assert sorted(rep.lengths) == [1, 2, 2, 3]
-    assert rep.spread == 2 * A1.longest_length
-    v = rep.volume_sum(2)
-    lo, hi = rep.volume_bounds(2, A1)
-    assert lo <= v <= hi
-
-
-def test_fiber_report_bounds_and_spread():
-    for spec, lam in [(A2, (2, 0, -2)), (A2, (3, 0, -3)), (A3, (2, 0, 0, -2))]:
-        rep = fiber_report(lam, spec)
-        assert len(rep.elements) <= spec.weyl_order**2
-        base = rep.base_length
-        assert all(abs(l - base) <= 2 * spec.longest_length for l in rep.lengths)
-        assert base in rep.lengths
-        for q in (2, 3):
-            lo, hi = rep.volume_bounds(q, spec)
-            assert lo <= rep.volume_sum(q) <= hi
-
-
-def test_fiber_report_validation():
-    with pytest.raises(ValueError):
-        fiber_report((0, 1, -1), A2)
-    with pytest.raises(ValueError):
-        fiber_report((1, -1), A2)
 
 
 # ---------------------------------------------------------------------------
