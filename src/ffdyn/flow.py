@@ -153,12 +153,6 @@ class PsiFunction:
         u = math.log(x) / math.log(self.s)
         return float(self.s) ** self.llog(u)
 
-    def x_psi_non_increasing(self, span: float = 80.0, points: int = 400) -> bool:
-        """Whether x * psi(x) is non-increasing (needed by product chains)."""
-        grid = np.linspace(self.u0, self.u0 + span, points)
-        vals = [u + self.llog(u) for u in grid]
-        return all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-
     def describe(self) -> str:
         return self.label
 
@@ -219,10 +213,6 @@ class PsiTable(PsiFunction):
         if u < self._us[0] - 1e-9 or u > self._us[-1] + 1e-9:
             raise ValueError(f"u = {u} outside the table range")
         return float(np.interp(u, self._us, self._ls))
-
-    def x_psi_non_increasing(self, span: float = 0.0, points: int = 0) -> bool:
-        vals = self._us + self._ls
-        return bool(np.all(np.diff(vals) <= 1e-12))
 
 
 @dataclass

@@ -219,7 +219,6 @@ def test_psi_table_tracks_analytic_family():
     exact = PsiLogPower(2, sigma=2.0)
     us = [1.0 + 0.25 * k for k in range(237)]
     table = PsiTable(2, [(u, exact.llog(u)) for u in us])
-    assert table.x_psi_non_increasing()
     r_tab = psi_to_rate(table, 1, 1)
     r_ref = psi_to_rate(exact, 1, 1)
     for a in (3.0, 5.5, 9.0, 14.0):
@@ -235,9 +234,6 @@ def test_psi_family_validation_and_monotone_flags():
         PsiTable(2, [(1.0, -1.0)])
     with pytest.raises(ValueError):
         PsiTable(2, [(1.0, -1.0), (2.0, -0.5)])  # increasing profile
-    assert PsiPowerLaw(2, tau=1.0).x_psi_non_increasing()
-    assert not PsiPowerLaw(2, tau=0.5).x_psi_non_increasing()
-    assert PsiLogPower(3, sigma=1.5).x_psi_non_increasing()
 
 
 def test_sum_equivalence_growth_classes():
