@@ -12,8 +12,9 @@ Three regimes for an m x n matrix A over O, all with s-power norms:
 ``best_integer_approx`` gives the error of one q in the first regime,
 ``kg_monte_carlo`` counts its admitted classes, ``mult_solutions`` lists
 the vectors of the third and ``zero_block_detector`` looks for lattice
-vectors whose first block vanishes.  ``correspondence_check`` ties the first two to excursion times of the diagonal flow: every time t
-with Delta(g_t Lambda_A) >= ceil(r(mnt)) must produce a verified solution
+vectors whose first block vanishes.  ``correspondence_check`` ties the
+first two to excursion times of the diagonal flow: every time t with
+Delta(g_t Lambda_A) >= ceil(r(mnt)) must produce a verified solution
 inside the predicted norm window.
 """
 
