@@ -27,10 +27,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CertificationError, EnumerationCapError, FieldError, PrecisionError
-from .field import FieldSpec, LaurentSeries, Poly, first_visible, series_dot
+from .field import FieldSpec, LaurentSeries, Poly, _check_codes, _stack, first_visible, series_dot
 from .flow import (
     FlowSpec,
     PsiFunction,
+    _column_stack,
     _generic_result,
     _require_certified,
     _trajectory_generic,
@@ -96,17 +97,6 @@ def _ceil_eps(x: float) -> int:
 
 # ---------------------------------------------------------------------------
 # the residual p + Aq of a stack of candidates
-
-
-def _stack(vectors) -> np.ndarray:
-    """Vectors of k polynomials as one array (count, k, width) of
-    coefficient codes in ascending degree, width >= 1."""
-    width = max([1] + [t.coeffs.size for vec in vectors for t in vec])
-    out = np.zeros((len(vectors), len(vectors[0]), width), dtype=np.int64)
-    for row, vec in zip(out, vectors):
-        for coords, t in zip(row, vec):
-            coords[: t.coeffs.size] = t.coeffs
-    return out
 
 
 def _degrees(q: np.ndarray) -> np.ndarray:
@@ -184,7 +174,7 @@ def best_integer_approx(A, q) -> tuple[tuple[Poly, ...], float]:
     fs = rows[0][0].field
     if any(t.field != fs for t in qs):
         raise FieldError("mixed fields in series arithmetic")
-    top, _, prec, p_whole = _residuals(fs, rows, _stack([qs]), split=True)
+    top, _, prec, p_whole = _residuals(fs, rows, _stack([[q.coeffs for q in qs]]), split=True)
     if (prec < 1).any():
         raise PrecisionError("window does not reach index 0")
     tops = top[:, 0].tolist()
@@ -607,10 +597,10 @@ def correspondence_check(
     Every t <= T with Delta(g_t Lambda_A) >= ceil(r(mnt)) must yield a
     vector in the window ||v_top|| <= s^(-nt-R), ||v_bot|| <= s^(mt-R)
     satisfying the non-strict inequality.  The witnesses of all flagged
-    times are re-verified from A together, one batched product per entry
-    of A against their stacked q, independently of the reduced basis that
-    produced them.  Raises CertificationError when any needed Delta is
-    uncertified.
+    times, as one stack of codes, are re-verified from A together, one
+    batched product per entry of A against it, independently of the
+    reduced basis that produced them.  Raises CertificationError when any
+    needed Delta is uncertified.
     """
     rows_A = _matrix_rows(A)
     if len(rows_A) != spec.m or len(rows_A[0]) != spec.n:
@@ -646,16 +636,14 @@ def correspondence_check(
         if d < R:
             rows[t] = CorrespondenceRow(t, d, R, False, None, True)
             continue
-        if use_cf:
-            k = int(np.searchsorted(rungs, t, side="right")) - 1
-            qs = (convergents[k],)
-            ps = None
-        else:
-            col = np.asarray(steps[t][2])
-            ps = tuple(Poly(fs, c) for c in col[:m])
-            qs = tuple(Poly(fs, c) for c in col[m:])
-        flagged.append((t, R, qs, ps))
-    for (t, R, _, _), w in zip(flagged, _window_witnesses(rows_A, psi, spec, flagged)):
+        flagged.append((t, R))
+    times = [t for t, _ in flagged]
+    if use_cf:  # the witness at t is the convergent of the last rung D_k <= t
+        columns = [(convergents[k].coeffs,) for k in np.searchsorted(rungs, times, side="right") - 1]
+    else:
+        columns = [steps[t][2] for t in times]
+    stack = _column_stack(fs, columns) if flagged else None
+    for (t, R), w in zip(flagged, _window_witnesses(rows_A, psi, spec, flagged, stack)):
         d = int(traj.deltas[t])
         rows[t] = CorrespondenceRow(t, d, R, True, w, w.window_ok and w.ineq_ok)
     return CorrespondenceReport(
@@ -677,24 +665,28 @@ def _cf_convergents(fs: FieldSpec, quotients) -> list[Poly]:
     return qs[1:]
 
 
-def _window_witnesses(rows_A, psi, spec, flagged) -> list[WindowWitness]:
-    """Recompute the residual of every flagged witness (t, R, q, p) from A
-    and test both the predicted norm window and the non-strict inequality.
+def _window_witnesses(rows_A, psi, spec, flagged, stack) -> list[WindowWitness]:
+    """Recompute the residual of every flagged witness from A and test both
+    the predicted norm window and the non-strict inequality.
 
-    ``_residuals`` forms p + Aq for all flagged times at once, as the rows
-    (e_i | A_i) against the stack (p | q).  With p None (m = n = 1, the
-    ladder's convergents) p is minus the whole part of Aq, whose window
-    must reach index 0.  Times are read in order, so the first
-    one the window cannot decide raises.
+    ``flagged`` lists the (t, R) of each flagged time and ``stack`` (None
+    if there is none) their witnesses, (count, k, width) codes in ascending
+    degree: (p | q), k = m + n, or on the ladder (m = n = 1) q alone.  The
+    stack is range-checked once and made read-only, and each witness Poly
+    views it, trimmed by one ``_degrees`` call.  ``_residuals`` forms
+    p + Aq for all times at once, as the rows (e_i | A_i) against the
+    stack; on the ladder p is minus the whole part of Aq, whose window
+    must reach index 0.  The first time the window cannot decide raises.
     """
     if not flagged:
         return []
     fs, m, n = spec.field, spec.m, spec.n
-    times = np.array([t for t, _, _, _ in flagged])
-    thresholds = np.array([R for _, R, _, _ in flagged])
-    ladder, rows = flagged[0][3] is None, rows_A
-    stack = _stack([tuple(ps or ()) + tuple(qs) for _, _, qs, ps in flagged])
-    bot = _degrees(stack[:, 0 if ladder else m :]).max(axis=1)
+    _check_codes(fs, stack)
+    stack.setflags(write=False)
+    times, thresholds = np.array(flagged).T
+    ladder, rows = m == n == 1, rows_A
+    degrees = _degrees(stack)
+    bot = degrees[:, 0 if ladder else m :].max(axis=1)
     if not ladder:
         one, zero = LaurentSeries.one(fs), LaurentSeries.zero(fs)
         rows = [[one if k == i else zero for k in range(m)] + list(r) for i, r in enumerate(rows_A)]
@@ -702,11 +694,14 @@ def _window_witnesses(rows_A, psi, spec, flagged) -> list[WindowWitness]:
     top, floor = top.max(axis=0), floor.max(axis=0)
     upper = np.maximum(top, floor)
     window_ok = bot <= m * times - thresholds
+    ends = (degrees + 1).tolist()
+    vectors = [tuple(Poly._view(fs, c[:d]) for c, d in zip(row, e)) for row, e in zip(stack, ends)]
     out = []
-    for f, (t, R, qs, ps) in enumerate(flagged):
+    for f, (t, R) in enumerate(flagged):
+        qs, ps = (vectors[f], ()) if ladder else (vectors[f][m:], vectors[f][:m])
         b = int(bot[f])
         if b < 0:
-            out.append(WindowWitness(qs, ps or (), -1, None, False, False))
+            out.append(WindowWitness(qs, ps, -1, None, False, False))
             continue
         if ladder:
             # one row, so prec[0] is its window

@@ -544,6 +544,22 @@ def _trim_poly(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: nz[-1] + 1]
 
 
+def _check_codes(fs: FieldSpec, arr: np.ndarray) -> None:
+    """Raise FieldError unless every code of ``arr`` lies in [0, s)."""
+    if arr.size and ((arr < 0).any() or (arr >= fs.s).any()):
+        raise FieldError("coefficient code out of range")
+
+
+def _stack(vectors) -> np.ndarray:
+    """Vectors of k code arrays as one zero-padded array (count, k, width)."""
+    width = max([1] + [len(t) for vec in vectors for t in vec])
+    out = np.zeros((len(vectors), len(vectors[0]), width), dtype=np.int64)
+    for row, vec in zip(out, vectors):
+        for coords, t in zip(row, vec):
+            coords[: len(t)] = t
+    return out
+
+
 class Poly:
     """Polynomial in X over a FieldSpec, coefficients ascending by degree."""
 
@@ -551,12 +567,18 @@ class Poly:
 
     def __init__(self, field: FieldSpec, coeffs):
         arr = np.array(coeffs, dtype=np.int64).reshape(-1)
-        if arr.size and ((arr < 0).any() or (arr >= field.s).any()):
-            raise FieldError("coefficient code out of range")
+        _check_codes(field, arr)
         arr = _trim_poly(arr)
         arr.setflags(write=False)
         self.field = field
         self.coeffs = arr
+
+    @classmethod
+    def _view(cls, field: FieldSpec, coeffs: np.ndarray) -> "Poly":
+        """A Poly on ``coeffs`` itself: checked, trimmed, read-only codes."""
+        poly = object.__new__(cls)
+        poly.field, poly.coeffs = field, coeffs
+        return poly
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "Poly":
@@ -627,11 +649,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def coeff(self, d: int) -> int:
-        if 0 <= d < self.coeffs.size:
-            return int(self.coeffs[d])
-        return 0
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
@@ -663,8 +680,7 @@ class LaurentSeries:
 
     def __init__(self, field: FieldSpec, v: int, coeffs, prec: int | None = None):
         arr = np.array(coeffs, dtype=np.int64).reshape(-1)
-        if arr.size and ((arr < 0).any() or (arr >= field.s).any()):
-            raise FieldError("coefficient code out of range")
+        _check_codes(field, arr)
         nz = np.nonzero(arr)[0]
         if nz.size:
             lead, last = int(nz[0]), int(nz[-1])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BracketError, CertificationError, FieldError, LatticeError
 from .field import FieldSpec, LaurentSeries, Poly, _from_planes, _plane_tables, _plane_weights
-from .field import _planes
+from .field import _planes, _stack
 from .lattice import LatticeBasis, _augmented, _column_pivots, _needed
 from .lattice import _PlaneWU, _reduce_packed, _transform_room
 from .streams import map_trials, stream
@@ -76,17 +76,7 @@ class DriftVector:
 def unipotent_lattice(A, spec: FlowSpec) -> LatticeBasis:
     """Basis [[I_m, A], [0, I_n]] for A an m x n matrix over O."""
     fs = spec.field
-    rows = _as_matrix(A)
-    if len(rows) != spec.m or any(len(r) != spec.n for r in rows):
-        raise ValueError(f"A must be {spec.m} x {spec.n}")
-    for row in rows:
-        for a in row:
-            if a.field != fs:
-                raise FieldError("entry field mismatch")
-            if a.coeffs.size and a.v < 0:
-                raise ValueError(
-                    "entries must lie in O = F_s[[1/X]] (nonnegative order)"
-                )
+    rows = _entry_rows(A, spec)
     one, zero = LaurentSeries.one(fs), LaurentSeries.zero(fs)
     m, r = spec.m, spec.rank
     out = []
@@ -103,10 +93,18 @@ def unipotent_lattice(A, spec: FlowSpec) -> LatticeBasis:
     return LatticeBasis(fs, out)
 
 
-def _as_matrix(A) -> list[list[LaurentSeries]]:
-    if isinstance(A, LaurentSeries):
-        return [[A]]
-    return [list(r) for r in A]
+def _entry_rows(A, spec: FlowSpec) -> list[list[LaurentSeries]]:
+    """A as its rows, checked to be m x n over the spec's field and in O."""
+    rows = [[A]] if isinstance(A, LaurentSeries) else [list(r) for r in A]
+    if len(rows) != spec.m or any(len(r) != spec.n for r in rows):
+        raise ValueError(f"A must be {spec.m} x {spec.n}")
+    for row in rows:
+        for a in row:
+            if a.field != spec.field:
+                raise FieldError("entry field mismatch")
+            if a.coeffs.size and a.v < 0:
+                raise ValueError("entries must lie in O = F_s[[1/X]] (nonnegative order)")
+    return rows
 
 
 def flow_apply(
@@ -564,12 +562,13 @@ def delta_trajectory(
 
     For m = n = 1 the trajectory is read off the Euclid degree ladder of A
     (best-approximation sawtooth); otherwise the scaled basis is reduced
-    incrementally along t.  With strict=True a certification failure raises,
-    reporting a lower bound on the sufficient input precision.
+    incrementally along t, both checking A as ``unipotent_lattice`` does.
+    With strict=True a certification failure raises, with a lower bound on
+    the sufficient input precision.
     """
     if T < 0:
         raise ValueError("T must be >= 0")
-    entries = _as_matrix(A)
+    entries = _entry_rows(A, spec)
     if method not in ("auto", "cf", "generic"):
         raise ValueError(f"unknown method {method!r}")
     if method == "cf" and not (spec.m == 1 and spec.n == 1):
@@ -596,8 +595,6 @@ def _require_certified(result: TrajectoryResult) -> TrajectoryResult:
 
 def _trajectory_cf(spec: FlowSpec, a: LaurentSeries, T: int) -> TrajectoryResult:
     fs = spec.field
-    if a.coeffs.size and a.v < 0:
-        raise ValueError("entries must lie in O")
     exact = a.prec is None
     if exact:
         last = a.last_listed_index()
@@ -646,9 +643,9 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
     ``lattice._needed`` at scale M + n t: None when every column of U is
     certified at t, else the input precision that would certify them all;
     column is the U column of the shortest reduced vector trimmed to its
-    degree, (p_1..p_m, q_1..q_n) in the basis u_A, as an int64 array or,
-    over p <= 3, a ``_PlaneColumn`` that numpy reads as one
-    (``np.asarray``).  U's room is ``_transform_room`` with every column of
+    degree, (p_1..p_m, q_1..q_n) in the basis u_A, as an int64 array (r,
+    degree + 1) or, over p <= 3, a ``_PlaneColumn``; ``_column_stack``
+    reads either.  U's room is ``_transform_room`` with every column of
     X^M g_t u_A at degree <= M + n T and det X^(r M): r n T + 1
     coefficients.
     """
@@ -689,25 +686,31 @@ def _trajectory_generic(spec: FlowSpec, entries, T: int):
         j = degrees.index(min(degrees))
         needed = _needed(M + n * t, N, degrees, udegrees)
         if planar:
-            column = _PlaneColumn(fs, [x >> r * L for x in WU.cols[j]], r, udegrees[j] + 1)
+            column = _PlaneColumn([x >> r * L for x in WU.cols[j]], r, udegrees[j] + 1)
         else:
             column = U[:, j, : udegrees[j] + 1].copy()
         yield M - degrees[j], needed, column
 
 
 class _PlaneColumn:
-    """A U column of a ``_PlaneWU`` as its planes, converted to the int64
-    (r, degree + 1) array only when numpy reads it: most times' columns
-    are never read."""
+    """A U column of a ``_PlaneWU`` as its planes, decoded only when read
+    (``_column_stack``): most times' columns are never read."""
 
-    __slots__ = ("fs", "planes", "r", "length")
+    __slots__ = ("planes", "r", "length")
 
-    def __init__(self, fs: FieldSpec, planes: list[int], r: int, length: int):
-        self.fs, self.planes, self.r, self.length = fs, planes, r, length
+    def __init__(self, planes: list[int], r: int, length: int):
+        self.planes, self.r, self.length = planes, r, length
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        codes = _from_planes(self.fs, self.planes, self.r * self.length)
-        return codes.reshape(self.length, self.r).T.copy()
+
+def _column_stack(fs: FieldSpec, columns) -> np.ndarray:
+    """The engine's U columns, or vectors of code arrays, as one zero-padded
+    array (count, k, width): arrays copied once, ``_PlaneColumn``s decoded
+    by one ``_from_planes`` call."""
+    if not isinstance(columns[0], _PlaneColumn):
+        return _stack(columns)
+    r, width = columns[0].r, max(c.length for c in columns)
+    codes = _from_planes(fs, [x for c in columns for x in c.planes], r * width)
+    return codes.reshape(len(columns), width, r).transpose(0, 2, 1)
 
 
 def _generic_result(spec: FlowSpec, steps) -> TrajectoryResult:

@@ -10,6 +10,7 @@ least T.  A dominant lambda is counted by its gaps a_t = lambda_t -
 lambda_(t+1) >= 0, in which the pairing is sum_t t(r+1-t) a_t.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .errors import CertificationError, EnumerationCapError
@@ -115,6 +116,10 @@ def cusp_tail(
     Both sums are truncated once a geometric remainder bound certifies the
     neglected mass below rel_tol of each partial sum.
     """
+    return _cusp_tail(T, spec, q, lambda l: dominant_count(l, spec), rel_tol, max_terms)
+
+
+def _cusp_tail(T, spec, q, count, rel_tol=1e-12, max_terms=5000) -> CuspTail:
     if T < 1:
         raise ValueError("T must be at least 1")
     _require_prime_power(q)
@@ -123,7 +128,7 @@ def cusp_tail(
     c_part = 0.0
     l = T
     while True:
-        s_part += dominant_count(l, spec) * float(q) ** -l
+        s_part += count(l) * float(q) ** -l
         c_part += float(l) ** (r - 1) * float(q) ** -l
         # f(l) = (l+1)^(r-1) q^-l decays at worst geometrically past l
         shrink = (1.0 + 1.0 / (l + 2)) ** (r - 1) / q
@@ -142,7 +147,8 @@ def cusp_tail(
 
 def cusp_rows(spec: RootSystemSpec, q: int, T_lo: int, T_hi: int) -> list[CuspTail]:
     _require_prime_power(q)
-    return [cusp_tail(T, spec, q) for T in range(T_lo, T_hi + 1)]
+    count = functools.cache(lambda l: dominant_count(l, spec))  # the rows share their terms
+    return [_cusp_tail(T, spec, q, count) for T in range(T_lo, T_hi + 1)]
 
 
 def ratio_band(rows: list[CuspTail]) -> float:

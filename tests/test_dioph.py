@@ -742,25 +742,39 @@ def _truncated(A, prec):
     return [[a.truncate(prec) for a in row] for row in A]
 
 
+def _witness_polys(spec, stack):
+    """The (qs, ps) of each row of a witness stack as copied Polys, ps None
+    on the ladder, as ``oracles.verify_window_witness`` takes them; none
+    when no time is flagged (stack None)."""
+    fs, m = spec.field, spec.m
+    if stack is None:
+        return []
+    if spec.m == spec.n == 1:
+        return [((Poly(fs, row[0]),), None) for row in stack]
+    polys = [tuple(Poly(fs, c) for c in row) for row in stack]
+    return [(vec[m:], vec[:m]) for vec in polys]
+
+
 @pytest.mark.parametrize(
     "fs", [field_spec(p, e) for p in (2, 3, 5) for e in (1, 2, 3)], ids=lambda f: f"s{f.s}"
 )
 def test_batched_witnesses_match_series_oracle(fs, monkeypatch):
     # correspondence_check verifies every flagged witness in one batched
-    # pass; it must give the per-time series recomputation's witnesses in
-    # the same order, and on windows too short for them the same error
-    # (type, message, needed_precision) at the same time
+    # pass over their stack; it must give the per-time series
+    # recomputation's witnesses in the same order, and on windows too short
+    # for them the same error (type, message, needed_precision) at the same
+    # time
     batched = dioph._window_witnesses
     calls = []
 
-    def record(rows_A, psi, spec, flagged):
-        calls.append(flagged)
-        return batched(rows_A, psi, spec, flagged)
+    def record(rows_A, psi, spec, flagged, stack):
+        calls.append((flagged, stack))
+        return batched(rows_A, psi, spec, flagged, stack)
 
-    def reference(A, psi, spec, flagged):
+    def reference(A, psi, spec, flagged, stack):
         return [
             oracles.verify_window_witness(A, psi, spec, t, R, qs, ps)
-            for t, R, qs, ps in flagged
+            for (t, R), (qs, ps) in zip(flagged, _witness_polys(spec, stack))
         ]
 
     monkeypatch.setattr(dioph, "_window_witnesses", record)
@@ -771,29 +785,33 @@ def test_batched_witnesses_match_series_oracle(fs, monkeypatch):
         rng = stream(39, "test", 100 * fs.s + 10 * m + n + (psi.tau > 1) * 5)
         A = sample_matrix(fs, rng, m, n, (m + n) * 12 + 48)
         rep = correspondence_check(A, psi, spec, T=12)
-        flagged = calls[-1]
-        assert [r.witness for r in rep.rows if r.flagged] == reference(A, psi, spec, flagged)
+        flagged, stack = calls[-1]
+        assert [r.witness for r in rep.rows if r.flagged] == reference(A, psi, spec, flagged, stack)
         if not flagged:
             continue
-        degrees = [q.degree for _, _, qs, _ in flagged for q in qs]
-        tight = max(n * t + R + max(q.degree for q in qs) + 1 for t, R, qs, _ in flagged)
+        q_sets = [qs for qs, _ in _witness_polys(spec, stack)]
+        degrees = [q.degree for qs in q_sets for q in qs]
+        tops = [max(q.degree for q in qs) for qs in q_sets]
+        tight = max(n * t + R + top + 1 for (t, R), top in zip(flagged, tops))
         exact = [list(row) for row in A]
         exact[0][-1] = LaurentSeries(fs, A[0][-1].v, A[0][-1].coeffs, None)
         windowed_zero = [list(row) for row in A]
         windowed_zero[-1][0] = LaurentSeries.zero_window(fs, tight)
-        # a zero q, which the engine never yields, is a witness of nothing
-        zero_q = (12, 0, (Poly.zero(fs),) * n, None if m == n == 1 else flagged[0][3])
+        # a zero q, which the engine never yields, is a witness of nothing;
+        # off the ladder it keeps the first time's p
+        zero_q = stack[:1].copy()
+        zero_q[:, 0 if m == n == 1 else m :] = 0
         cases = [
-            (A, flagged + [zero_q]),
-            (_truncated(A, tight), flagged),
-            (_truncated(A, tight - 4), flagged),
-            (_truncated(A, min(degrees)), flagged),
-            (exact, flagged),
-            (windowed_zero, flagged),
+            (A, flagged + [(12, 0)], np.concatenate([stack, zero_q])),
+            (_truncated(A, tight), flagged, stack),
+            (_truncated(A, tight - 4), flagged, stack),
+            (_truncated(A, min(degrees)), flagged, stack),
+            (exact, flagged, stack),
+            (windowed_zero, flagged, stack),
         ]
-        for matrix, rows in cases:
-            got = _outcome(lambda: batched(matrix, psi, spec, rows))
-            assert got == _outcome(lambda: reference(matrix, psi, spec, rows))
+        for matrix, rows, codes in cases:
+            got = _outcome(lambda: batched(matrix, psi, spec, rows, codes))
+            assert got == _outcome(lambda: reference(matrix, psi, spec, rows, codes))
             kinds.add(got[0] if isinstance(got[0], type) else "witnesses")
     assert kinds == {"witnesses", CertificationError, PrecisionError}
 
@@ -805,27 +823,91 @@ def test_batched_witness_zero_coordinate_adds_no_window(fs):
     # undecidable, though the entry itself is known nowhere
     spec = FlowSpec(fs, 1, 2)
     A = [[LaurentSeries.zero_window(fs, 0), LaurentSeries.one(fs)]]
-    flagged = [(1, 0, (Poly.zero(fs), Poly.one(fs)), (Poly(fs, [fs.neg(1)]),))]
-    (want,) = [oracles.verify_window_witness(A, power_law(fs.s), spec, *f) for f in flagged]
+    stack = np.array([[[fs.neg(1)], [0], [1]]], dtype=np.int64)
+    (want,) = [
+        oracles.verify_window_witness(A, power_law(fs.s), spec, 1, 0, qs, ps)
+        for qs, ps in _witness_polys(spec, stack)
+    ]
     assert (want.bot_exp, want.top_exp, want.window_ok, want.ineq_ok) == (0, None, True, True)
-    assert dioph._window_witnesses(A, power_law(fs.s), spec, flagged) == [want]
+    assert dioph._window_witnesses(A, power_law(fs.s), spec, [(1, 0)], stack) == [want]
+
+
+@pytest.mark.parametrize("p,e", _FIELDS, ids=lambda v: str(v))
+def test_witness_polys_view_the_checked_stack(p, e, monkeypatch):
+    # every witness Poly is a read-only, trimmed view of the stack whose
+    # codes it equals, and the one range check of the stack still refuses
+    # an out-of-range code
+    fs = field_spec(p, e)
+    batched = dioph._window_witnesses
+    calls = []
+
+    def record(rows_A, psi, spec, flagged, stack):
+        calls.append((flagged, stack))
+        return batched(rows_A, psi, spec, flagged, stack)
+
+    monkeypatch.setattr(dioph, "_window_witnesses", record)
+    psi = power_law(fs.s, tau=1.0)
+    seen = 0
+    for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        spec = FlowSpec(fs, m, n)
+        A = sample_matrix(fs, stream(40, "test", 100 * fs.s + 10 * m + n), m, n, (m + n) * 10 + 40)
+        rep = correspondence_check(A, psi, spec, T=10)
+        flagged, stack = calls[-1]
+        assert rep.flagged_count == len(flagged) > 0
+        for row, (qs, ps) in zip([r for r in rep.rows if r.flagged], _witness_polys(spec, stack)):
+            w = row.witness
+            assert w.q == qs and (ps is None or w.p == ps)
+            for poly in w.q + w.p:
+                assert poly == Poly(fs, poly.coeffs.copy())
+                assert not poly.coeffs.flags.writeable
+                assert poly.coeffs.size == 0 or poly.coeffs[-1] != 0
+                seen += 1
+        t, R = flagged[0]
+        for bad in (fs.s, -1):
+            codes = stack[:1].copy()
+            codes[0, -1, 0] = bad
+            with pytest.raises(FieldError, match="coefficient code out of range"):
+                batched(A, psi, spec, [(t, R)], codes)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("method", ["auto", "generic"])
+def test_ladder_entry_is_checked_as_the_generic_entry(method):
+    # both trajectory paths, and correspondence_check on the ladder, refuse
+    # an entry over another field and a matrix of the wrong shape
+    a2 = series(F2, {1: 1, 2: 1, 5: 1}, prec=40)
+    spec = FlowSpec(F3, 1, 1)
+    with pytest.raises(FieldError, match="entry field mismatch"):
+        delta_trajectory(a2, spec, 8, method=method)
+    with pytest.raises(ValueError, match="A must be 1 x 1"):
+        delta_trajectory([[a2, a2]], FlowSpec(F2, 1, 1), 8, method=method)
+    with pytest.raises(ValueError, match="entries must lie in O"):
+        delta_trajectory(series(F2, {-1: 1}), FlowSpec(F2, 1, 1), 8, method=method)
+
+
+def test_correspondence_ladder_refuses_a_foreign_entry():
+    a2 = series(F2, {1: 1, 2: 1, 5: 1}, prec=40)
+    with pytest.raises(FieldError, match="entry field mismatch"):
+        correspondence_check(a2, power_law(3), FlowSpec(F3, 1, 1), T=8)
+    with pytest.raises(ValueError, match="A must be 1 x 1"):
+        correspondence_check([[a2, a2]], power_law(2), FlowSpec(F2, 1, 1), T=8)
 
 
 def test_residual_searches_refuse_mixed_fields():
     # an entry, a candidate or the spec over another field is refused as
     # series arithmetic refuses it, after the class cap is checked; in
-    # correspondence_check, on the ladder path by the witness residual and
-    # on the generic path by the trajectory
+    # correspondence_check the trajectory refuses it first, on both paths
     a2, a3 = series(F2, {1: 1}), series(F3, {1: 1})
     calls = [
         lambda: zero_block_detector(a2, FlowSpec(F3, 1, 1), degree_bound=2),
         lambda: best_integer_approx([[a2, a3]], (Poly.one(F2), Poly.one(F2))),
         lambda: best_integer_approx(a2, Poly.one(F3)),
-        lambda: correspondence_check(a2, power_law(3), FlowSpec(F3, 1, 1), T=4),
     ]
     for call in calls:
         with pytest.raises(FieldError, match="mixed fields in series arithmetic"):
             call()
+    with pytest.raises(FieldError):
+        correspondence_check(a2, power_law(3), FlowSpec(F3, 1, 1), T=4)
     with pytest.raises(FieldError):
         correspondence_check([[a2, a3]], power_law(2), FlowSpec(F2, 1, 2), T=4)
     with pytest.raises(EnumerationCapError):

@@ -642,8 +642,11 @@ def test_engine_yields_the_same_steps_on_both_cores(p, e, shape, T, data):
     for (d, need, col), (d_a, need_a, col_a) in zip(planes, arrays):
         assert isinstance(col, flow._PlaneColumn) and isinstance(col_a, np.ndarray)
         assert (d, need) == (d_a, need_a)
-        col = np.asarray(col)
+        col = flow._column_stack(fs, [col])[0]
         assert col.dtype == col_a.dtype and np.array_equal(col, col_a)
+    # all columns decoded at once, padded to the longest, are the same too
+    stacked = [flow._column_stack(fs, [c for _, _, c in steps]) for steps in (planes, arrays)]
+    assert stacked[0].dtype == stacked[1].dtype and np.array_equal(*stacked)
 
 
 def test_trajectory_method_validation():

@@ -4,6 +4,7 @@ tail-to-power-law ratio."""
 import pytest
 
 import oracles
+from ffdyn import weyl
 from ffdyn.errors import EnumerationCapError
 from ffdyn.weyl import (
     RootSystemSpec,
@@ -167,3 +168,23 @@ def test_rank1_matches_tree_ray_tail():
             tree_val = float(oracles.even_vertex_tail(q, n))
             ratios.append(s_val / tree_val)
         assert max(ratios) / min(ratios) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_cusp_rows_count_each_pairing_once(rank, monkeypatch):
+    # the rows share their terms: one count per pairing, and every field of
+    # every row bit-identical to cusp_tail's own sum at that T
+    spec = RootSystemSpec(rank)
+    counted = []
+
+    def count(l, spec):
+        counted.append(l)
+        return dominant_count(l, spec)
+
+    for q in (2, 3, 4, 9):
+        want = [cusp_tail(T, spec, q) for T in range(2, 41)]
+        monkeypatch.setattr(weyl, "dominant_count", count)
+        counted.clear()
+        assert cusp_rows(spec, q, 2, 40) == want
+        assert sorted(counted) == list(range(2, max(row.cutoff for row in want) + 1))
+        monkeypatch.undo()
