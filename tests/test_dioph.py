@@ -755,6 +755,19 @@ def _witness_polys(spec, stack):
     return [(vec[m:], vec[:m]) for vec in polys]
 
 
+def _record_witness_calls(monkeypatch):
+    """Have ``correspondence_check`` record the (flagged, stack) of each
+    ``_window_witnesses`` call; returns the routine and the records."""
+    batched, calls = dioph._window_witnesses, []
+
+    def record(rows_A, psi, spec, flagged, stack):
+        calls.append((flagged, stack))
+        return batched(rows_A, psi, spec, flagged, stack)
+
+    monkeypatch.setattr(dioph, "_window_witnesses", record)
+    return batched, calls
+
+
 @pytest.mark.parametrize(
     "fs", [field_spec(p, e) for p in (2, 3, 5) for e in (1, 2, 3)], ids=lambda f: f"s{f.s}"
 )
@@ -764,12 +777,7 @@ def test_batched_witnesses_match_series_oracle(fs, monkeypatch):
     # recomputation's witnesses in the same order, and on windows too short
     # for them the same error (type, message, needed_precision) at the same
     # time
-    batched = dioph._window_witnesses
-    calls = []
-
-    def record(rows_A, psi, spec, flagged, stack):
-        calls.append((flagged, stack))
-        return batched(rows_A, psi, spec, flagged, stack)
+    batched, calls = _record_witness_calls(monkeypatch)
 
     def reference(A, psi, spec, flagged, stack):
         return [
@@ -777,7 +785,6 @@ def test_batched_witnesses_match_series_oracle(fs, monkeypatch):
             for (t, R), (qs, ps) in zip(flagged, _witness_polys(spec, stack))
         ]
 
-    monkeypatch.setattr(dioph, "_window_witnesses", record)
     kinds = set()
     profiles = [power_law(fs.s, tau=1.0), power_law(fs.s, c=0.5, tau=1.3)]
     for (m, n), psi in itertools.product([(1, 1), (1, 2), (2, 1), (2, 2)], profiles):
@@ -838,14 +845,7 @@ def test_witness_polys_view_the_checked_stack(p, e, monkeypatch):
     # codes it equals, and the one range check of the stack still refuses
     # an out-of-range code
     fs = field_spec(p, e)
-    batched = dioph._window_witnesses
-    calls = []
-
-    def record(rows_A, psi, spec, flagged, stack):
-        calls.append((flagged, stack))
-        return batched(rows_A, psi, spec, flagged, stack)
-
-    monkeypatch.setattr(dioph, "_window_witnesses", record)
+    batched, calls = _record_witness_calls(monkeypatch)
     psi = power_law(fs.s, tau=1.0)
     seen = 0
     for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
