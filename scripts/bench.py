@@ -43,6 +43,12 @@ The record holds:
   4 T + 64, CORR_RUNS times in this process, and their median; it times
   the rate solve, the engine and the witness check together, and
   flow-reduce runs it only at s = 2 and 3;
+- ``mult``: for s in 2, 3, 4, 5, 9, the seconds of one
+  ``dioph.mult_solutions`` call on the exact 1 x 1 basis of MULT_PRECISION
+  uniform codes against psi(x) = 1/x, at the norm bound s^k of
+  MULT_BOUND_EXP, MULT_RUNS times in this process after one warm-up call,
+  their median, and the tracemalloc peak of one more call
+  (``peak_bytes``); ext-field runs it only at s = 4 and 9;
 - ``machine``: the git commit (marked dirty if edited), CPU model, CPU count, Python and numpy.
 
 Without ``--out`` the file is ``BENCH_<n>.json`` in the checkout's root,
@@ -77,6 +83,9 @@ GENERIC_T = 128
 GENERIC_RUNS = 5
 CORR_T = 32
 CORR_RUNS = 5
+MULT_PRECISION = 96
+MULT_BOUND_EXP = {2: 5, 3: 3, 4: 2, 5: 2, 9: 1}  # s: k, about 800-4100 unit classes
+MULT_RUNS = 9
 
 
 def _env() -> dict:
@@ -256,6 +265,47 @@ def correspondence_times() -> dict:
     return out
 
 
+def mult_times() -> dict:
+    """{"precision", s: {"bound_exp", "checked", "runs_s", "median_s",
+    "peak_bytes"}} of the ``mult`` record."""
+    import tracemalloc
+
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from ffdyn.dioph import mult_solutions
+    from ffdyn.field import LaurentSeries, field_spec
+    from ffdyn.flow import FlowSpec, PsiPowerLaw, unipotent_lattice
+
+    out: dict = {"precision": MULT_PRECISION}
+    for p, e in GENERIC_FIELDS:
+        fs = field_spec(p, e)
+        codes = np.random.default_rng(SEED).integers(0, fs.s, size=MULT_PRECISION)
+        basis = unipotent_lattice(LaurentSeries(fs, 0, codes, None), FlowSpec(fs, 1, 1))
+        psi = PsiPowerLaw(fs.s, c=0.0, tau=1.0)
+        k = MULT_BOUND_EXP[fs.s]
+        checked = mult_solutions(basis, psi, fs.s**k).checked
+        runs = []
+        for _ in range(MULT_RUNS):
+            start = time.perf_counter()
+            mult_solutions(basis, psi, fs.s**k)
+            runs.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            mult_solutions(basis, psi, fs.s**k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[str(fs.s)] = {
+            "bound_exp": k,
+            "checked": checked,
+            "runs_s": runs,
+            "median_s": statistics.median(runs),
+            "peak_bytes": peak,
+        }
+    return out
+
+
 def machine() -> dict:
     import numpy as np
 
@@ -309,6 +359,7 @@ def main(argv=None) -> int:
         "ladder": ladder_times(),
         "generic": generic_times(),
         "correspondence": correspondence_times(),
+        "mult": mult_times(),
         "tier1": tier1_suite(),
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -480,7 +480,8 @@ def mult_solutions(
     nondegenerate vector can meet.  One vector per unit class is kept,
     scaled so the top coefficient of its first nonzero coordinate is 1;
     the classes come in build order, that of their monic members in the
-    walk of ``enumerate_short_vectors``.
+    walk of ``enumerate_short_vectors``.  The walk is classified as built,
+    one row per class, and only the rows reported are rescaled.
     """
     if basis.rank < 2:
         raise ValueError("multiplicative regime needs rank >= 2")
@@ -489,27 +490,29 @@ def mult_solutions(
         raise ValueError("psi and the basis use different values of s")
     bound_exp = _spower_exponent(norm_bound, fs.s, "norm_bound")
     M, W = _short_vector_array(basis, float(norm_bound), cap, monic=True)
-    W = fs.mul_arr(W, fs.inv_arr(_lead_codes(W))[:, None, None])
-    degen = ~W.any(axis=2).all(axis=1)
+    degs = _degrees(W)  # a unit multiple has the same degrees and zero coordinates
+    degen = (degs < 0).any(axis=1)
     if basis.window is not None and degen.any():
         raise CertificationError(
             "coordinate vanishes through the window; "
             "zero is undecidable at this precision",
             needed_precision=basis.window + 1,
         )
-    live = W[~degen]
-    exps = _degrees(live) - M
+    exps = degs[~degen] - M
     prod, norm = exps.sum(axis=1), exps.max(axis=1)
-    admitted = np.zeros(live.shape[0], dtype=bool)
+    admitted = np.zeros(exps.shape[0], dtype=bool)
     if psi is not None:
         norms, first, at = np.unique(norm, return_index=True, return_inverse=True)
         theta = np.empty(norms.size)
         for i in np.argsort(first):  # psi once per norm, in order of appearance
             theta[i] = _llog_ext(psi, int(norms[i]))
         admitted = prod <= norm + theta[at] + _EPS
-    kept = zip(_series_rows(fs, M, basis.window, live[admitted]), exps[admitted].tolist())
-    solutions = [MultiplicativeSolution(vec, tuple(e)) for vec, e in kept]
-    degenerate = _series_rows(fs, M, basis.window, W[degen])
+    # only the rows reported, the solutions then the degenerate, go to lead code 1
+    rows = W[np.concatenate([np.flatnonzero(~degen)[admitted], np.flatnonzero(degen)])]
+    rows = fs.mul_arr(rows, fs.inv_arr(_lead_codes(rows))[:, None, None])
+    vecs = _series_rows(fs, M, basis.window, rows)
+    solutions = [MultiplicativeSolution(v, tuple(e)) for v, e in zip(vecs, exps[admitted].tolist())]
+    degenerate = vecs[len(solutions) :]
     label = "zero" if psi is None else psi.describe()
     return MultSolutionSet(fs.s, bound_exp, label, solutions, degenerate, len(W))
 

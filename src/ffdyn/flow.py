@@ -860,9 +860,10 @@ def _trial_row(spec, seed, tag, trial: int, precision: int, burn_in: int, ts) ->
 # Borel-Cantelli experiments
 
 
-def _event_matrix(
+def _checkpoint_counts(
     spec: FlowSpec,
     thr: np.ndarray,
+    cps: np.ndarray,
     trials: int,
     seed: int,
     burn_in: int,
@@ -870,18 +871,20 @@ def _event_matrix(
     tag: str,
     threads: int = 1,
 ) -> np.ndarray:
-    """events[trial, t-1] = 1 iff Delta(g_(t+burn_in) u_A Z^r) >= thr[t-1],
+    """counts[trial, k] = #{t <= cps[k] : Delta(g_(t+burn_in) u_A Z^r) >= thr[t-1]},
     at 2 (T + burn_in) + 96 coefficients when ``precision`` is None; the
-    trials are sharded over ``threads`` processes by ``map_trials``."""
+    trials, each sending back only its counts, are sharded over ``threads``
+    processes by ``map_trials``."""
     T = int(thr.size)
     if precision is None:
         precision = 2 * (T + burn_in) + 96
     ts = np.arange(1, T + 1, dtype=np.int64)
 
-    def events_row(trial):
-        return _trial_row(spec, seed, tag, trial, precision, burn_in, ts) >= thr
+    def counts_row(trial):
+        hits = _trial_row(spec, seed, tag, trial, precision, burn_in, ts) >= thr
+        return np.cumsum(hits, dtype=np.int64)[cps - 1]
 
-    return np.array(map_trials(events_row, trials, threads), dtype=np.int8).reshape(trials, T)
+    return np.array(map_trials(counts_row, trials, threads), np.int64).reshape(trials, cps.size)
 
 
 def _ladder_phis(spec: FlowSpec, thresholds, phi_table) -> tuple[np.ndarray, np.ndarray]:
@@ -989,8 +992,7 @@ def strong_bc_experiment(
     T = int(thr.size)
     expected_full = np.cumsum(phis)
     cps = _geometric_checkpoints(T, checkpoints)
-    events = _event_matrix(spec, thr, trials, seed, burn_in, precision, tag, threads)
-    counts = np.cumsum(events, axis=1, dtype=np.int64)[:, cps - 1]
+    counts = _checkpoint_counts(spec, thr, cps, trials, seed, burn_in, precision, tag, threads)
     return StrongBCResult(
         spec=spec,
         T=T,

@@ -618,6 +618,7 @@ def _combinations(fs, images: np.ndarray, monic: bool = False) -> np.ndarray:
     code is 1.  Over the reduced echelon form E with unit pivots c_0 < c_1
     < ..., sum a_i E_i reads a_i at c_i and depends on a_0..a_i only up to
     c_(i+1), so the combinations sort as their digits, E_0's outermost.
+    Every row is written once, into the one array returned.
     """
     E, pivots = fs._echelon(images)
     if (pivots < 0).any():
@@ -626,10 +627,19 @@ def _combinations(fs, images: np.ndarray, monic: bool = False) -> np.ndarray:
     for i, c in enumerate(pivots.tolist()):  # rows below i are zero at c
         E[i] = fs.scale_arr(fs.inv(int(E[i, c])), E[i])
         E[:i] = fs.submul_arr(E[:i], E[:i, c : c + 1], E[i])
-    W = np.zeros((1, E.shape[1]), dtype=np.int64)
-    codes = np.arange(fs.s, dtype=np.int64)[:, None, None]
+    s, (dim, width) = fs.s, E.shape
+    total = (s**dim - 1) // (s - 1) if monic else s**dim
+    out = np.zeros((total, width), dtype=np.int64)
+    # out's last rows: the walk over E, or with monic E_0's block, E_0 plus
+    # the walk over E[1:]; row c m + j of the next walk is row j + c image
+    W, m = out[total - s ** (dim - monic) :], 1
+    W[0] = E[0] if monic else 0
+    minus = fs.neg_arr(np.arange(1, s, dtype=np.int64))[:, None, None]
     for image in E[: 0 if monic else None : -1]:
-        W = fs.add_arr(fs.mul_arr(codes, image), W).reshape(-1, W.shape[1])
-    if monic:  # E_i + those of E[i+1:], the first s^(dim-1-i) of E[1:]'s
-        return np.concatenate([fs.add_arr(v, W[: fs.s**k]) for k, v in enumerate(E[::-1])])
-    return W[1:]
+        fs.submul_arr(W[:m], minus, image, out=W[m : s * m].reshape(s - 1, m, width))
+        m *= s
+    # the block of E_i, i > 0: E_i - E_0 plus the first s^(dim-1-i) rows of E_0's
+    for k, image in enumerate(E[:0:-1] if monic else ()):
+        at = (s**k - 1) // (s - 1)
+        fs.submul_arr(W[: s**k], fs.neg(1), fs.sub_arr(image, E[0]), out=out[at : at + s**k])
+    return out if monic else W[1:]

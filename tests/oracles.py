@@ -28,6 +28,9 @@ only what it does not share with the package:
 * ``mult_solutions_reference`` reads the package's series walk
   ``enumerate_short_vectors`` one vector at a time, so it checks the
   monic build and the array classification of ``mult_solutions``;
+* ``event_matrix`` reads each trial's depths from the package's
+  ``flow._trial_row``, so it checks the per-trial checkpoint counts and
+  the sharding of ``strong_bc_experiment``;
 * ``xi_exact_reference`` walks the congruence classes on the package's
   field arithmetic and buffer layout, so it checks the class counting of
   ``xi_exact``;
@@ -364,6 +367,17 @@ def sawtooth_delta(degs: list[int], t: int) -> int:
     if k + 1 < len(degs):
         return min(t - degs[k], degs[k + 1] - t)
     return t - degs[k]
+
+
+def event_matrix(trial_depths, thr, trials: int) -> np.ndarray:
+    """events[trial, t-1] = 1 iff trial_depths(trial)[t-1] >= thr[t-1]: the
+    trials x T int8 matrix of hits that strong-bc once kept in full, one
+    trial after another in this process."""
+    thr = np.asarray(thr)
+    events = np.zeros((trials, thr.size), dtype=np.int8)
+    for trial in range(trials):
+        events[trial] = np.asarray(trial_depths(trial)) >= thr
+    return events
 
 
 # ---------------------------------------------------------------------------

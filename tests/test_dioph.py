@@ -558,6 +558,32 @@ def test_mult_solutions_match_reference_loop():
     assert got == _mult_outcome(oracles.mult_solutions_reference, basis, power_law(2), 2.0, cap)
 
 
+def test_mult_solutions_peak_stays_near_its_monic_walk():
+    # the search reads the monic walk where _combinations writes it and
+    # rescales only the rows it reports, so its tracemalloc peak stays
+    # below 2.5 times the walk's bytes; rescaling and copying the whole
+    # walk peaked at about 3.05 times on this basis
+    import tracemalloc
+
+    from ffdyn.lattice import _short_vector_array
+
+    fs = field_spec(2, 2)
+    a = LaurentSeries(fs, 0, np.random.default_rng(4).integers(0, fs.s, size=68), None)
+    basis = unipotent_lattice(a, FlowSpec(fs, 1, 1))
+    psi, bound = power_law(fs.s), float(fs.s**2)
+    walk = _short_vector_array(basis, bound, 200_000, monic=True)[1]
+    assert walk.shape[0] == (fs.s**6 - 1) // (fs.s - 1)
+    mult_solutions(basis, psi, bound)  # warm up the field's tables
+    tracemalloc.start()
+    try:
+        res = mult_solutions(basis, psi, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.checked == walk.shape[0] and res.solutions
+    assert peak < 2.5 * walk.nbytes, peak / walk.nbytes
+
+
 def test_mult_solutions_deep_row_raises_the_walks_precision_error(monkeypatch):
     # short vectors past the window of a truncated basis: the monic build
     # converts the same first deep row as the full series walk, so it

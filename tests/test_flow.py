@@ -793,6 +793,30 @@ def test_strong_bc_counts_match_the_euclid_oracle(e):
     assert res.counts[:, -1].max() > 0
 
 
+def test_strong_bc_counts_are_the_cumsum_of_the_event_matrix(monkeypatch):
+    # each trial sends back only its checkpoint counts; they are the
+    # cumsum, read at the checkpoints, of the full trials x T hit matrix,
+    # in one process and over two
+    monkeypatch.setattr("ffdyn.streams._usable_cpus", lambda: 2)
+    T, burn_in, precision, seed, trials = 96, 4, 296, 11, 5
+    for fs in (F2, F3, field_spec(2, 2)):
+        spec = FlowSpec(fs, 1, 1)
+        thr = np.array([1 + (t % 4 == 0) + (t % 9 == 0) for t in range(1, T + 1)])
+        ts = np.arange(1, T + 1)
+        events = oracles.event_matrix(
+            lambda i: flow._trial_row(spec, seed, "strong-bc", i, precision, burn_in, ts),
+            thr,
+            trials,
+        )
+        for threads in (1, 2):
+            res = strong_bc_experiment(
+                spec, thr, trials, seed, burn_in=burn_in, precision=precision, threads=threads
+            )
+            want = np.cumsum(events, axis=1, dtype=np.int64)[:, res.checkpoints - 1]
+            assert res.counts.dtype == np.int64 and np.array_equal(res.counts, want), (fs, threads)
+        assert 0 < events.sum() < events.size, fs
+
+
 def test_strong_bc_needs_table_for_bigger_blocks():
     with pytest.raises(ValueError):
         strong_bc_experiment(FlowSpec(F2, 2, 1), np.ones(8), trials=2, seed=1)
