@@ -9,13 +9,12 @@ Three regimes for an m x n matrix A over O, all with s-power norms:
 * multiplicative regime: prod_i |v_i| <= ||v|| psi(||v||) (non-strict),
   with zero-coordinate vectors reported separately.
 
-``best_integer_approx`` gives the error of one q in the first regime,
-``kg_monte_carlo`` counts its admitted classes, ``mult_solutions`` lists
-the vectors of the third and ``zero_block_detector`` looks for lattice
-vectors whose first block vanishes.  ``correspondence_check`` ties the
-first two to excursion times of the diagonal flow: every time t with
-Delta(g_t Lambda_A) >= ceil(r(mnt)) must produce a verified solution
-inside the predicted norm window.
+``kg_monte_carlo`` counts the admitted classes of the first regime and
+``mult_solutions`` lists the vectors of the third.  ``correspondence_check``
+ties the first two to excursion times of the diagonal flow: every time t
+with Delta(g_t Lambda_A) >= ceil(r(mnt)) must produce a verified solution
+inside the predicted norm window.  ``_residuals`` forms the residuals
+p + Aq of all flagged times at once.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import CertificationError, EnumerationCapError, FieldError, PrecisionError
-from .field import FieldSpec, LaurentSeries, Poly, _check_codes, _stack, first_visible, series_dot
+from .field import FieldSpec, LaurentSeries, Poly, _check_codes, first_visible, series_dot
 from .flow import (
     FlowSpec,
     PsiFunction,
@@ -46,12 +45,6 @@ _EPS = 1e-9
 
 _DEFAULT_SEARCH_CAP = 1_000_000
 
-# rows per candidate block of a unit-class search, by default
-_CANDIDATE_BLOCK = 1 << 14
-
-# codes per residual row of one candidate block
-_RESIDUAL_CELLS = 1 << 20
-
 
 # ---------------------------------------------------------------------------
 # small conversions shared by every op
@@ -64,16 +57,6 @@ def _matrix_rows(A) -> list[list[LaurentSeries]]:
     if not rows or any(len(r) != len(rows[0]) or not r for r in rows):
         raise ValueError("A must be a nonempty rectangular matrix")
     return rows
-
-
-def _poly_vector(q, n: int) -> tuple[Poly, ...]:
-    if isinstance(q, Poly):
-        qs = (q,)
-    else:
-        qs = tuple(q)
-    if len(qs) != n:
-        raise ValueError(f"q must have {n} coordinates")
-    return qs
 
 
 def _spower_exponent(x, s: int, what: str) -> int:
@@ -114,13 +97,6 @@ def _lead_codes(rows: np.ndarray) -> np.ndarray:
     return first[at, _degrees(first)]
 
 
-def _block_rows(rows, deg: int) -> int:
-    """Candidates per block of a unit-class search, so that one row of
-    their residual holds about _RESIDUAL_CELLS codes."""
-    width = deg + 1 + max(a.coeffs.size for row in rows for a in row)
-    return max(1, _RESIDUAL_CELLS // width)
-
-
 def _residuals(fs, rows, q: np.ndarray, split: bool = False):
     """Row i of Aq for every candidate of a stack q (count, n, width) of
     coefficient codes over fs in ascending degree.  Every entry of A must
@@ -157,36 +133,6 @@ def _residuals(fs, rows, q: np.ndarray, split: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# best integer approximation
-
-
-def best_integer_approx(A, q) -> tuple[tuple[Poly, ...], float]:
-    """Nearest integer vector to -Aq and the distance ||p + Aq||.
-
-    Returns (p, error) with p = -floor(Aq) componentwise and error the norm
-    of the fractional part, a float power of s (0.0 when Aq is integral).
-    Any integer vector within distance <= error of p does equally well;
-    beyond that p is the unique minimizer.  Raises PrecisionError when the
-    window of Aq cannot determine the fractional norm.
-    """
-    rows = _matrix_rows(A)
-    qs = _poly_vector(q, len(rows[0]))
-    fs = rows[0][0].field
-    if any(t.field != fs for t in qs):
-        raise FieldError("mixed fields in series arithmetic")
-    top, _, prec, p_whole = _residuals(fs, rows, _stack([[q.coeffs for q in qs]]), split=True)
-    if (prec < 1).any():
-        raise PrecisionError("window does not reach index 0")
-    tops = top[:, 0].tolist()
-    for t, w in zip(tops, prec[:, 0].tolist()):
-        if t == -math.inf and w < math.inf:
-            raise PrecisionError(
-                f"series vanishes through index {int(w) - 1}; valuation indeterminate"
-            )
-    return tuple(Poly(fs, c[0]) for c in p_whole), max(float(fs.s) ** t for t in tops)
-
-
-# ---------------------------------------------------------------------------
 # strict admission ||p + Aq||^m < psi(||q||^n)
 #
 # A class q of degree d is admitted when the fractional part of Aq has no
@@ -211,41 +157,6 @@ def _check_class_cap(s: int, n: int, deg: int, cap: int) -> None:
         raise EnumerationCapError(
             f"{classes} candidate classes exceed the search cap {cap}"
         )
-
-
-def _unit_class_blocks(s: int, n: int, deg: int, cap: int, size: int = _CANDIDATE_BLOCK):
-    """All q in Z^n \\ 0 with max deg <= deg, one per unit class.
-
-    The class representative has a monic first nonzero coordinate; scalar
-    multiples by F_s^* are never listed twice.  Vectors come out in
-    increasing max-degree order, then in lexicographic order of their
-    coefficient lists, so first hits are minimal witnesses.  They are
-    yielded as int arrays (rows, n, deg + 1) of coefficient codes in
-    ascending degree, ``size`` rows each but the last.  Raises
-    EnumerationCapError, before any block is built, above ``cap`` classes.
-    """
-    _check_class_cap(s, n, deg, cap)
-    pending, held = [], 0
-    for d in range(deg + 1):
-        digits = n * (d + 1)
-        weights = s ** np.arange(digits - 1, -1, -1, dtype=np.int64)
-        total = s**digits
-        for start in range(0, total, _CANDIDATE_BLOCK):
-            flat = np.arange(start, min(start + _CANDIDATE_BLOCK, total))
-            coords = (flat[:, None] // weights % s).reshape(-1, n, d + 1)
-            keep = coords[:, :, d].any(axis=1) & (_lead_codes(coords) == 1)
-            block = np.zeros((int(keep.sum()), n, deg + 1), dtype=np.int64)
-            block[:, :, : d + 1] = coords[keep]
-            pending.append(block)
-            held += block.shape[0]
-            if held >= size:
-                rows = np.concatenate(pending)
-                cut = held - held % size
-                for at in range(0, cut, size):
-                    yield rows[at : at + size]
-                pending, held = [rows[cut:]], held - cut
-    if held:
-        yield np.concatenate(pending)
 
 
 # ---------------------------------------------------------------------------
@@ -724,65 +635,3 @@ def _window_witnesses(rows_A, psi, spec, flagged, stack) -> list[WindowWitness]:
         ineq_ok = upper[f] == -np.inf or m * int(upper[f]) <= _llog_ext(psi, n * b) + _EPS
         out.append(WindowWitness(qs, ps, b, top_f, bool(window_ok[f]), bool(ineq_ok)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# degenerate first-block detection
-
-
-@dataclass
-class ZeroBlockReport:
-    """Outcome of the bounded search for vectors with zero first block."""
-
-    found: bool
-    witness: tuple[Poly, ...] | None
-    searched: int
-    indeterminate: int
-    degree_bound: int
-
-    def __bool__(self) -> bool:
-        return self.found
-
-
-def zero_block_detector(
-    target,
-    spec: FlowSpec,
-    degree_bound: int = 4,
-    cap: int = _DEFAULT_SEARCH_CAP,
-) -> ZeroBlockReport:
-    """Bounded search for lattice vectors whose first m coordinates vanish.
-
-    Such a vector forces approximability for every profile (integer
-    multiples give solutions with error zero at all scales).  target is a
-    coefficient matrix A or a LatticeBasis.  Detection requires the block
-    to vanish provably; candidates that only vanish through a finite
-    window are counted as indeterminate, never as hits.
-    """
-    if isinstance(target, LatticeBasis):
-        if spec.rank != target.rank:
-            raise ValueError("spec rank does not match the basis")
-        # the block is the first m coordinates of B u
-        fs, rows, split = target.field, target.entries[: spec.m], False
-    else:
-        # the block is the fractional part of Aq
-        fs, rows, split = spec.field, _matrix_rows(target), True
-        if len(rows) != spec.m or len(rows[0]) != spec.n:
-            raise ValueError(f"A must be {spec.m} x {spec.n}")
-    n = len(rows[0])
-    searched = 0
-    indeterminate = 0
-    for q in _unit_class_blocks(fs.s, n, degree_bound, cap, _block_rows(rows, degree_bound)):
-        top, floor, prec, _ = _residuals(fs, rows, q, split=split)
-        vanished = (top == -np.inf).all(axis=0)
-        hit = vanished & (floor == -np.inf).all(axis=0)
-        stop = hit | (prec < 1).any(axis=0) if split else hit
-        if stop.any():
-            k = int(stop.argmax())
-            if not hit[k]:
-                raise PrecisionError("window does not reach index 0")
-            witness = tuple(Poly(fs, c) for c in q[k])
-            indeterminate += int(vanished[:k].sum())
-            return ZeroBlockReport(True, witness, searched + k + 1, indeterminate, degree_bound)
-        searched += q.shape[0]
-        indeterminate += int(vanished.sum())
-    return ZeroBlockReport(False, None, searched, indeterminate, degree_bound)

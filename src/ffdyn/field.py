@@ -588,13 +588,6 @@ class Poly:
     def one(cls, field: FieldSpec) -> "Poly":
         return cls(field, [1])
 
-    @classmethod
-    def x_power(cls, field: FieldSpec, d: int, c: int = 1) -> "Poly":
-        if d < 0:
-            raise FieldError("polynomial powers must be >= 0")
-        coeffs = [0] * d + [c]
-        return cls(field, coeffs)
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -603,18 +596,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return self.coeffs.size == 0
-
-    @property
-    def leading(self) -> int:
-        if self.is_zero:
-            raise FieldError("zero polynomial has no leading coefficient")
-        return int(self.coeffs[-1])
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        c = self.field.inv(self.leading)
-        return Poly(self.field, self.field.scale_arr(c, self.coeffs))
 
     def _binop(self, other: "Poly", fn) -> "Poly":
         n = max(self.coeffs.size, other.coeffs.size)
@@ -635,19 +616,6 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         return Poly(self.field, self.field.polymul(self.coeffs, other.coeffs))
-
-    def scale(self, c: int) -> "Poly":
-        return Poly(self.field, self.field.scale_arr(c, self.coeffs))
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        quo, rem = self.field.polydivmod(self.coeffs, other.coeffs)
-        return Poly(self.field, quo), Poly(self.field, rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
 
     def __eq__(self, other) -> bool:
         return (
@@ -896,9 +864,6 @@ class LaurentSeries:
         if length <= 0:
             return LaurentSeries(fs, 0, [], out_prec)
         return LaurentSeries(fs, -self.v, fs.polyinv(self.coeffs, length), out_prec)
-
-    def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self * other.invert()
 
     def truncate(self, n: int) -> "LaurentSeries":
         """Forget all coefficients at indices >= n."""
@@ -1190,15 +1155,3 @@ def parse_series(field: FieldSpec, text: str) -> LaurentSeries:
             )
     return LaurentSeries.from_pairs(field, by_index, prec)
 
-
-def parse_poly(field: FieldSpec, text: str) -> Poly:
-    """Parse a polynomial in X (nonnegative exponents only)."""
-    pairs = _parse_terms(field, text.strip())
-    if any(exp < 0 for exp, c in pairs.items() if c):
-        raise ValueError("negative exponent in polynomial")
-    deg = max((exp for exp, c in pairs.items() if c), default=-1)
-    arr = np.zeros(deg + 1, dtype=np.int64)
-    for exp, c in pairs.items():
-        if c:
-            arr[exp] = c
-    return Poly(field, arr)

@@ -749,12 +749,6 @@ class TailTable:
             raise ValueError("tail values must lie in [0, 1]")
         self.exact = bool(exact)
 
-    def phi(self, nthr: int) -> float:
-        try:
-            return float(self.values[self.thresholds.index(nthr)])
-        except ValueError:
-            raise ValueError(f"threshold {nthr} not in the table") from None
-
     def kappa_fit(self) -> KappaFit:
         """Least-squares fit of log_s Phi(n) = log_s C - kappa n over the
         thresholds n >= 1 with Phi(n) > 0."""

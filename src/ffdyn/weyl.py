@@ -88,9 +88,6 @@ class CuspTail:
     cutoff: int
     remainder_bound: float
 
-    def row(self) -> tuple:
-        return (self.T, self.tail, self.comparator, self.ratio)
-
 
 def _count_upper_bound(l: int, rank: int) -> float:
     # gaps a_1..a_{r-1} each range over at most l+1 values, a_r is determined

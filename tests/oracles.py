@@ -11,20 +11,15 @@ ffdyn, so agreement between these and the package is a real cross-check,
 not a tautology.  The exceptions read package code, so each checks
 only what it does not share with the package:
 
-* ``best_integer_approx_reference`` forms the residual of one candidate
-  by the package's series arithmetic (``residual_rows``), so it checks
-  the block residual of ``best_integer_approx``;
-* ``slow_trial`` evaluates each kg candidate's residual the same way and
-  admits it with the package's psi extension and admission depth
-  (``strict_admission``), so it checks the kg rank count's admitted
-  classes, not the admission rule;
+* ``slow_trial`` forms each kg candidate's residual by the package's
+  series arithmetic (``residual_rows``) and admits it with the package's
+  psi extension and admission depth (``strict_admission``), so it checks
+  the kg rank count's admitted classes, not the admission rule;
 * ``hankel_trial``, the batched Hankel walk that the rank count
-  replaced, reads the package's unit-class blocks, field kernels and
-  admission rule, so it checks the rank count on inputs too large for
-  ``slow_trial``;
-* ``zero_block_reference`` walks the unit classes one at a time through
-  the package's series arithmetic, so it checks the block walk and the
-  hit and indeterminate bookkeeping of ``zero_block_detector``;
+  replaced, reads this module's unit-class blocks (``unit_class_blocks``,
+  checked against ``unit_normalized_vectors``) and the package's field
+  kernels and admission rule, so it checks the rank count on inputs too
+  large for ``slow_trial``;
 * ``mult_solutions_reference`` reads the package's series walk
   ``enumerate_short_vectors`` one vector at a time, so it checks the
   monic build and the array classification of ``mult_solutions``;
@@ -862,15 +857,6 @@ def residual_rows(rows, qs):
     return tuple(ps), fracs
 
 
-def best_integer_approx_reference(A, qs):
-    """``best_integer_approx`` by ``residual_rows``: p and the largest
-    norm of a fractional part."""
-    from ffdyn.dioph import _matrix_rows
-
-    ps, fracs = residual_rows(_matrix_rows(A), qs)
-    return ps, max((frac.abs_value() for frac in fracs), default=0.0)
-
-
 def strict_admission(psi, m, n, q_deg, fracs) -> bool:
     """Decide ||p + Aq||^m < psi(||q||^n) from the fractional parts.
 
@@ -912,6 +898,41 @@ def slow_trial(rows, psi, m, n, horizon, rungs):
     return count, passes
 
 
+CANDIDATE_BLOCK = 1 << 14
+
+
+def unit_class_blocks(s: int, n: int, deg: int, size: int = CANDIDATE_BLOCK):
+    """``unit_normalized_vectors`` in blocks: the same classes in the same
+    order, as int arrays (rows, n, deg + 1) of coefficient codes in
+    ascending degree, ``size`` rows each but the last.  Each degree d is
+    walked as the base-s digits of CANDIDATE_BLOCK integers at a time."""
+    pending, held = [], 0
+    for d in range(deg + 1):
+        digits = n * (d + 1)
+        weights = s ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+        total = s**digits
+        for start in range(0, total, CANDIDATE_BLOCK):
+            flat = np.arange(start, min(start + CANDIDATE_BLOCK, total))
+            coords = (flat[:, None] // weights % s).reshape(-1, n, d + 1)
+            # the top code of each row's first nonzero coordinate
+            k = np.arange(coords.shape[0])
+            first = coords[k, coords.any(axis=2).argmax(axis=1)]
+            lead = first[k, d - (first[:, ::-1] != 0).argmax(axis=1)]
+            keep = coords[:, :, d].any(axis=1) & (lead == 1)
+            block = np.zeros((int(keep.sum()), n, deg + 1), dtype=np.int64)
+            block[:, :, : d + 1] = coords[keep]
+            pending.append(block)
+            held += block.shape[0]
+            if held >= size:
+                rows = np.concatenate(pending)
+                cut = held - held % size
+                for at in range(0, cut, size):
+                    yield rows[at : at + size]
+                pending, held = [rows[cut:]], held - cut
+    if held:
+        yield np.concatenate(pending)
+
+
 def hankel_trial(rows, psi, m, n, horizon, rungs):
     """(admitted unit classes, rung passes) of one kg trial on the matrix
     rows: Hankel products of every unit-class candidate block with each
@@ -922,11 +943,11 @@ def hankel_trial(rows, psi, m, n, horizon, rungs):
     candidate q at once.  The window depth U is chosen so an all-zero
     column certifies admission outright.
     """
-    from ffdyn.dioph import _DEFAULT_SEARCH_CAP, _EPS, _llog_ext, _unit_class_blocks
+    from ffdyn.dioph import _EPS, _llog_ext
 
     fs = rows[0][0].field
     blocks = []
-    for q in _unit_class_blocks(fs.s, n, horizon, _DEFAULT_SEARCH_CAP):
+    for q in unit_class_blocks(fs.s, n, horizon):
         degrees = horizon - q.any(axis=1)[:, ::-1].argmax(axis=1)
         blocks.append((q.reshape(q.shape[0], -1), degrees))
     theta = np.array(
@@ -963,38 +984,6 @@ def hankel_trial(rows, psi, m, n, horizon, rungs):
         if admitted.any():
             top = max(top, int(qdegs[admitted].max()))
     return count, tuple(top >= h for h in rungs)
-
-
-def zero_block_reference(target, m, degree_bound):
-    """(found, witness, searched, indeterminate) of the zero-block search,
-    one unit class at a time through series products.
-
-    ``target`` is an m x n matrix of series, whose block is the fractional
-    part of each row of Aq, or a basis with ``entries``, whose block is the
-    first m coordinates of the lattice vector.  A class whose block is
-    exactly zero is a hit; one whose block only vanishes through the window
-    is indeterminate.
-    """
-    from ffdyn.field import LaurentSeries, Poly
-
-    lattice = hasattr(target, "entries")
-    rows = target.entries[:m] if lattice else target
-    fs = rows[0][0].field
-    searched = indeterminate = 0
-    for coords in unit_normalized_vectors(fs.s, len(rows[0]), degree_bound):
-        qs = tuple(Poly(fs, list(c)) for c in coords)
-        searched += 1
-        block = []
-        for row in rows:
-            w = LaurentSeries.zero(fs)
-            for a, q in zip(row, qs):
-                w = w + a * LaurentSeries.from_poly(q)
-            block.append(w if lattice else w.polynomial_part()[1])
-        if all(w.is_exact_zero for w in block):
-            return True, qs, searched, indeterminate
-        if not any(w.has_leading_term for w in block):
-            indeterminate += 1
-    return False, None, searched, indeterminate
 
 
 def mult_solutions_reference(basis, psi, norm_bound, cap: int = 200_000):

@@ -9,15 +9,11 @@ import pytest
 import oracles
 from ffdyn import dioph
 from ffdyn.dioph import (
-    _CANDIDATE_BLOCK,
     _required_precision,
-    _unit_class_blocks,
-    best_integer_approx,
     correspondence_check,
     kg_monte_carlo,
     mult_solutions,
     persistence_ladder,
-    zero_block_detector,
 )
 from ffdyn.errors import CertificationError, EnumerationCapError, FieldError, PrecisionError
 from ffdyn.field import LaurentSeries, Poly, field_spec
@@ -57,100 +53,6 @@ def _outcome(run):
     except (CertificationError, PrecisionError) as err:
         return type(err), str(err), getattr(err, "needed_precision", None)
     return got, repr(got)
-
-
-def _residual_matrices(fs, rng, m, n, need):
-    """Matrices whose residuals p + Aq take every path: windows from two
-    past ``need`` down to 1 (shorter than a candidate's degree), exact
-    entries, a windowed zero entry and an entry with an integer part."""
-    mats = [sample_matrix(fs, rng, m, n, prec) for prec in (need + 2, need, max(need - 2, 1), 2, 1)]
-    mats.append(sample_matrix(fs, rng, m, n, need, exact=True))
-    windowed_zero = sample_matrix(fs, rng, m, n, need)
-    windowed_zero[0][-1] = LaurentSeries.zero_window(fs, 2)
-    mats.append(windowed_zero)
-    whole = sample_matrix(fs, rng, m, n, need)
-    whole[-1][0] = series(fs, {-1: 1, 0: fs.s - 1, 2: 1}, prec=need)
-    mats.append(whole)
-    return mats
-
-
-# ---------------------------------------------------------------------------
-# best integer approximation
-
-
-def test_best_approx_splits_fraction():
-    a = series(F2, {1: 1, 3: 1})
-    p, err = best_integer_approx(a, Poly.x_power(F2, 1))
-    # Aq = 1 + X^-2, so p = -1 = 1 and the error is s^-2
-    assert p == (Poly.one(F2),)
-    assert err == 0.25
-
-    b = series(F3, {1: 1, 3: 2})
-    p3, err3 = best_integer_approx(b, Poly.x_power(F3, 1))
-    assert p3 == (Poly(F3, [2]),)
-    assert err3 == pytest.approx(3.0**-2)
-
-
-def test_best_approx_zero_matrix():
-    for q in [Poly.one(F2), Poly.x_power(F2, 3), Poly(F2, [1, 0, 1])]:
-        p, err = best_integer_approx(LaurentSeries.zero(F2), q)
-        assert p[0].is_zero and err == 0.0
-
-
-def test_best_approx_polynomial_entries():
-    a = LaurentSeries.from_poly(Poly(F2, [1, 1]))
-    q = Poly.x_power(F2, 2)
-    p, err = best_integer_approx(a, q)
-    assert err == 0.0
-    resid = a * LaurentSeries.from_poly(q) + LaurentSeries.from_poly(p[0])
-    assert resid.is_exact_zero
-
-
-def test_best_approx_is_the_minimizer():
-    rng = stream(31, "test", 0)
-    a = sample_matrix(F2, rng, 1, 1, 24)[0][0]
-    q = Poly(F2, [1, 1, 1])
-    p, err = best_integer_approx(a, q)
-    base = a * LaurentSeries.from_poly(q) + LaurentSeries.from_poly(p[0])
-    assert base.abs_value() == err <= 0.5
-    # shifting p by a nonzero integer lands at norm >= 1 > err
-    for off in [Poly.one(F2), Poly.x_power(F2, 1)]:
-        shifted = base + LaurentSeries.from_poly(off)
-        assert shifted.abs_value() == LaurentSeries.from_poly(off).abs_value()
-
-
-def test_best_approx_matrix_shape():
-    rows = [[series(F2, {1: 1}), series(F2, {2: 1})]]
-    p, err = best_integer_approx(rows, (Poly.one(F2), Poly.one(F2)))
-    assert len(p) == 1 and err == 0.5
-    with pytest.raises(ValueError):
-        best_integer_approx(rows, Poly.one(F2))
-
-
-@pytest.mark.parametrize("p,e", _FIELDS)
-def test_best_approx_matches_series_reference(p, e):
-    # the one-candidate residual gives the p and error of the series
-    # products, or their error (type, message, needed precision); q = 0,
-    # the zero-width stack, is one input against every matrix
-    fs = field_spec(p, e)
-    rng = stream(43, "test", fs.s)
-    kinds = set()
-    for m, n in itertools.product((1, 2), repeat=2):
-        for A in _residual_matrices(fs, rng, m, n, 8):
-            for width in (0, 1, 3, 6):
-                qs = tuple(Poly(fs, rng.integers(0, fs.s, size=width)) for _ in range(n))
-                want = _outcome(lambda: oracles.best_integer_approx_reference(A, qs))
-                assert _outcome(lambda: best_integer_approx(A, qs)) == want, (m, n, qs)
-                kinds.add(" ".join(want[1].split()[:2]) if isinstance(want[0], type) else "result")
-    assert kinds == {"result", "window does", "series vanishes"}
-
-
-def test_best_approx_precision_errors():
-    with pytest.raises(PrecisionError):
-        best_integer_approx(LaurentSeries.zero_window(F2, 0), Poly.one(F2))
-    # window vanishes but cannot certify a zero fraction
-    with pytest.raises(PrecisionError):
-        best_integer_approx(LaurentSeries.zero_window(F2, 5), Poly.one(F2))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +197,8 @@ def test_unit_class_blocks_match_reference_walk(p, e):
             [list(c) + [0] * (deg + 1 - len(c)) for c in coords]
             for coords in oracles.unit_normalized_vectors(fs.s, n, deg)
         ]
-        for size in (_CANDIDATE_BLOCK, 7, 1):
-            blocks = list(_unit_class_blocks(fs.s, n, deg, 10**6, size))
+        for size in (oracles.CANDIDATE_BLOCK, 7, 1):
+            blocks = list(oracles.unit_class_blocks(fs.s, n, deg, size))
             assert all(b.shape[0] == size for b in blocks[:-1])
             assert 0 < blocks[-1].shape[0] <= size
             got = [row for b in blocks for row in b.tolist()]
@@ -357,62 +259,6 @@ def test_kg_rank_count_matches_hankel_trial(p, e):
             want = np.array(passes)
             assert rep.rung_fractions == {h: want[:, i].mean() for i, h in enumerate(rungs)}
             assert rep.persistent_fraction == want.all(axis=1).mean()
-
-
-def _zero_block_cases(fs, rng):
-    """(target, spec, degree bound, expect a hit, expect indeterminate > 0)
-    on the matrix path and the basis path; a hit of PrecisionError expects
-    that error, from a candidate whose window does not reach index 0."""
-    c = int(rng.integers(1, fs.s))
-    classes = lambda r, d: (fs.s ** (r * (d + 1)) - 1) // (fs.s - 1)
-    d1 = max(d for d in range(6) if classes(1, d) <= 2000)
-    d2 = max(d for d in range(4) if classes(2, d) <= 2000)
-    s11, s12, s21 = FlowSpec(fs, 1, 1), FlowSpec(fs, 1, 2), FlowSpec(fs, 2, 1)
-    exact = series(fs, {1: c})  # c X^-1, cleared exactly by q = X
-    windowed = sample_matrix(fs, rng, 1, 1, d1 + 1)
-    short = LaurentSeries.zero_window(fs, 1)  # times q of degree d: known below 1 - d
-    cases = [
-        ([[exact]], s11, d1, True, False),
-        ([[short]], s11, d1, PrecisionError, None),
-        (windowed, s11, d1, False, True),
-        (sample_matrix(fs, rng, 1, 1, 4 * d1 + 8), s11, d1, False, False),
-        (unipotent_lattice(series(fs, {0: c}), s11), s11, d2, True, False),
-        (unipotent_lattice(series(fs, {0: c}, prec=2), s11), s11, d2, False, True),
-        (unipotent_lattice(sample_matrix(fs, rng, 1, 1, 2), s11), s11, d2, None, None),
-    ]
-    if classes(2, 1) <= 2000:
-        cases += [
-            (sample_matrix(fs, rng, 1, 2, 3), s12, 1, None, None),
-            # (0, 1) is indeterminate, then (0, X) raises before (X, 0) hits
-            ([[exact, short]], s12, 1, PrecisionError, None),
-            # the hit (0, X) comes before (X, 0) would raise
-            ([[short, exact]], s12, 1, True, True),
-            (sample_matrix(fs, rng, 2, 1, 3), s21, 1, None, None),
-            (unipotent_lattice([[exact], [series(fs, {2: c})]], s21), s21, 0, None, None),
-        ]
-    # drawn last, so the draws of the cases above stay as they were
-    cases.append((sample_matrix(fs, rng, 1, 1, 1), s11, d1, PrecisionError, None))
-    return cases
-
-
-@pytest.mark.parametrize("p,e", _FIELDS)
-def test_zero_block_detector_matches_reference(p, e, monkeypatch):
-    fs = field_spec(p, e)
-    def search(target, spec, bound):
-        rep = zero_block_detector(target, spec, degree_bound=bound)
-        return rep.found, rep.witness, rep.searched, rep.indeterminate
-
-    for target, spec, bound, hit, undecided in _zero_block_cases(fs, stream(p * 10 + e, "test", 0)):
-        want = _outcome(lambda: oracles.zero_block_reference(target, spec.m, bound))
-        assert _outcome(lambda: search(target, spec, bound)) == want, (fs, spec, bound)
-        with monkeypatch.context() as patch:
-            patch.setattr(dioph, "_RESIDUAL_CELLS", 16)
-            assert _outcome(lambda: search(target, spec, bound)) == want, (fs, spec, bound)
-        if hit is PrecisionError:
-            assert want[:2] == (PrecisionError, "window does not reach index 0")
-        elif hit is not None:
-            found, _, _, indeterminate = want[0]
-            assert found == hit and (indeterminate > 0) == undecided
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +476,7 @@ def test_correspondence_rational_gives_exact_witnesses():
     for row in rep.rows:
         assert row.time >= 1 and row.flagged
         assert row.witness.top_exp is None  # error exactly zero
-        assert row.witness.q[0] == Poly.x_power(F2, 1)
+        assert row.witness.q[0] == Poly(F2, [0, 1])
 
 
 def test_correspondence_flat_rate_flags_everywhere():
@@ -919,25 +765,14 @@ def test_correspondence_ladder_refuses_a_foreign_entry():
         correspondence_check([[a2, a2]], power_law(2), FlowSpec(F2, 1, 1), T=8)
 
 
-def test_residual_searches_refuse_mixed_fields():
-    # an entry, a candidate or the spec over another field is refused as
-    # series arithmetic refuses it, after the class cap is checked; in
-    # correspondence_check the trajectory refuses it first, on both paths
+def test_correspondence_refuses_mixed_fields():
+    # an entry or the spec over another field: the trajectory refuses it
+    # before any residual is formed, on both paths
     a2, a3 = series(F2, {1: 1}), series(F3, {1: 1})
-    calls = [
-        lambda: zero_block_detector(a2, FlowSpec(F3, 1, 1), degree_bound=2),
-        lambda: best_integer_approx([[a2, a3]], (Poly.one(F2), Poly.one(F2))),
-        lambda: best_integer_approx(a2, Poly.one(F3)),
-    ]
-    for call in calls:
-        with pytest.raises(FieldError, match="mixed fields in series arithmetic"):
-            call()
     with pytest.raises(FieldError):
         correspondence_check(a2, power_law(3), FlowSpec(F3, 1, 1), T=4)
     with pytest.raises(FieldError):
         correspondence_check([[a2, a3]], power_law(2), FlowSpec(F2, 1, 2), T=4)
-    with pytest.raises(EnumerationCapError):
-        zero_block_detector(a2, FlowSpec(F3, 1, 1), degree_bound=30, cap=10)
 
 
 def test_correspondence_matrix_needs_spec():
@@ -968,56 +803,3 @@ def test_correspondence_report_shape():
     rows = list(rep.table())
     assert len(rows) == 6
     assert rows[0][0] == 1 and rows[0][3] == 1
-
-
-# ---------------------------------------------------------------------------
-# zero-block detection
-
-
-def test_zero_block_exact_rational_found():
-    spec = FlowSpec(F2, 1, 1)
-    rep = zero_block_detector(series(F2, {1: 1}), spec)
-    assert rep
-    assert rep.witness[0] == Poly.x_power(F2, 1)
-
-    rep2 = zero_block_detector(series(F2, {1: 1, 3: 1}), spec)
-    assert rep2
-    # q = X^3 clears X^-1 + X^-3 exactly
-    assert rep2.witness[0].degree == 3
-
-
-def test_zero_block_generic_window_unset():
-    rng = stream(37, "test", 0)
-    A = sample_matrix(F2, rng, 1, 1, 64)
-    rep = zero_block_detector(A, FlowSpec(F2, 1, 1), degree_bound=6)
-    assert not rep
-    assert rep.indeterminate == 0
-    assert rep.searched == 2**7 - 1
-
-
-def test_zero_block_integer_lattice():
-    rep = zero_block_detector(
-        LatticeBasis.identity(F2, 3), FlowSpec(F2, 2, 1), degree_bound=1
-    )
-    assert rep
-    assert rep.witness is not None
-
-
-def test_zero_block_unipotent_basis_path():
-    spec = FlowSpec(F2, 1, 1)
-    basis = unipotent_lattice(series(F2, {1: 1}), spec)
-    rep = zero_block_detector(basis, spec, degree_bound=2)
-    assert rep
-    # re-verify the witness kills the first coordinate exactly
-    us = [LaurentSeries.from_poly(u) for u in rep.witness]
-    w = LaurentSeries.zero(F2)
-    for k in range(2):
-        w = w + basis.entries[0][k] * us[k]
-    assert w.is_exact_zero
-
-
-def test_zero_block_cap():
-    with pytest.raises(EnumerationCapError):
-        zero_block_detector(
-            LaurentSeries.zero(F2), FlowSpec(F2, 1, 1), degree_bound=30, cap=100
-        )

@@ -17,7 +17,6 @@ from ffdyn.field import (
     LaurentSeries,
     Poly,
     field_spec,
-    parse_poly,
     parse_series,
 )
 
@@ -191,29 +190,11 @@ def test_poly_mul_matches_oracle_f3(a, b):
     assert list(got.coeffs) == want
 
 
-@given(
-    a=st.lists(st.integers(0, 4), max_size=10),
-    b=st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(
-        lambda c: any(c)
-    ),
-)
-def test_poly_divmod_matches_oracle_f5(a, b):
-    f5 = field_spec(5)
-    q, r = divmod(Poly(f5, a), Poly(f5, b))
-    qo, ro = oracles.pdivmod(oracles.ptrim(a), oracles.ptrim(b), 5)
-    assert list(q.coeffs) == qo
-    assert list(r.coeffs) == ro
-    assert q * Poly(f5, b) + r == Poly(f5, a)
-
-
 def test_poly_extension_field_ring_identities():
     a = Poly(F4, [2, 1, 3])
     b = Poly(F4, [1, 0, 2])
     c = Poly(F4, [3, 3])
     assert a * (b + c) == a * b + a * c
-    q, r = divmod(a * b + c, b)
-    assert q * b + r == a * b + c
-    assert r.degree < b.degree
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +609,6 @@ def test_invert_exact_monomial_and_errors():
         LaurentSeries.zero_window(F3, 3).invert()
 
 
-def test_division_operator():
-    a = parse_series(F2, "X^3 + X (prec 12)")
-    b = LaurentSeries.x_power(F2, 1)
-    c = a / b
-    assert c.coeff_at(-2) == 1
-    assert c.coeff_at(0) == 1
-
-
 def test_truncate_and_shift():
     a = parse_series(F3, "X^2 + 1 + 2*X^-4")
     t = a.truncate(3)
@@ -676,7 +649,7 @@ def test_values_immutable():
     a = parse_series(F2, "X + 1")
     with pytest.raises(ValueError):
         a.coeffs[0] = 0
-    p = parse_poly(F3, "X^2 + 2")
+    p = Poly(F3, [2, 0, 1])
     with pytest.raises(ValueError):
         p.coeffs[1] = 1
 
@@ -690,7 +663,7 @@ def test_render_matches_expected_forms():
     assert str(LaurentSeries.zero(F3)) == "0"
     assert str(LaurentSeries.zero_window(F3, 8)) == "0 (prec 8)"
     assert str(parse_series(F3, "2*X^3 + 2")) == "2*X^3 + 2"
-    assert str(parse_poly(F2, "X")) == "X"
+    assert str(Poly(F2, [0, 1])) == "X"
 
 
 @settings(max_examples=150)
@@ -700,12 +673,6 @@ def test_series_text_round_trip(a):
     assert a == b
 
 
-@given(coeffs=st.lists(st.integers(0, 2), max_size=7))
-def test_poly_text_round_trip(coeffs):
-    p = Poly(F3, coeffs)
-    assert parse_poly(F3, str(p)) == p
-
-
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_series(F2, "X^^2")
@@ -713,8 +680,6 @@ def test_parse_rejects_garbage():
         parse_series(F2, "")
     with pytest.raises(FieldError):
         parse_series(F2, "5*X")
-    with pytest.raises(ValueError):
-        parse_poly(F2, "X^-1")
     with pytest.raises(PrecisionError):
         parse_series(F2, "X^-9 (prec 4)")
 

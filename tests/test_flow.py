@@ -693,9 +693,6 @@ def test_tail_table_validation():
         TailTable(2, [0, 1], [0.5, 0.7])
     with pytest.raises(ValueError):
         TailTable(2, [0], [1.5])
-    table = exact_rank2_tail(2)
-    with pytest.raises(ValueError):
-        table.phi(99)
 
 
 # ---------------------------------------------------------------------------

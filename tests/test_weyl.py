@@ -152,12 +152,6 @@ def test_cusp_tail_validation():
         cusp_rows(RootSystemSpec(2), 6, 2, 6)
 
 
-def test_cusp_tail_row_shape():
-    row = cusp_tail(3, A2, 2)
-    T, tail, comp, ratio = row.row()
-    assert T == 3 and ratio == pytest.approx(tail / comp)
-
-
 def test_rank1_matches_tree_ray_tail():
     # S(2n) against the even-vertex mass tail of the quotient ray: the two
     # decay with the same exponent, so their ratio is a single constant
